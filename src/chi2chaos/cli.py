@@ -9,7 +9,8 @@ columns are bitwise reproducible; Monte Carlo columns are reproducible given
 the seed, which is offset by the index position to give each n its own
 substream.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-guard abort.
+Exit codes: 0 success, 2 configuration error or unusable output path,
+3 numerical-guard abort.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def family_kernel(family: dict, n: int) -> SymmetricKernel:
     raise ConfigError(f"family.name: unknown family {name!r}")
 
 
-def _columns(scenario: Scenario, with_mc: bool) -> list:
+def _columns(scenario: Scenario, with_mc: bool, first_row: dict) -> list:
     cols = ["n"]
     cols += [f"kappa_gap_{r}" for r in range(2, scenario.target.k + 2)]
     cols.append("gamma_stat")
@@ -185,10 +186,7 @@ def _columns(scenario: Scenario, with_mc: bool) -> list:
         cols.append("ks")
     if with_mc and "empirical_cumulants" in scenario.outputs:
         cols += ["emp_kappa_2", "emp_kappa_3", "emp_kappa_4"]
-    if "q_chaos" in scenario.outputs:
-        sample = criteria.q_chaos_conditions(
-            family_kernel(scenario.family, scenario.indices[0]), scenario.target)
-        cols += [f"cond_{key}" for key in sample]
+    cols += [key for key in first_row if key.startswith("cond_")]
     return cols
 
 
@@ -205,11 +203,6 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
     out_dir.mkdir(parents=True, exist_ok=True)
 
     law = TargetLaw(scenario.target) if with_mc and "ks" in scenario.outputs else None
-    try:
-        columns = _columns(scenario, with_mc)
-    except (ResourceGuardError, NumericalError) as exc:
-        raise type(exc)(f"scenario {scenario.id!r} aborted at "
-                        f"n={scenario.indices[0]}: {exc}")
     rows = []
     for position, n in enumerate(scenario.indices):
         try:
@@ -239,6 +232,7 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
             raise type(exc)(f"scenario {scenario.id!r} aborted at n={n}: {exc}")
         rows.append(row)
 
+    columns = _columns(scenario, with_mc, rows[0])
     csv_path = out_dir / f"{scenario.id}.csv"
     with open(csv_path, "w") as fh:
         fh.write(",".join(columns) + "\n")
@@ -353,6 +347,9 @@ def main(argv=None) -> int:
     except (ResourceGuardError, NumericalError) as exc:
         print(exc, file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"{exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     print(csv_path)
     print(summary_path)
     return 0

@@ -105,20 +105,27 @@ def weighted_cumulant_sum(kappas, polys: CriterionPolynomials) -> float:
     return total
 
 
-def gamma_combination(F: ChaosExpansion, spec: TargetSpec,
-                      max_order=None) -> ChaosExpansion:
-    """The centered combination sum_r P^(r)(0)/(r! 2^{r-1}) (Gamma_{r-1} - E).
+def _centered_combination(seq, spec: TargetSpec) -> ChaosExpansion:
+    """sum_r P^(r)(0)/(r! 2^{r-1}) (Gamma_{r-1} - E Gamma_{r-1}), r = 1..k+1.
 
-    r runs over 1..k+1.  The order-0 part is removed term by term, so the
+    ``seq`` is [Gamma_0, ..., Gamma_k].  Order-0 parts are left out, so the
     output is exactly centered.
     """
-    polys = build_polynomials(spec)
-    seq = chaos.gamma_sequence(F, spec.k, max_order=max_order)
-    comb = ChaosExpansion.constant(F.dim, 0.0)
+    p = build_polynomials(spec).p
+    kernels = {}
     for r in range(1, spec.k + 2):
-        coeff = polys.p[r] / (2.0 ** (r - 1))
-        comb = comb + coeff * seq[r - 1].recentered()
-    return comb.recentered()
+        coeff = p[r] / (2.0 ** (r - 1))
+        for m in seq[r - 1].orders():
+            if m > 0:
+                kernels[m] = kernels.get(m, 0.0) + coeff * seq[r - 1].kernel(m)
+    return ChaosExpansion(seq[0].dim, kernels)
+
+
+def gamma_combination(F: ChaosExpansion, spec: TargetSpec,
+                      max_order=None) -> ChaosExpansion:
+    """The centered gamma combination of F, built on :func:`chaos.gamma_sequence`."""
+    return _centered_combination(
+        chaos.gamma_sequence(F, spec.k, max_order=max_order), spec)
 
 
 @dataclass(frozen=True)
@@ -157,18 +164,19 @@ def criterion_statistic(F: ChaosExpansion, spec: TargetSpec,
                         max_order=None) -> CriterionReport:
     """Cumulant gaps up to order k+1 plus the gamma statistic for F vs target.
 
-    F is recentered internally.  Vanishing of all gaps and of gamma_stat is
-    the implemented sufficient condition for convergence in total variation.
+    F is recentered internally; kappa_r = (r-1)! E[Gamma_{r-1}(F)] and the
+    gamma combination come from one gamma sequence.  Vanishing of all gaps
+    and of gamma_stat is the implemented sufficient condition for
+    convergence in total variation.
     """
-    centered = F.recentered()
-    kappas = chaos.exact_cumulants(centered, spec.k + 1, max_order=max_order)
+    seq = chaos.gamma_sequence(F.recentered(), spec.k, max_order=max_order)
     gaps = []
     for r in range(2, spec.k + 2):
-        kn = kappas[r - 1]
+        kn = math.factorial(r - 1) * seq[r - 1].mean
         kt = spec.cumulant(r)
         gaps.append((r, kn, kt, abs(kn - kt)))
-    gstat = gamma_statistic(centered, spec, max_order=max_order)
-    return CriterionReport(tuple(gaps), gstat)
+    comb = _centered_combination(seq, spec)
+    return CriterionReport(tuple(gaps), 0.5 * chaos.l2_inner(comb, comb))
 
 
 def psi_functional(kappas, moments, spec: TargetSpec, phi) -> float:
@@ -215,23 +223,19 @@ def q_chaos_conditions(f: SymmetricKernel, spec: TargetSpec,
                        max_order=None) -> dict:
     """Order-q contraction conditions for a two-weight target.
 
-    Decomposes the centered gamma combination of I_q(f) by chaos order using
-    the explicit contraction formulas, and returns the squared norm of each
-    order's kernel:
+    The centered gamma combination of I_q(f), built from the explicit
+    contraction formula :func:`chaos.gamma_explicit`, split by chaos order m;
+    each value is the squared norm of one order's kernel:
 
     * ``a``   -- <f ~x_{q/2} f, f> (even q only; proportional to kappa_3),
-    * ``b1``  -- the order-q kernel: the (r, s)-double sum with weights
-      q^2/4 (r-1)!(s-1)! C(q-1,r-1)^2 C(q-1,s-1) C(2q-2r-1,s-1), minus the
-      (alpha_1+alpha_2)/2 middle contraction (absent automatically for odd q
-      or alpha_1 = -alpha_2), plus alpha_1 alpha_2 f,
-    * ``b2_k{m}`` -- orders 2 <= m <= 2q-2, m != q,
+    * ``b1``  -- order m = q,
+    * ``b2_k{m}`` -- orders 1 <= m <= 2q-2, m != q (m = 1 at odd q only:
+      every order is even when q is),
     * ``b3_k{m}`` -- orders 2q-1 <= m <= 3q-4.
 
-    The q^2/4 prefactor is kept on every double-sum term (not only the
-    order-q one) so that the exact bookkeeping
-    ``(1/2) E[(gamma combination)^2] = (1/2) sum_m m! * bucket_m``
-    holds; at q = 2 this reduces to gamma_stat == b1 (calibration constant 1
-    in the half-moment normalization, i.e. E[comb^2] = 2 * b1).
+    The b-keys cover every order of the combination, so
+    ``gamma_stat = (1/2) sum_m m! * bucket_m`` holds at every q; at q = 2
+    this reduces to gamma_stat == b1.
     """
     if f.order < 2:
         raise ValueError(f"kernel order must be >= 2, got {f.order}")
@@ -239,43 +243,19 @@ def q_chaos_conditions(f: SymmetricKernel, spec: TargetSpec,
         raise ValueError(f"conditions are defined for exactly two weights, "
                          f"got {spec.k}")
     q = f.order
-    a1, a2 = spec.alphas
-    buckets = {}
-
-    def add(m, coeff, kern):
-        if m == 0:
-            return  # centered away
-        buckets[m] = buckets.get(m, 0.0) + coeff * kern.coeffs
-
-    # Gamma_2 double sum, weight P'''(0)/(3! 2^2) = 1/4 on c_q(r, s)
-    for r in range(1, q):  # r < q: larger r leaves no kernel to iterate on
-        fr = sym_tensor.sym_contract(f, f, r, max_order=max_order)
-        m1 = 2 * q - 2 * r
-        c1 = q * math.factorial(r - 1) * math.comb(q - 1, r - 1) ** 2
-        for s in range(1, min(m1, q) + 1):
-            m2 = m1 + q - 2 * s
-            c2 = c1 * q * math.factorial(s - 1) * math.comb(m1 - 1, s - 1) \
-                * math.comb(q - 1, s - 1)
-            frs = sym_tensor.sym_contract(fr, f, s, max_order=max_order)
-            add(m2, 0.25 * c2, frs)
-        # Gamma_1 terms, weight P''(0)/(2! 2) = -(alpha_1+alpha_2)/2 on c_q(r)
-        add(m1, -0.5 * (a1 + a2) * c1, fr)
-    # Gamma_0 term, weight P'(0) = alpha_1 alpha_2
-    add(q, a1 * a2, f)
+    seq = [ChaosExpansion.from_kernel(f)]
+    seq += [chaos.gamma_explicit(f, i, max_order=max_order) for i in (1, 2)]
+    comb = _centered_combination(seq, spec)
 
     conditions = {}
     if q % 2 == 0:
         half = sym_tensor.sym_contract(f, f, q // 2, max_order=max_order)
         conditions["a"] = sym_tensor.inner(half, f)
-    conditions["b1"] = float(np.sum(buckets.get(q, np.zeros(())) ** 2))
-    for m in range(2, 2 * q - 1):
-        if m == q:
-            continue
-        val = buckets.get(m)
-        conditions[f"b2_k{m}"] = 0.0 if val is None else float(np.sum(val ** 2))
-    for m in range(2 * q - 1, 3 * q - 3):
-        val = buckets.get(m)
-        conditions[f"b3_k{m}"] = 0.0 if val is None else float(np.sum(val ** 2))
+    conditions["b1"] = float(np.sum(comb.kernel(q) ** 2))
+    for m in range(2 - q % 2, 3 * q - 3):
+        if m != q:
+            prefix = "b2" if m < 2 * q - 1 else "b3"
+            conditions[f"{prefix}_k{m}"] = float(np.sum(comb.kernel(m) ** 2))
     return conditions
 
 

@@ -20,8 +20,6 @@ from .chaos import ChaosExpansion
 from .errors import ConfigError, ConsistencyError
 from .sym_tensor import SymmetricKernel
 
-EIGENVALUE_REL_TOL = 1e-12  # below this (relative to ||f||) an eigenvalue counts as zero
-
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -67,10 +65,6 @@ class SpectralForm:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns
-
-    def nonzero_eigenvalues(self, scale: float):
-        tol = EIGENVALUE_REL_TOL * max(scale, 1e-300)
-        return np.array([a for a in self.eigenvalues if abs(a) > tol])
 
 
 def hs_matrix(f: SymmetricKernel) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate
 
 import numpy as np
 
@@ -70,25 +70,28 @@ class SymmetricKernel:
         return float(np.sqrt(np.sum(self.coeffs ** 2)))
 
 
-def _multiset_arrangements(labels):
-    """Yield the distinct permutations of a multiset of labels."""
-    counts = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    n = len(labels)
-    out = [None] * n
+def _interleavings(blocks):
+    """Yield the axis orders that interleave consecutive groups of
+    ``blocks[i]`` axes, each group in increasing order.
+
+    Orders come lexicographically in the group labels, so with one axis per
+    group they are the q! permutations in lexicographic order.
+    """
+    q = sum(blocks)
+    ends = list(accumulate(blocks))
+    nxt = [end - size for end, size in zip(ends, blocks)]  # next unused axis
+    out = [0] * q
 
     def rec(pos):
-        if pos == n:
+        if pos == q:
             yield tuple(out)
             return
-        for lab, c in counts.items():
-            if c == 0:
-                continue
-            counts[lab] = c - 1
-            out[pos] = lab
-            yield from rec(pos + 1)
-            counts[lab] = c
+        for b, axis in enumerate(nxt):
+            if axis < ends[b]:
+                out[pos] = axis
+                nxt[b] = axis + 1
+                yield from rec(pos + 1)
+                nxt[b] = axis
 
     yield from rec(0)
 
@@ -108,8 +111,9 @@ def symmetrize(tensor, blocks=None, max_order=None, max_elements=None):
     consecutive group of ``blocks[i]`` axes, and the average runs over the
     distinct interleavings of the groups only.  This is exact (it equals the
     full q!-permutation average) and is what keeps high-order products of
-    symmetric kernels tractable.  With ``blocks=None`` all q! permutations
-    are enumerated, which the order guard caps at 8! = 40320.
+    symmetric kernels tractable.  With ``blocks=None`` every axis is its own
+    group, so all q! permutations are enumerated, which the order guard caps
+    at 8! = 40320.
     """
     t = np.asarray(tensor, dtype=float)
     q = t.ndim
@@ -124,15 +128,6 @@ def symmetrize(tensor, blocks=None, max_order=None, max_elements=None):
         raise ValueError(f"blocks {blocks} do not sum to the order {q}")
     _check_guard(q, dim, max_order, max_elements)
 
-    labels = []
-    for b, size in enumerate(blocks):
-        labels.extend([b] * size)
-    block_axes = []
-    off = 0
-    for size in blocks:
-        block_axes.append(list(range(off, off + size)))
-        off += size
-
     count = _arrangement_count(blocks)
     if count > 1_000_000:
         raise ResourceGuardError(
@@ -140,29 +135,10 @@ def symmetrize(tensor, blocks=None, max_order=None, max_elements=None):
             "exceeds the enumeration guard"
         )
     acc = np.zeros_like(t)
-    if blocks == (1,) * q:
-        arrangement_iter = permutations(range(q))
-        for axes in arrangement_iter:
-            acc += t.transpose(axes)
-    else:
-        for arr in _multiset_arrangements(labels):
-            taken = [0] * len(blocks)
-            axes = []
-            for lab in arr:
-                axes.append(block_axes[lab][taken[lab]])
-                taken[lab] += 1
-            acc += t.transpose(axes)
+    for axes in _interleavings(blocks):
+        acc += t.transpose(axes)
     acc /= count
     return acc
-
-
-def symmetrize_kernel(tensor, dim=None, max_order=None, max_elements=None) -> SymmetricKernel:
-    """Symmetrize a dense tensor and wrap it as a :class:`SymmetricKernel`."""
-    t = np.asarray(tensor, dtype=float)
-    if dim is None:
-        dim = t.shape[0] if t.ndim else 1
-    return SymmetricKernel(t.ndim, dim, symmetrize(t, max_order=max_order,
-                                                   max_elements=max_elements))
 
 
 def contract(f: SymmetricKernel, g: SymmetricKernel, r: int) -> np.ndarray:

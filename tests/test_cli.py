@@ -186,3 +186,15 @@ def test_main_run_tiny(tmp_path, capsys):
     assert code == 0
     out_lines = capsys.readouterr().out.splitlines()
     assert out_lines[0].endswith("tiny.csv")
+
+
+def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    code = main(["run", "gamma-nu1", "--out", str(blocker), "--no-mc"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(blocker) in err and "File exists" in err
+    code = main(["run", "gamma-nu1", "--out", str(blocker / "sub"), "--no-mc"])
+    assert code == 2
+    assert "Not a directory" in capsys.readouterr().err

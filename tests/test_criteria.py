@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chi2chaos import criteria
+from chi2chaos import chaos, criteria
 from chi2chaos.chaos import (
     ChaosExpansion,
     exact_cumulants,
@@ -274,25 +276,57 @@ def test_q2_conditions_aggregate_to_gamma_stat():
         assert abs(gs - conds["b1"]) < 1e-9 * (1 + abs(gs))
 
 
+def _conditions_total(conds, q):
+    """(1/2) sum_m m! bucket_m over the returned b-keys."""
+    return 0.5 * sum(math.factorial(q if key == "b1" else int(key.split("_k")[1]))
+                     * val for key, val in conds.items() if key != "a")
+
+
 def test_q3_conditions_aggregate_to_gamma_stat_with_order_one():
-    # for q=3 the stated ranges omit the order-1 component; adding it back
-    # reconstructs the full second moment of the gamma combination
+    # at odd q the combination has an order-1 part; it is returned as b2_k1,
+    # so the returned buckets alone reconstruct gamma_stat
     rng = np.random.default_rng(5)
     spec = TargetSpec((0.5, -0.5))
     f = random_kernel(3, 2, rng, scale=0.6)
     conds = q_chaos_conditions(f, spec, max_order=8)
+    assert set(conds) == {"b1", "b2_k1", "b2_k2", "b2_k4", "b3_k5"}
     F = ChaosExpansion.from_kernel(f)
     comb = criteria.gamma_combination(F, spec, max_order=8)
-    total = 0.5 * sum(math.factorial(m) * float(np.sum(comb.kernel(m) ** 2))
-                      for m in comb.orders() if m >= 2)
-    agg = 0.5 * (math.factorial(3) * conds["b1"]
-                 + sum(math.factorial(int(key.split("k")[1])) * val
-                       for key, val in conds.items() if key.startswith(("b2", "b3"))))
-    assert abs(agg - total) < 1e-9 * (1 + abs(total))
-    # and the via-conditions total plus the order-1 part is the gamma statistic
-    order1 = 0.5 * math.factorial(1) * float(np.sum(comb.kernel(1) ** 2))
+    order1 = float(np.sum(comb.kernel(1) ** 2))
+    assert order1 > 0.0
+    assert abs(conds["b2_k1"] - order1) < 1e-12 * order1
     gs = gamma_statistic(F, spec, max_order=8)
-    assert abs(agg + order1 - gs) < 1e-9 * (1 + abs(gs))
+    assert abs(_conditions_total(conds, 3) - gs) < 1e-9 * (1 + abs(gs))
+
+
+@settings(max_examples=12, deadline=None)
+@given(q=st.sampled_from([2, 3, 4]), d=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       alphas=st.lists(st.floats(-2.0, 2.0).filter(lambda a: abs(a) > 0.05),
+                       min_size=2, max_size=2,
+                       unique_by=lambda a: round(a, 6)))
+def test_conditions_aggregate_to_gamma_stat_property(q, d, seed, alphas):
+    # gamma_stat (gamma_sequence) against the buckets (gamma_explicit)
+    spec = TargetSpec(tuple(alphas))
+    f = random_kernel(q, d, np.random.default_rng(seed), scale=0.6)
+    conds = q_chaos_conditions(f, spec, max_order=12)
+    gs = criterion_statistic(ChaosExpansion.from_kernel(f), spec,
+                             max_order=12).gamma_stat
+    assert abs(_conditions_total(conds, q) - gs) < 1e-9 * (1 + abs(gs))
+
+
+def test_criterion_statistic_builds_one_gamma_sequence(monkeypatch):
+    calls = []
+    original = chaos.gamma_sequence
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(chaos, "gamma_sequence", counting)
+    f = random_kernel(3, 3, np.random.default_rng(8))
+    criterion_statistic(ChaosExpansion.from_kernel(f), TargetSpec((1.0, 2.0)))
+    assert len(calls) == 1
 
 
 def test_q4_conditions_aggregate_to_gamma_stat():
@@ -306,11 +340,7 @@ def test_q4_conditions_aggregate_to_gamma_stat():
         assert set(conds) == {"a", "b1", "b2_k2", "b2_k3", "b2_k5", "b2_k6",
                               "b3_k7", "b3_k8"}
         gs = gamma_statistic(ChaosExpansion.from_kernel(f), spec, max_order=12)
-        agg = 0.5 * (math.factorial(4) * conds["b1"]
-                     + sum(math.factorial(int(key.split("k")[1])) * val
-                           for key, val in conds.items()
-                           if key.startswith(("b2", "b3"))))
-        assert abs(gs - agg) < 1e-9 * (1 + abs(gs))
+        assert abs(gs - _conditions_total(conds, 4)) < 1e-9 * (1 + abs(gs))
         # every odd chaos order vanishes when q is even
         assert conds["b2_k3"] == 0.0 and conds["b2_k5"] == 0.0 \
             and conds["b3_k7"] == 0.0
