@@ -28,7 +28,13 @@ from .sym_tensor import SymmetricKernel, symmetrize
 
 
 class ChaosExpansion:
-    """Finite map order -> kernel array, closed under the operations below."""
+    """Finite map order -> kernel array, closed under the operations below.
+
+    Kernels are held as read-only float arrays.  A kernel passed in that
+    already is a read-only float64 array owning its data (every
+    ``SymmetricKernel.coeffs`` is one) is kept as it is; anything else is
+    copied, so later writes to the caller's array never reach the expansion.
+    """
 
     def __init__(self, dim: int, kernels=None):
         if dim < 1:
@@ -36,12 +42,15 @@ class ChaosExpansion:
         self.dim = dim
         self._kernels = {}
         for q, arr in (kernels or {}).items():
-            a = np.array(arr, dtype=float)
+            if (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                    and not arr.flags.writeable and arr.base is None):
+                a = arr
+            else:
+                a = _sealed(np.array(arr, dtype=float))
             if a.shape != (dim,) * q:
                 raise ValueError(
                     f"kernel at order {q} has shape {a.shape}, expected {(dim,) * q}"
                 )
-            a.flags.writeable = False
             self._kernels[int(q)] = a
 
     @classmethod
@@ -85,7 +94,7 @@ class ChaosExpansion:
             raise ValueError("dimension mismatch")
         out = {}
         for q in set(self._kernels) | set(other._kernels):
-            out[q] = self.kernel(q) + other.kernel(q)
+            out[q] = _sealed(self.kernel(q) + other.kernel(q))
         return ChaosExpansion(self.dim, out)
 
     __radd__ = __add__
@@ -97,9 +106,18 @@ class ChaosExpansion:
         return self + (-other if isinstance(other, ChaosExpansion) else -float(other))
 
     def __mul__(self, c: float):
-        return ChaosExpansion(self.dim, {q: c * a for q, a in self._kernels.items()})
+        return ChaosExpansion(
+            self.dim, {q: _sealed(c * a) for q, a in self._kernels.items()})
 
     __rmul__ = __mul__
+
+
+def _sealed(a) -> np.ndarray:
+    """A freshly computed kernel as a read-only float array, which
+    ``ChaosExpansion`` then holds without a copy."""
+    a = np.asarray(a, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 class GradientField:

@@ -10,7 +10,7 @@ the seed, which is offset by the index position to give each n its own
 substream.
 
 Exit codes: 0 success, 2 configuration error or unusable output path,
-3 numerical-guard abort.
+3 numerical-guard abort or internal consistency failure.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import criteria, montecarlo, sym_tensor
 from .chaos import ChaosExpansion
-from .errors import ConfigError, NumericalError, ResourceGuardError
+from .errors import ConfigError, ConsistencyError, NumericalError, ResourceGuardError
 from .montecarlo import TargetLaw
 from .spectral2 import TargetSpec
 from .sym_tensor import SymmetricKernel
@@ -228,7 +228,7 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
                     row["emp_kappa_2"] = emp[1]
                     row["emp_kappa_3"] = emp[2]
                     row["emp_kappa_4"] = emp[3]
-        except (ResourceGuardError, NumericalError) as exc:
+        except (ResourceGuardError, NumericalError, ConsistencyError) as exc:
             raise type(exc)(f"scenario {scenario.id!r} aborted at n={n}: {exc}")
         rows.append(row)
 
@@ -344,7 +344,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except (ResourceGuardError, NumericalError) as exc:
+    except (ResourceGuardError, NumericalError, ConsistencyError) as exc:
         print(exc, file=sys.stderr)
         return 3
     except OSError as exc:

@@ -25,6 +25,10 @@ from .spectral2 import TargetSpec
 GENERATOR_ID = "philox4x64-normals-v1"
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Most quadrature points the CDF inverter holds in one flat array.
+_BLOCK_POINTS = 1 << 16
+# Most subpanels one quadrature panel of one point may need.
+_MAX_SUBPANELS = 400_000
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -113,16 +117,26 @@ def target_cf(spec: TargetSpec, t):
 
 
 class _Inverter:
-    """Adaptive quadrature of Im[e^{-itx} cf(t)] / t over t in (0, T].
+    """Adaptive quadrature of Im[e^{-itx} cf(t)] / t over t in (0, T], for
+    many points x in lockstep.
 
     The integrand is rho(t) sin(theta(t)) / t with
     rho(t) = prod (1 + 4 a^2 t^2)^{-1/4} and
     theta(t) = (1/2) sum arctan(2 a t) - t (x + sum a).
-    Panels double geometrically; each panel gets enough Gauss-Legendre
-    subpanels to resolve its phase change.  Once the phase at the panel end
-    dominates (|theta'(T)| T large), two integration-by-parts tail terms are
-    added, and refinement stops when successive estimates differ by < tol
-    twice in a row.
+    Each point starts at T = 0.25 / max(|x + sum a|, 2 max |a|) and its panels
+    double geometrically; a panel gets max(2, ceil(2 dtheta / pi))
+    Gauss-Legendre subpanels, enough to resolve its phase change.  Once the
+    phase at the panel end dominates (|theta'(T)| T >= 20), two
+    integration-by-parts tail terms are added, and a point is done when its
+    successive estimates differ by < tol twice in a row.
+
+    Every point still refining takes each doubling step together with the
+    others: their subpanels form one flat array, reduced per point with
+    ``np.bincount``, and points that converge drop out.  The flat array is
+    cut between points into blocks of at most ``_BLOCK_POINTS`` quadrature
+    points (a point whose panel alone needs more is a block of its own), so
+    memory does not grow with the number of points.  Each value depends on
+    its own x alone, not on which other points share the call.
     """
 
     def __init__(self, spec: TargetSpec, tol: float = 1e-6,
@@ -142,68 +156,107 @@ class _Inverter:
         return 0.5 * np.sum(np.arctan(2.0 * self.alphas[:, None] * t[None, :]),
                             axis=0) - t * (x + self.asum)
 
-    def _theta_scalar(self, t, x):
-        return float(0.5 * np.sum(np.arctan(2.0 * self.alphas * t))
-                     - t * (x + self.asum))
-
-    def _panel(self, a, b, x):
-        dtheta = abs(self._theta_scalar(b, x) - self._theta_scalar(a, x))
-        nsub = max(2, int(math.ceil(2.0 * dtheta / math.pi)))
-        if nsub > 400_000:
+    def _panels(self, a, b, x):
+        """Integral over [a[i], b[i]] for the point x[i], for every i."""
+        dtheta = np.abs(self._theta(b, x) - self._theta(a, x))
+        nsub = np.maximum(2, np.ceil(2.0 * dtheta / math.pi)).astype(np.int64)
+        over = np.flatnonzero(nsub > _MAX_SUBPANELS)
+        if over.size:
+            i = over[0]
             raise NumericalError(
-                f"CDF quadrature panel [{a:g}, {b:g}] at x={x:g} would need "
-                f"{nsub} subpanels"
+                f"CDF quadrature panel [{a[i]:g}, {b[i]:g}] at x={x[i]:g} would "
+                f"need {nsub[i]} subpanels"
             )
-        edges = np.linspace(a, b, nsub + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
+        out = np.empty(len(x))
+        ends = np.cumsum(nsub) * len(_GL_NODES)
+        lo = 0
+        while lo < len(x):
+            start = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, start + _BLOCK_POINTS,
+                                                 side="right")))
+            out[lo:hi] = self._block(a[lo:hi], b[lo:hi], x[lo:hi], nsub[lo:hi])
+            lo = hi
+        return out
+
+    def _block(self, a, b, x, nsub):
+        """Panel integrals of a block: nsub[i] equal subpanels on [a[i], b[i]]
+        (edges as ``np.linspace`` places them), 16 Gauss-Legendre points each."""
+        owner = np.repeat(np.arange(len(x)), nsub)
+        j = np.arange(len(owner)) - np.repeat(np.cumsum(nsub) - nsub, nsub)
+        step = ((b - a) / nsub)[owner]
+        left = j * step + a[owner]
+        right = np.where(j + 1 == nsub[owner], b[owner], (j + 1) * step + a[owner])
+        mid = 0.5 * (right + left)
+        half = 0.5 * (right - left)
         ts = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
         ws = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-        vals = self._rho(ts) * np.sin(self._theta(ts, x)) / ts
-        return float(np.sum(ws * vals))
+        point_owner = np.repeat(owner, len(_GL_NODES))
+        vals = self._rho(ts) * np.sin(self._theta(ts, x[point_owner])) / ts
+        return np.bincount(point_owner, weights=ws * vals, minlength=len(x))
 
-    def _tail(self, T, x):
-        """Two integration-by-parts terms for the remainder beyond T, or None
+    def _tails(self, T, x):
+        """Two integration-by-parts terms for the remainder beyond T[i], or 0
         while the oscillation does not yet dominate the envelope decay."""
-        a2t2 = 4.0 * (self.alphas * T) ** 2
-        theta = self._theta_scalar(T, x)
-        dtheta = float(np.sum(self.alphas / (1.0 + a2t2))) - (x + self.asum)
-        if abs(dtheta) * T < 20.0:
-            return None
-        rho = float(np.exp(-0.25 * np.sum(np.log1p(a2t2))))
-        env = rho / T
-        dlog_rho = -2.0 * T * float(np.sum(self.alphas ** 2 / (1.0 + a2t2)))
+        a = self.alphas[:, None]
+        a2t2 = 4.0 * (a * T) ** 2
+        dtheta = np.sum(a / (1.0 + a2t2), axis=0) - (x + self.asum)
+        out = np.zeros(len(T))
+        use = np.abs(dtheta) * T >= 20.0
+        if not use.any():
+            return out
+        T, x, dtheta, a2t2 = T[use], x[use], dtheta[use], a2t2[:, use]
+        theta = self._theta(T, x)
+        env = self._rho(T) / T
+        dlog_rho = -2.0 * T * np.sum(a ** 2 / (1.0 + a2t2), axis=0)
         denv = env * (dlog_rho - 1.0 / T)
-        d2theta = float(np.sum(-8.0 * self.alphas ** 3 * T / (1.0 + a2t2) ** 2))
+        d2theta = np.sum(-8.0 * a ** 3 * T / (1.0 + a2t2) ** 2, axis=0)
         g = (denv * dtheta - env * d2theta) / dtheta ** 2
-        return env * math.cos(theta) / dtheta - g * math.sin(theta) / dtheta
+        out[use] = env * np.cos(theta) / dtheta - g * np.sin(theta) / dtheta
+        return out
 
-    def cdf(self, x: float) -> float:
-        x = float(x)
-        if self.lower_edge is not None and x <= self.lower_edge:
-            return 0.0
-        if self.upper_edge is not None and x >= self.upper_edge:
-            return 1.0
-        freq = max(abs(x + self.asum), 2.0 * float(np.max(np.abs(self.alphas))))
+    def cdf(self, x):
+        """P(target <= x) for a scalar (returns a float) or an array of x."""
+        xs = np.asarray(x, dtype=float)
+        flat = xs.ravel()
+        out = np.full(flat.shape, np.nan)
+        if self.lower_edge is not None:
+            out[flat <= self.lower_edge] = 0.0
+        if self.upper_edge is not None:
+            out[flat >= self.upper_edge] = 1.0
+        todo = np.flatnonzero(np.isnan(out))
+        bad = todo[~np.isfinite(flat[todo])]
+        if bad.size:
+            raise ValueError(f"CDF argument must be finite, got {flat[bad[0]]}")
+        out[todo] = self._invert(flat[todo])
+        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+    def _invert(self, x):
+        """CDF values at the finite points x, refined together."""
+        result = np.empty(len(x))
+        freq = np.maximum(np.abs(x + self.asum),
+                          2.0 * float(np.max(np.abs(self.alphas))))
         T = 0.25 / freq
-        integral = self._panel(0.0, T, x)
-        prev = None
-        small_steps = 0
+        integral = self._panels(np.zeros(len(x)), T, x)
+        prev = np.full(len(x), np.nan)
+        small_steps = np.zeros(len(x), dtype=np.int64)
+        pos = np.arange(len(x))  # where each point still refining goes
         for _ in range(self.max_doublings):
-            integral += self._panel(T, 2.0 * T, x)
-            T *= 2.0
-            tail = self._tail(T, x)
-            est = 0.5 - (integral + (tail or 0.0)) / math.pi
-            if prev is not None and abs(est - prev) < self.tol:
-                small_steps += 1
-                if small_steps >= 2:
-                    return min(max(est, 0.0), 1.0)
-            else:
-                small_steps = 0
-            prev = est
+            integral = integral + self._panels(T, 2.0 * T, x)
+            T = 2.0 * T
+            est = 0.5 - (integral + self._tails(T, x)) / math.pi
+            small_steps = np.where(np.abs(est - prev) < self.tol, small_steps + 1, 0)
+            done = small_steps >= 2
+            result[pos[done]] = np.clip(est[done], 0.0, 1.0)
+            keep = ~done
+            pos, x, T, integral, prev, small_steps = (
+                pos[keep], x[keep], T[keep], integral[keep], est[keep],
+                small_steps[keep])
+            if not pos.size:
+                return result
         raise NumericalError(
-            f"CDF quadrature did not converge at x={x:g}: reached T={T:g}, "
-            f"last estimate {prev!r}, tolerance {self.tol:g}"
+            f"CDF quadrature did not converge at x={x[0]:g}: reached T={T[0]:g}, "
+            f"last estimate {float(prev[0])!r}, tolerance {self.tol:g} "
+            f"({len(x)} of {len(result)} points unconverged)"
         )
 
 
@@ -217,7 +270,8 @@ class TargetLaw:
     def cf(self, t):
         return target_cf(self.spec, t)
 
-    def cdf(self, x) -> float:
+    def cdf(self, x):
+        """P(target <= x): a float for scalar x, an array of x's shape otherwise."""
         return self._inverter.cdf(x)
 
     def cdf_batch(self, xs, grid_size: int = None) -> np.ndarray:
@@ -233,33 +287,34 @@ class TargetLaw:
         if grid_size is None:
             grid_size = int(np.clip(n // 64, 256, 1600))
         if n <= grid_size:
-            return np.array([self.cdf(x) for x in xs])
+            return self.cdf(xs)
         order = np.sort(xs)
         idx = np.unique(np.round(np.linspace(0, n - 1, grid_size)).astype(int))
         grid = np.unique(order[idx])
-        vals = np.array([self.cdf(x) for x in grid])
+        vals = self.cdf(grid)
         vals = np.clip(np.maximum.accumulate(vals), 0.0, 1.0)
         return np.interp(xs, grid, vals)
 
 
-def target_cdf(spec: TargetSpec, x) -> float:
-    """P(target <= x) by characteristic-function inversion."""
+def target_cdf(spec: TargetSpec, x):
+    """P(target <= x) by characteristic-function inversion (x scalar or array)."""
     return TargetLaw(spec).cdf(x)
 
 
 def kolmogorov_distance(batch, cdf) -> float:
-    """One-sample Kolmogorov statistic: sup over the sample of |ECDF - cdf|."""
+    """One-sample Kolmogorov statistic: sup over the sample of |ECDF - cdf|.
+
+    ``cdf`` is called once with the sorted sample and must return an array
+    of the same shape."""
     values = batch.values if isinstance(batch, SampleBatch) else np.asarray(batch, float)
     v = np.sort(values)
     n = len(v)
     if n < 1:
         raise ValueError("need at least one sample")
-    try:
-        F = np.asarray(cdf(v), dtype=float)
-        if F.shape != v.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        F = np.array([float(cdf(x)) for x in v])
+    F = np.asarray(cdf(v), dtype=float)
+    if F.shape != v.shape:
+        raise ValueError(f"cdf returned shape {F.shape} for sample points of "
+                         f"shape {v.shape}")
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
 

@@ -349,6 +349,27 @@ def test_expansion_file_round_trip(tmp_path):
     assert expansions_close(F, G, tol=1e-12)
 
 
+def test_expansion_keeps_read_only_kernels_and_copies_writable_ones():
+    f = random_kernel(3, 4, np.random.default_rng(17))
+    F = ChaosExpansion.from_kernel(f)
+    assert np.shares_memory(F.kernel(3), f.coeffs)
+    assert np.shares_memory(F.recentered().kernel(3), f.coeffs)
+
+    writable = np.array(f.coeffs)
+    G = ChaosExpansion(4, {3: writable, 0: np.asarray(2.5)})
+    writable[0, 0, 0] += 1.0
+    assert np.array_equal(G.kernel(3), f.coeffs)
+    frozen_view = writable.view()
+    frozen_view.flags.writeable = False
+    H = ChaosExpansion(4, {3: frozen_view})
+    writable[0, 0, 0] += 1.0
+    assert not np.shares_memory(H.kernel(3), writable)
+    for E in (G, F + G, 2.0 * G, -G):
+        assert all(not E.kernel(q).flags.writeable for q in E.orders())
+    assert np.array_equal((F + G).kernel(3), 2.0 * f.coeffs)
+    assert (G - 1.0).mean == 1.5
+
+
 def test_gradient_partial_symmetry():
     rng = np.random.default_rng(16)
     F = ChaosExpansion.from_kernel(random_kernel(3, 3, rng))

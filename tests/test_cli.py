@@ -16,7 +16,7 @@ from chi2chaos.cli import (
     shipped_scenarios,
     validate_config,
 )
-from chi2chaos.errors import ConfigError
+from chi2chaos.errors import ConfigError, ConsistencyError
 from chi2chaos.spectral2 import spectral
 
 
@@ -198,3 +198,15 @@ def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
     code = main(["run", "gamma-nu1", "--out", str(blocker / "sub"), "--no-mc"])
     assert code == 2
     assert "Not a directory" in capsys.readouterr().err
+
+
+def test_consistency_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    def disagree(F, spec):
+        raise ConsistencyError("cumulant order 3: two forms disagree")
+
+    monkeypatch.setattr(cli.criteria, "criterion_statistic", disagree)
+    code = main(["run", "gamma-nu1", "--out", str(tmp_path / "out"), "--no-mc"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "scenario 'gamma-nu1' aborted at n=2: cumulant order 3: two forms disagree"]

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from chi2chaos.chaos import ChaosExpansion
 from chi2chaos.errors import NumericalError
@@ -10,6 +12,7 @@ from chi2chaos.montecarlo import (
     GENERATOR_ID,
     SampleBatch,
     TargetLaw,
+    _Inverter,
     export_csv,
     k_statistic_errors,
     k_statistics,
@@ -187,12 +190,88 @@ def test_kolmogorov_distance_examples():
     assert ks_wrong > 0.1
 
 
-def test_kolmogorov_distance_scalar_callable_fallback():
+def test_kolmogorov_distance_vectorised_cdf_matches_cdf_batch():
     spec = TargetSpec((1.0,))
     law = TargetLaw(spec)
     batch = sample_target(spec, 300, 21)
     assert abs(kolmogorov_distance(batch, law.cdf)
                - kolmogorov_distance(batch, law.cdf_batch)) < 1e-9
+
+
+def test_kolmogorov_distance_rejects_a_cdf_of_the_wrong_shape():
+    def scalar_only(x):
+        return float(np.mean(x))
+
+    with pytest.raises(ValueError, match=r"shape \(\) .* shape \(5,\)"):
+        kolmogorov_distance(np.arange(5.0), scalar_only)
+
+
+def _chi2_cdf(x):
+    """P(N^2 - 1 <= x) in closed form."""
+    return np.array([math.erf(math.sqrt((v + 1.0) / 2.0)) if v > -1.0 else 0.0
+                     for v in x])
+
+
+def test_target_cdf_chi2_closed_form_up_to_the_edge():
+    xs = np.array([-1.0 - 1e-7, -1.0, -1.0 + 1e-7, -1.0 + 1e-6, -0.999, -0.9,
+                   -0.5, 0.0, 0.3, 1.0, 4.0, 12.0, 30.0])
+    got = TargetLaw(TargetSpec((1.0,))).cdf(xs)
+    assert got.shape == xs.shape
+    assert np.max(np.abs(got - _chi2_cdf(xs))) < 1e-6
+    # -(N^2 - 1) <= x  iff  N^2 - 1 >= -x
+    mirrored = TargetLaw(TargetSpec((-1.0,))).cdf(-xs)
+    assert np.max(np.abs(mirrored - (1.0 - _chi2_cdf(xs)))) < 1e-6
+
+
+def test_target_cdf_value_does_not_depend_on_the_other_points():
+    spec = TargetSpec((1.0, -0.6, 2.2))
+    law = TargetLaw(spec)
+    xs = np.sort(sample_target(spec, 1600, 41).values)
+    together = law.cdf(xs)
+    alone = np.array([law.cdf(x) for x in xs])
+    assert np.array_equal(together, alone)
+    assert np.array_equal(law.cdf(xs[::-1]), together[::-1])
+    assert isinstance(law.cdf(xs[0]), float)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hst.lists(hst.integers(-12, 12).filter(bool), min_size=1, max_size=3,
+                 unique=True))
+def test_target_cdf_bounded_monotone_and_exact_beyond_the_edge(quarters):
+    spec = TargetSpec(tuple(q / 4.0 for q in quarters))
+    law = TargetLaw(spec)
+    edge = -sum(spec.alphas)
+    sd = math.sqrt(2.0 * sum(a * a for a in spec.alphas))
+    wide = law.cdf(np.linspace(edge - 6.0 * sd, edge + 6.0 * sd, 25))
+    assert np.all((wide >= 0.0) & (wide <= 1.0))
+    # monotone to 1e-9 between sample quantiles 1%..99%, where neighbouring
+    # CDF values differ by far more than the inversion error
+    grid = np.quantile(sample_target(spec, 2000, 1).values, np.linspace(0.01, 0.99, 25))
+    assert np.all(np.diff(law.cdf(grid)) >= -1e-9)
+    beyond = np.array([1e-3, 0.5, 3.0])
+    if all(a > 0 for a in spec.alphas):
+        assert np.all(law.cdf(edge - beyond) == 0.0)
+    if all(a < 0 for a in spec.alphas):
+        assert np.all(law.cdf(edge + beyond) == 1.0)
+
+
+def test_target_cdf_guards_raise_numerical_error():
+    spec = TargetSpec((1.0, 2.0))
+    with pytest.raises(NumericalError, match=r"x=0\.3\b"):
+        _Inverter(spec, max_doublings=2).cdf(np.array([0.3, 1.7]))
+    inv = _Inverter(spec)
+    with pytest.raises(NumericalError, match=r"at x=5\b.*subpanels"):
+        inv._panels(np.array([0.0, 0.0]), np.array([1.0, 1e6]),
+                    np.array([1.0, 5.0]))
+
+
+def test_target_cdf_rejects_non_finite_points():
+    law = TargetLaw(TargetSpec((1.0, 2.0)))
+    assert law.cdf(-np.inf) == 0.0
+    with pytest.raises(ValueError, match="finite"):
+        law.cdf(np.array([0.0, np.nan]))
+    with pytest.raises(ValueError, match="finite"):
+        law.cdf(np.inf)
 
 
 def test_sampling_isometry():
