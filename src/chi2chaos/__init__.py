@@ -2,10 +2,8 @@
 
 from .chaos import (
     ChaosExpansion,
-    GradientField,
     apply_L,
     apply_L_inverse,
-    derivative,
     evaluate,
     exact_cumulant,
     exact_cumulants,

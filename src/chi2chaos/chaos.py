@@ -2,10 +2,19 @@
 
 A random variable F = sum_q I_q(f_q) over the Gaussian family W(e_i) = x_i is
 represented by its kernels {q: f_q}; order 0 holds the mean.  Everything here
-is exact coefficient arithmetic: products via the multiplication formula,
-derivative and inverse-generator operators acting order by order, the iterated
-gamma operators (two independent implementations that cross-check each other),
-and cumulants read off the order-0 coefficient of gamma expansions.
+is exact coefficient arithmetic: generator and inverse-generator operators
+acting order by order, products, the iterated gamma operators (two independent
+implementations that cross-check each other), and cumulants read off the
+order-0 coefficient of gamma expansions.
+
+Products and gamma steps are one contraction sum over the orders p of F, q of
+G and the contraction order r,
+
+    sum_{p,q,r} w(p, q, r) I_{p+q-2r}(f_p (x)~_r g_q),
+
+with w = r! C(p,r) C(q,r) over r >= 0 for the product F G (the
+multiplication formula) and w = p (r-1)! C(p-1,r-1) C(q-1,r-1) over r >= 1
+for Gamma(F, G) = <DF, -DL^{-1}G>.
 
 Conventions that matter:
 
@@ -24,7 +33,7 @@ import numpy as np
 
 from . import sym_tensor
 from .errors import ResourceGuardError
-from .sym_tensor import SymmetricKernel, symmetrize
+from .sym_tensor import SymmetricKernel
 
 
 class ChaosExpansion:
@@ -42,11 +51,7 @@ class ChaosExpansion:
         self.dim = dim
         self._kernels = {}
         for q, arr in (kernels or {}).items():
-            if (isinstance(arr, np.ndarray) and arr.dtype == np.float64
-                    and not arr.flags.writeable and arr.base is None):
-                a = arr
-            else:
-                a = _sealed(np.array(arr, dtype=float))
+            a = sym_tensor._held(arr)
             if a.shape != (dim,) * q:
                 raise ValueError(
                     f"kernel at order {q} has shape {a.shape}, expected {(dim,) * q}"
@@ -70,9 +75,6 @@ class ChaosExpansion:
         if q in self._kernels:
             return self._kernels[q]
         return np.zeros((self.dim,) * q)
-
-    def sym_kernel(self, q: int) -> SymmetricKernel:
-        return SymmetricKernel(q, self.dim, self.kernel(q))
 
     @property
     def mean(self) -> float:
@@ -120,39 +122,6 @@ def _sealed(a) -> np.ndarray:
     return a
 
 
-class GradientField:
-    """An H-valued expansion: order q entry is q-symmetric with one free slot.
-
-    Entry arrays have order q+1; the first q axes are kernel slots and the
-    last axis is the free H-index.  Represents fields like DF.
-    """
-
-    def __init__(self, dim: int, entries=None):
-        self.dim = dim
-        self._entries = {}
-        for q, arr in (entries or {}).items():
-            a = np.array(arr, dtype=float)
-            if a.shape != (dim,) * (q + 1):
-                raise ValueError(
-                    f"entry at order {q} has shape {a.shape}, expected order {q + 1}"
-                )
-            a.flags.writeable = False
-            self._entries[int(q)] = a
-
-    def orders(self):
-        return sorted(self._entries)
-
-    def entry(self, q: int) -> np.ndarray:
-        if q in self._entries:
-            return self._entries[q]
-        return np.zeros((self.dim,) * (q + 1))
-
-    def __mul__(self, c: float):
-        return GradientField(self.dim, {q: c * a for q, a in self._entries.items()})
-
-    __rmul__ = __mul__
-
-
 def hermite(q: int, x):
     """Probabilists' Hermite polynomial H_q evaluated at x (scalar or array)."""
     if q < 0:
@@ -167,27 +136,36 @@ def hermite(q: int, x):
     return h if h.ndim else float(h)
 
 
-def multiply(F: ChaosExpansion, G: ChaosExpansion, max_order=None) -> ChaosExpansion:
-    """Exact product of two expansions via the multiplication formula."""
+def _pair(F: ChaosExpansion, G: ChaosExpansion, weight, r_min: int,
+          max_order=None) -> ChaosExpansion:
+    """sum_{p,q,r >= r_min} weight(p,q,r) I_{p+q-2r}(f_p (x)~_r g_q)."""
     if F.dim != G.dim:
         raise ValueError("dimension mismatch")
     if max_order is None:
         max_order = sym_tensor.MAX_ORDER
     out = {}
     for p in F.orders():
-        f = F.sym_kernel(p)
+        f = SymmetricKernel(p, F.dim, F.kernel(p))
         for q in G.orders():
-            g = G.sym_kernel(q)
-            for r in range(min(p, q) + 1):
+            g = SymmetricKernel(q, G.dim, G.kernel(q))
+            for r in range(r_min, min(p, q) + 1):
                 m = p + q - 2 * r
                 if m > max_order:
                     raise ResourceGuardError(
-                        f"product term of order {m} exceeds max_order={max_order}"
+                        f"chaos term of order {m} exceeds max_order={max_order}"
                     )
-                c = math.factorial(r) * math.comb(p, r) * math.comb(q, r)
-                term = c * sym_tensor.sym_contract(f, g, r, max_order=max_order).coeffs
+                term = weight(p, q, r) * sym_tensor.sym_contract(
+                    f, g, r, max_order=max_order).coeffs
                 out[m] = out.get(m, 0.0) + term
-    return ChaosExpansion(F.dim, out)
+    return ChaosExpansion(F.dim, {m: _sealed(a) for m, a in out.items()})
+
+
+def multiply(F: ChaosExpansion, G: ChaosExpansion, max_order=None) -> ChaosExpansion:
+    """Exact product of two expansions via the multiplication formula."""
+    def weight(p, q, r):
+        return math.factorial(r) * math.comb(p, r) * math.comb(q, r)
+
+    return _pair(F, G, weight, 0, max_order)
 
 
 def _hermite_table(x: np.ndarray, qmax: int) -> np.ndarray:
@@ -251,16 +229,6 @@ def evaluate(F: ChaosExpansion, x):
     return float(total[0]) if scalar_input else total
 
 
-def derivative(F: ChaosExpansion) -> GradientField:
-    """Malliavin derivative: order-q kernel contributes q * f_q, one slot freed."""
-    entries = {}
-    for q in F.orders():
-        if q == 0:
-            continue
-        entries[q - 1] = q * F.kernel(q)
-    return GradientField(F.dim, entries)
-
-
 def apply_L(F: ChaosExpansion) -> ChaosExpansion:
     """Ornstein-Uhlenbeck generator: scale order q by -q."""
     return ChaosExpansion(
@@ -273,49 +241,19 @@ def apply_L_inverse(F: ChaosExpansion) -> ChaosExpansion:
         F.dim, {q: (-1.0 / q) * F.kernel(q) for q in F.orders() if q > 0})
 
 
-def gradient_inner(U: GradientField, V: GradientField, max_order=None) -> ChaosExpansion:
-    """H-inner product of two gradient fields, as an exact chaos expansion.
-
-    For entries u (order p, one free slot) and v (order q, one free slot) the
-    product rule applies per free-index pairing: the contribution is
-    sum_r r! C(p,r) C(q,r) I_{p+q-2r}(sym of the contraction over the free
-    slot plus r further indices).
-    """
-    if U.dim != V.dim:
-        raise ValueError("dimension mismatch")
-    if max_order is None:
-        max_order = sym_tensor.MAX_ORDER
-    dim = U.dim
-    out = {}
-    for p in U.orders():
-        u = U.entry(p)
-        for q in V.orders():
-            v = V.entry(q)
-            for r in range(min(p, q) + 1):
-                m = p + q - 2 * r
-                if m > max_order:
-                    raise ResourceGuardError(
-                        f"gradient pairing term of order {m} exceeds "
-                        f"max_order={max_order}"
-                    )
-                axes_u = list(range(p - r, p)) + [p]
-                axes_v = list(range(q - r, q)) + [q]
-                raw = np.tensordot(u, v, axes=(axes_u, axes_v))
-                blocks = tuple(b for b in (p - r, q - r) if b > 0)
-                if blocks:
-                    raw = symmetrize(raw, blocks=blocks, max_order=max_order)
-                c = math.factorial(r) * math.comb(p, r) * math.comb(q, r)
-                out[m] = out.get(m, 0.0) + c * raw
-    return ChaosExpansion(dim, out)
-
-
 def gamma_step(F: ChaosExpansion, G: ChaosExpansion, max_order=None) -> ChaosExpansion:
-    """One gamma iteration: the pairing <DF, -D L^{-1} G> as a chaos expansion."""
-    if F.dim != G.dim:
-        raise ValueError("dimension mismatch")
-    U = derivative(F)
-    V = derivative(apply_L_inverse(G)) * (-1.0)
-    return gradient_inner(U, V, max_order=max_order)
+    """One gamma iteration: the pairing <DF, -D L^{-1} G> as a chaos expansion.
+
+    D takes f_p to p f_p with one slot freed and -D L^{-1} takes g_q to g_q
+    with one slot freed; pairing the freed slots is a contraction of order
+    r >= 1 of f_p and g_q, and the product rule over the other r - 1 pairs
+    leaves the weight p (r-1)! C(p-1, r-1) C(q-1, r-1).
+    """
+    def weight(p, q, r):
+        return (p * math.factorial(r - 1) * math.comb(p - 1, r - 1)
+                * math.comb(q - 1, r - 1))
+
+    return _pair(F, G, weight, 1, max_order)
 
 
 def gamma_sequence(F: ChaosExpansion, imax: int, max_order=None):
@@ -457,5 +395,7 @@ def load_expansion(path, max_order=None, max_elements=None) -> ChaosExpansion:
         kdoc = {"order": entry["order"], "dim": dim, "coeffs": entry["coeffs"]}
         kern = sym_tensor.kernel_from_dict(kdoc, max_order=max_order,
                                            max_elements=max_elements)
+        if kern.order in kernels:
+            raise ValueError(f"{path}: order {kern.order} is listed twice")
         kernels[kern.order] = kern.coeffs
     return ChaosExpansion(dim, kernels)

@@ -38,6 +38,17 @@ def _check_guard(order, dim, max_order=None, max_elements=None):
         )
 
 
+def _held(arr) -> np.ndarray:
+    """``arr`` as a kernel holds it: kept if it already is a read-only
+    float64 array owning its data, else copied and made read-only."""
+    if (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+            and not arr.flags.writeable and arr.base is None):
+        return arr
+    arr = np.array(arr, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class SymmetricKernel:
     """Order-q symmetric tensor over R^d; order 0 is a scalar.
@@ -45,6 +56,10 @@ class SymmetricKernel:
     ``coeffs`` has shape ``(dim,) * order`` and is invariant under every
     permutation of its indices.  Instances built by library operations are
     symmetric by construction; data loaded from files is checked.
+
+    ``coeffs`` is held read-only.  An array passed in that already is a
+    read-only float64 array owning its data is kept as it is; anything else
+    is copied, so later writes to the caller's array never reach the kernel.
     """
 
     order: int
@@ -52,7 +67,7 @@ class SymmetricKernel:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=float)
+        arr = _held(self.coeffs)
         if self.order < 0:
             raise ValueError(f"order must be >= 0, got {self.order}")
         if self.dim < 1:
@@ -62,7 +77,6 @@ class SymmetricKernel:
                 f"coeffs shape {arr.shape} does not match order={self.order}, "
                 f"dim={self.dim}"
             )
-        arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
     @property
@@ -162,13 +176,15 @@ def contract(f: SymmetricKernel, g: SymmetricKernel, r: int) -> np.ndarray:
 
 def sym_contract(f: SymmetricKernel, g: SymmetricKernel, r: int,
                  max_order=None, max_elements=None) -> SymmetricKernel:
-    """Symmetrized contraction of f and g of order r."""
+    """Symmetrized contraction of f and g of order r, with read-only
+    coefficients that the kernel holds without a copy."""
     raw = contract(f, g, r)
     blocks_list = [b for b in (f.order - r, g.order - r) if b > 0]
     if not blocks_list:
         return SymmetricKernel(0, f.dim, raw)
     sym = symmetrize(raw, blocks=tuple(blocks_list),
                      max_order=max_order, max_elements=max_elements)
+    sym.flags.writeable = False
     return SymmetricKernel(raw.ndim, f.dim, sym)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chi2chaos import chaos
 from chi2chaos.chaos import (
@@ -9,7 +11,6 @@ from chi2chaos.chaos import (
     apply_L,
     apply_L_inverse,
     chaos_polynomial,
-    derivative,
     evaluate,
     exact_cumulant,
     exact_cumulants,
@@ -113,6 +114,26 @@ def test_multiply_overflow_guard():
     multiply(F, F, max_order=10)
 
 
+# random expansions: a mean plus kernels at 1-3 distinct orders in 1..3
+expansion_args = dict(
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+    f_orders=st.sets(st.integers(1, 3), min_size=1, max_size=3),
+    g_orders=st.sets(st.integers(1, 3), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**expansion_args)
+def test_multiply_matches_pathwise_product_property(dim, seed, f_orders, g_orders):
+    rng = np.random.default_rng(seed)
+    F = random_expansion(rng, dim, sorted(f_orders))
+    G = random_expansion(rng, dim, sorted(g_orders))
+    xs = rng.standard_normal((20, dim))
+    assert np.allclose(evaluate(multiply(F, G), xs), evaluate(F, xs) * evaluate(G, xs),
+                       rtol=1e-10, atol=1e-10)
+
+
 # --- evaluate ---------------------------------------------------------------
 
 def test_evaluate_examples():
@@ -153,20 +174,7 @@ def test_evaluate_isometry_montecarlo():
     assert abs(m2 - chaos.second_moment(F)) < 4 * m2_se
 
 
-# --- derivative / L operators ----------------------------------------------
-
-def test_derivative_examples():
-    h = basis_kernel(2, (0,))
-    D = derivative(ChaosExpansion.from_kernel(h))
-    assert np.allclose(D.entry(0), h.coeffs)
-
-    f = basis_kernel(2, (0, 0))
-    D2 = derivative(ChaosExpansion.from_kernel(f))
-    assert np.allclose(D2.entry(1), 2.0 * f.coeffs)
-
-    Dc = derivative(ChaosExpansion.constant(2, 7.0))
-    assert Dc.orders() == []
-
+# --- L operators ------------------------------------------------------------
 
 def test_L_inverse_examples():
     f = basis_kernel(2, (0, 0))
@@ -256,6 +264,32 @@ def test_gamma_explicit_matches_gamma_step_random():
         for i in range(1, imax + 1):
             assert expansions_close(gamma_explicit(f, i, max_order=12), seq[i],
                                     tol=1e-10), (q, d, i)
+
+
+@settings(max_examples=15, deadline=None)
+@given(q=st.integers(2, 4), d=st.integers(1, 3), i=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_gamma_explicit_matches_gamma_sequence_property(q, d, i, seed):
+    f = random_kernel(q, d, np.random.default_rng(seed), scale=0.7)
+    seq = gamma_sequence(ChaosExpansion.from_kernel(f), i, max_order=12)
+    for j in range(1, i + 1):
+        assert expansions_close(gamma_explicit(f, j, max_order=12), seq[j],
+                                tol=1e-10), (q, d, j)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**expansion_args)
+def test_gamma_step_is_carre_du_champ_property(dim, seed, f_orders, g_orders):
+    # Gamma(F, G) = <DF, DH> = (L(FH) - F LH - H LF) / 2 with H = -L^{-1} G,
+    # built from multiply and apply_L only
+    rng = np.random.default_rng(seed)
+    F = random_expansion(rng, dim, sorted(f_orders))
+    G = random_expansion(rng, dim, sorted(g_orders))
+    H = -apply_L_inverse(G)
+    carre = 0.5 * (apply_L(multiply(F, H)) - multiply(F, apply_L(H))
+                   - multiply(H, apply_L(F)))
+    step = gamma_step(F, G)
+    assert l2_norm(step - carre) < 1e-10 * (1.0 + l2_norm(step))
 
 
 def test_gamma_explicit_argument_errors():
@@ -349,6 +383,14 @@ def test_expansion_file_round_trip(tmp_path):
     assert expansions_close(F, G, tol=1e-12)
 
 
+def test_load_expansion_rejects_duplicate_order(tmp_path):
+    path = tmp_path / "expansion.json"
+    path.write_text('{"dim": 2, "kernels": [{"order": 1, "coeffs": [1, 0]},'
+                    ' {"order": 1, "coeffs": [0, 5]}]}')
+    with pytest.raises(ValueError, match="order 1 .*twice"):
+        load_expansion(path)
+
+
 def test_expansion_keeps_read_only_kernels_and_copies_writable_ones():
     f = random_kernel(3, 4, np.random.default_rng(17))
     F = ChaosExpansion.from_kernel(f)
@@ -368,10 +410,3 @@ def test_expansion_keeps_read_only_kernels_and_copies_writable_ones():
         assert all(not E.kernel(q).flags.writeable for q in E.orders())
     assert np.array_equal((F + G).kernel(3), 2.0 * f.coeffs)
     assert (G - 1.0).mean == 1.5
-
-
-def test_gradient_partial_symmetry():
-    rng = np.random.default_rng(16)
-    F = ChaosExpansion.from_kernel(random_kernel(3, 3, rng))
-    u = derivative(F).entry(2)
-    assert np.allclose(u, u.transpose(1, 0, 2))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chi2chaos import sym_tensor
+from chi2chaos.chaos import ChaosExpansion
 from chi2chaos.errors import ResourceGuardError
 from chi2chaos.sym_tensor import (
     SymmetricKernel,
@@ -203,6 +204,21 @@ def test_kernel_immutable():
     f = basis_kernel(2, (0, 1))
     with pytest.raises(ValueError):
         f.coeffs[0, 0] = 5.0
+
+
+def test_kernel_shares_sealed_arrays_and_copies_writable_ones():
+    f = random_kernel(3, 3, np.random.default_rng(5))
+    F = ChaosExpansion.from_kernel(f)
+    assert SymmetricKernel(3, 3, F.kernel(3)).coeffs is F.kernel(3)
+
+    writable = np.array(f.coeffs)
+    k = SymmetricKernel(3, 3, writable)
+    writable[0, 0, 0] += 1.0
+    assert np.array_equal(k.coeffs, f.coeffs)
+    assert not k.coeffs.flags.writeable
+
+    for r in range(4):
+        assert not sym_contract(f, f, r).coeffs.flags.writeable
 
 
 def test_order_zero_kernel():
