@@ -168,6 +168,12 @@ def multiply(F: ChaosExpansion, G: ChaosExpansion, max_order=None) -> ChaosExpan
     return _pair(F, G, weight, 0, max_order)
 
 
+# Rows per block of the pathwise Hermite path (orders >= 3): the block's
+# (qmax+1, d, rows) Hermite table and one term's row vector stay small however
+# many rows a call has.
+_BLOCK_ROWS = 1 << 14
+
+
 def _hermite_table(x: np.ndarray, qmax: int) -> np.ndarray:
     """H_m(x) for m = 0..qmax, stacked along the first axis."""
     table = np.empty((qmax + 1,) + x.shape)
@@ -179,27 +185,55 @@ def _hermite_table(x: np.ndarray, qmax: int) -> np.ndarray:
     return table
 
 
+def _hermite_terms(kern: np.ndarray, q: int, dim: int):
+    """(weight * coeff, (m_i * dim + i, ...)) for every nonzero unordered
+    basis multi-index of order q, in ``combinations_with_replacement`` order.
+
+    The multi-index with multiplicities m_i evaluates to prod_i H_{m_i}(x_i),
+    row m_i * dim + i of a Hermite table flattened to ((qmax+1) * dim, rows),
+    and its q!/prod(m_i!) ordered positions all carry the same stored
+    coefficient, which supplies the multinomial weight.
+    """
+    qfact = math.factorial(q)
+    terms = []
+    for idx in combinations_with_replacement(range(dim), q):
+        coeff = kern[idx]
+        if coeff == 0.0:
+            continue
+        mult = {}
+        for i in idx:
+            mult[i] = mult.get(i, 0) + 1
+        weight = qfact
+        for m in mult.values():
+            weight //= math.factorial(m)
+        terms.append((float(weight) * coeff,
+                      tuple(m * dim + i for i, m in mult.items())))
+    return terms
+
+
 def evaluate(F: ChaosExpansion, x):
     """Pathwise value of F at W(e_i) = x_i.
 
-    ``x`` is a vector of length d or an (n, d) array of sample rows.  Each
-    kernel contributes through products of Hermite polynomials: an unordered
-    basis multi-index with multiplicities (m_1, ..., m_d) evaluates to
-    prod_i H_{m_i}(x_i), and its q!/prod(m_i!) ordered positions all carry
-    the same stored coefficient, which supplies the multinomial weight.
+    ``x`` is a vector of length d (a float comes back) or an (n, d) array of
+    sample rows (a length-n array comes back); any other shape raises
+    ``ValueError``.  Orders 0-2 are evaluated on all rows at once (order 2 as
+    the quadratic form x^T f x - tr f).  Orders >= 3 go through products of
+    Hermite polynomials, one term per unordered basis multi-index (see
+    :func:`_hermite_terms`): the rows are walked in blocks of ``_BLOCK_ROWS``
+    over a (qmax+1, d, rows) Hermite table, so each factor H_m(x_i) is a
+    contiguous row, memory is bounded per block, and a row's order >= 3 part
+    does not depend on the other rows in the call.
     """
     xs = np.asarray(x, dtype=float)
+    if xs.ndim not in (1, 2) or xs.shape[-1] != F.dim:
+        raise ValueError(
+            f"x must have shape (d,) or (n, d) with d = {F.dim}, got {xs.shape}")
     scalar_input = xs.ndim == 1
     if scalar_input:
         xs = xs[None, :]
-    if xs.shape[1] != F.dim:
-        raise ValueError(f"x has dimension {xs.shape[1]}, expected {F.dim}")
     n = xs.shape[0]
-    if F.max_order >= 3 and n > 131_072:
-        # bound the Hermite-table memory for the generic path
-        return np.concatenate([evaluate(F, xs[i:i + 131_072])
-                               for i in range(0, n, 131_072)])
     total = np.zeros(n)
+    hermite_orders = []
     for q in F.orders():
         kern = F.kernel(q)
         if q == 0:
@@ -210,22 +244,21 @@ def evaluate(F: ChaosExpansion, x):
             # I_2(f) = x^T f x - tr f  (quadratic-form fast path)
             total += np.einsum("ni,ni->n", xs @ kern, xs) - np.trace(kern)
         else:
-            table = _hermite_table(xs, q)
-            qfact = math.factorial(q)
-            for idx in combinations_with_replacement(range(F.dim), q):
-                coeff = kern[idx]
-                if coeff == 0.0:
-                    continue
-                mult = {}
-                for i in idx:
-                    mult[i] = mult.get(i, 0) + 1
-                weight = qfact
-                for m in mult.values():
-                    weight //= math.factorial(m)
-                term = np.full(n, float(weight) * coeff)
-                for i, m in mult.items():
-                    term *= table[m, :, i]
-                total += term
+            hermite_orders.append(_hermite_terms(kern, q, F.dim))
+    if hermite_orders:
+        term = np.empty(min(n, _BLOCK_ROWS))
+        for lo in range(0, n, _BLOCK_ROWS):
+            block = total[lo:lo + _BLOCK_ROWS]
+            table = _hermite_table(
+                np.ascontiguousarray(xs[lo:lo + _BLOCK_ROWS].T), F.max_order)
+            rows = table.reshape(-1, len(block))
+            t = term[:len(block)]
+            for terms in hermite_orders:
+                for c, factors in terms:
+                    t.fill(c)
+                    for j in factors:
+                        t *= rows[j]
+                    block += t
     return float(total[0]) if scalar_input else total
 
 

@@ -81,20 +81,21 @@ def k_statistics(batch, rmax: int = 6):
         raise ValueError(f"need more than rmax={rmax} samples, got {n}")
     mean = float(np.mean(values))
     d = values - mean
-    m = [float(np.mean(d ** r)) for r in range(2, 7)]
-    m2, m3, m4, m5, m6 = m
+    # central moments m_2 .. m_rmax only: k_r needs none of higher order
+    m = {r: float(np.mean(d ** r)) for r in range(2, rmax + 1)}
     out = [mean]
     if rmax >= 2:
-        out.append(n / (n - 1) * m2)
+        out.append(n / (n - 1) * m[2])
     if rmax >= 3:
-        out.append(n ** 2 / ((n - 1) * (n - 2)) * m3)
+        out.append(n ** 2 / ((n - 1) * (n - 2)) * m[3])
     if rmax >= 4:
-        out.append(n ** 2 * ((n + 1) * m4 - 3 * (n - 1) * m2 ** 2)
+        out.append(n ** 2 * ((n + 1) * m[4] - 3 * (n - 1) * m[2] ** 2)
                    / ((n - 1) * (n - 2) * (n - 3)))
     if rmax >= 5:
-        out.append(m5 - 10.0 * m2 * m3)
+        out.append(m[5] - 10.0 * m[2] * m[3])
     if rmax >= 6:
-        out.append(m6 - 15.0 * m2 * m4 - 10.0 * m3 ** 2 + 30.0 * m2 ** 3)
+        out.append(m[6] - 15.0 * m[2] * m[4] - 10.0 * m[3] ** 2
+                   + 30.0 * m[2] ** 3)
     return out
 
 

@@ -1,4 +1,7 @@
 import math
+import re
+from itertools import combinations_with_replacement, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -152,14 +155,117 @@ def test_evaluate_constant():
 
 
 def test_evaluate_fast_path_matches_hermite_path():
-    # force the generic multiset path by bumping order-3 kernels, and compare
-    # order-2 fast path against an explicit Hermite expansion
+    # the order-2 fast path (quadratic form x^T f x - tr f) against the
+    # Hermite-product sum sum_i f_ii H_2(x_i) + sum_{i != j} f_ij x_i x_j
     rng = np.random.default_rng(4)
     f = random_kernel(2, 3, rng)
     F = ChaosExpansion.from_kernel(f)
     xs = rng.standard_normal((100, 3))
-    direct = np.einsum("ni,ij,nj->n", xs, f.coeffs, xs) - np.trace(f.coeffs)
+    c = f.coeffs
+    direct = sum(c[i, i] * hermite(2, xs[:, i]) for i in range(3))
+    direct = direct + sum(c[i, j] * xs[:, i] * xs[:, j]
+                          for i in range(3) for j in range(3) if i != j)
     assert np.allclose(evaluate(F, xs), direct, atol=1e-12)
+
+
+def dense_reference(F, xs):
+    """sum over every ordered index tuple of f[idx] prod_i H_{mult_i}(x_i):
+    no multisets and no multinomial weights."""
+    total = np.full(len(xs), F.mean)
+    for q in F.orders():
+        if q == 0:
+            continue
+        kern = F.kernel(q)
+        for idx in product(range(F.dim), repeat=q):
+            term = np.full(len(xs), kern[idx])
+            for i in set(idx):
+                term = term * hermite(idx.count(i), xs[:, i])
+            total = total + term
+    return total
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_evaluate_high_orders_match_dense_reference(q, d):
+    rng = np.random.default_rng((q, d))
+    F = ChaosExpansion.from_kernel(random_kernel(q, d, rng))
+    xs = rng.standard_normal((50, d))
+    want = dense_reference(F, xs)
+    assert np.allclose(evaluate(F, xs), want, rtol=1e-12,
+                       atol=1e-12 * np.max(np.abs(want)))
+
+
+def per_multiset_evaluate(F, x):
+    """The per-multiset loop over whole (n, d) Hermite tables that
+    ``evaluate`` used before it walked rows in blocks, kept as its reference."""
+    xs = np.asarray(x, dtype=float)
+    n = xs.shape[0]
+    total = np.zeros(n)
+    for q in F.orders():
+        kern = F.kernel(q)
+        if q == 0:
+            total += float(kern)
+        elif q == 1:
+            total += xs @ kern
+        elif q == 2:
+            total += np.einsum("ni,ni->n", xs @ kern, xs) - np.trace(kern)
+        else:
+            table = np.empty((q + 1,) + xs.shape)
+            table[0] = 1.0
+            table[1] = xs
+            for m in range(1, q):
+                table[m + 1] = xs * table[m] - m * table[m - 1]
+            qfact = math.factorial(q)
+            for idx in combinations_with_replacement(range(F.dim), q):
+                coeff = kern[idx]
+                if coeff == 0.0:
+                    continue
+                mult = {}
+                for i in idx:
+                    mult[i] = mult.get(i, 0) + 1
+                weight = qfact
+                for m in mult.values():
+                    weight //= math.factorial(m)
+                term = np.full(n, float(weight) * coeff)
+                for i, m in mult.items():
+                    term *= table[m, :, i]
+                total += term
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       orders=st.sets(st.integers(1, 5), min_size=1, max_size=4),
+       rows=st.integers(0, 60), block=st.integers(1, 25))
+def test_evaluate_is_bitwise_the_per_multiset_loop_property(dim, seed, orders,
+                                                            rows, block):
+    # small blocks so that calls span several blocks and a partial last one
+    rng = np.random.default_rng(seed)
+    F = random_expansion(rng, dim, sorted(orders))
+    xs = rng.standard_normal((rows, dim))
+    with mock.patch.object(chaos, "_BLOCK_ROWS", block):
+        got = evaluate(F, xs)
+    assert np.array_equal(got, per_multiset_evaluate(F, xs))
+
+
+def test_evaluate_row_does_not_depend_on_its_block():
+    # orders 0 and >= 3 only: orders 1 and 2 go through BLAS matrix products,
+    # whose last bits may depend on how many rows share the call
+    rng = np.random.default_rng(15)
+    F = random_expansion(rng, 3, [3, 4])
+    xs = rng.standard_normal((40_000, 3))
+    vals = evaluate(F, xs)
+    assert chaos._BLOCK_ROWS == 16_384
+    for r in (0, 16_383, 16_384, 39_999):
+        assert evaluate(F, xs[r]) == vals[r]
+        assert evaluate(F, xs[r:r + 1])[0] == vals[r]
+
+
+@pytest.mark.parametrize("shape", [(), (2, 4, 3), (0,), (5, 2)])
+def test_evaluate_rejects_bad_shapes(shape):
+    F = ChaosExpansion.from_kernel(random_kernel(3, 3, np.random.default_rng(16)))
+    with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+        evaluate(F, np.zeros(shape))
 
 
 def test_evaluate_isometry_montecarlo():

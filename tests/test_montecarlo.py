@@ -115,6 +115,13 @@ def test_k_statistics_match_scipy_kstat():
         assert abs(ours[r - 1] - want) < 1e-10 * (1 + abs(want)), r
 
 
+def test_k_statistics_lower_rmax_is_bitwise_a_prefix():
+    values = np.random.Generator(np.random.Philox(key=13)).standard_normal(3000) ** 3
+    full = k_statistics(values, 6)
+    for rmax in range(1, 6):
+        assert k_statistics(values, rmax) == full[:rmax], rmax
+
+
 def test_k_statistics_argument_errors():
     with pytest.raises(ValueError):
         k_statistics(np.zeros(5), 6)
