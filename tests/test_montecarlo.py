@@ -1,4 +1,6 @@
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from chi2chaos.chaos import ChaosExpansion
+from chi2chaos.cli import load_config, shipped_scenarios
 from chi2chaos.errors import NumericalError
 from chi2chaos.montecarlo import (
     GENERATOR_ID,
@@ -120,6 +123,19 @@ def test_k_statistics_lower_rmax_is_bitwise_a_prefix():
     full = k_statistics(values, 6)
     for rmax in range(1, 6):
         assert k_statistics(values, rmax) == full[:rmax], rmax
+
+
+def test_k_statistics_third_and_fourth_match_fsum_moments():
+    values = np.random.Generator(np.random.Philox(key=17)).standard_normal(20_000) ** 2
+    n = len(values)
+    mean = math.fsum(values.tolist()) / n
+    d = [v - mean for v in values.tolist()]
+    m2, m3, m4 = (math.fsum(v ** r for v in d) / n for r in (2, 3, 4))
+    k3 = n ** 2 / ((n - 1) * (n - 2)) * m3
+    k4 = n ** 2 * ((n + 1) * m4 - 3 * (n - 1) * m2 ** 2) / ((n - 1) * (n - 2) * (n - 3))
+    got = k_statistics(values, 4)
+    assert abs(got[2] - k3) <= 1e-13 * abs(k3)
+    assert abs(got[3] - k4) <= 1e-13 * abs(k4)
 
 
 def test_k_statistics_argument_errors():
@@ -260,6 +276,72 @@ def test_target_cdf_bounded_monotone_and_exact_beyond_the_edge(quarters):
         assert np.all(law.cdf(edge - beyond) == 0.0)
     if all(a < 0 for a in spec.alphas):
         assert np.all(law.cdf(edge + beyond) == 1.0)
+
+
+class QuarterTurnInverter(_Inverter):
+    """The inverter with the subpanel rule it used before one 16-node
+    subpanel per 2 pi of phase: one per pi/2 of phase and at least 2 per
+    panel, kept as its reference.  It integrates all points in one block;
+    a point's sum is the same whichever block it lies in."""
+
+    def _panels(self, a, b, x):
+        dtheta = np.abs(self._theta(b, x) - self._theta(a, x))
+        nsub = np.maximum(2, np.ceil(2.0 * dtheta / math.pi)).astype(np.int64)
+        assert np.all(nsub <= 400_000)
+        return self._block(a, b, x, nsub)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.lists(hst.integers(-12, 12).filter(bool), min_size=1, max_size=3,
+                 unique=True))
+def test_target_cdf_matches_the_quarter_turn_rule(quarters):
+    spec = TargetSpec(tuple(q / 4.0 for q in quarters))
+    edge = -sum(spec.alphas)
+    sd = math.sqrt(2.0 * sum(a * a for a in spec.alphas))
+    xs = np.linspace(edge - 6.0 * sd, edge + 6.0 * sd, 160)
+    got = _Inverter(spec).cdf(xs)
+    want = QuarterTurnInverter(spec).cdf(xs)
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def _quadrature_points(inverter_cls, spec, xs):
+    """Quadrature points the inverter evaluates to invert the CDF at xs."""
+    count = 0
+    block = _Inverter._block
+
+    def counting(self, a, b, x, nsub):
+        nonlocal count
+        count += int(np.sum(nsub)) * 16
+        return block(self, a, b, x, nsub)
+
+    with mock.patch.object(_Inverter, "_block", counting):
+        inverter_cls(spec).cdf(xs)
+    return count
+
+
+@pytest.mark.parametrize("scenario", sorted(shipped_scenarios()))
+def test_target_cdf_uses_under_035_of_the_quarter_turn_work(scenario):
+    spec = load_config(shipped_scenarios()[scenario]).target
+    xs = np.quantile(sample_target(spec, 20_000, 5).values,
+                     np.linspace(0.0, 1.0, 400))
+    new = _quadrature_points(_Inverter, spec, xs)
+    old = _quadrature_points(QuarterTurnInverter, spec, xs)
+    assert new <= 0.35 * old, (new, old)
+
+
+def test_subpanel_guard_trips_above_2e5_pi_of_phase():
+    # one subpanel per 2 pi: 1e5 subpanels cover 2e5 pi rad.  The quarter-turn
+    # rule's limit of 4e5 subpanels tripped at the same phase.
+    inv = _Inverter(TargetSpec((1.0,)))
+    # on [0, 1] the phase change is |arctan(2) / 2 - (x + 1)|
+    x_below, x_above = (0.5 * math.atan(2.0) - 1.0 - (2e5 * math.pi + s)
+                        for s in (-1.0, 1.0))
+    zeros, ones = np.zeros(1), np.ones(1)
+    assert np.isfinite(inv._panels(zeros, ones, np.array([x_below]))).all()
+    with pytest.raises(NumericalError,
+                       match=rf"at x={re.escape(f'{x_above:g}')} would need "
+                             r"100001 subpanels"):
+        inv._panels(np.zeros(2), np.ones(2), np.array([x_below, x_above]))
 
 
 def test_target_cdf_guards_raise_numerical_error():
