@@ -41,10 +41,6 @@ def _poly_deriv(coeffs, times=1):
     return c
 
 
-def _poly_eval(coeffs, x):
-    return float(np.polynomial.polynomial.polyval(x, np.asarray(coeffs, dtype=float)))
-
-
 def _poly_expectation(coeffs, moments):
     """E[phi(F)] from raw moments (moments[i] = E[F^{i+1}])."""
     c = np.asarray(coeffs, dtype=float)

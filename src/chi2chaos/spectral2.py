@@ -74,10 +74,6 @@ def hs_matrix(f: SymmetricKernel) -> np.ndarray:
     return np.array(f.coeffs)
 
 
-def _matrix_kernel(m: np.ndarray) -> SymmetricKernel:
-    return SymmetricKernel(2, m.shape[0], 0.5 * (m + m.T))
-
-
 def spectral(f: SymmetricKernel) -> SpectralForm:
     """Symmetric eigendecomposition, deterministically ordered.
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -84,32 +83,7 @@ class SymmetricKernel:
         return float(np.sqrt(np.sum(self.coeffs ** 2)))
 
 
-def _interleavings(blocks):
-    """Yield the axis orders that interleave consecutive groups of
-    ``blocks[i]`` axes, each group in increasing order.
-
-    Orders come lexicographically in the group labels, so with one axis per
-    group they are the q! permutations in lexicographic order.
-    """
-    q = sum(blocks)
-    ends = list(accumulate(blocks))
-    nxt = [end - size for end, size in zip(ends, blocks)]  # next unused axis
-    out = [0] * q
-
-    def rec(pos):
-        if pos == q:
-            yield tuple(out)
-            return
-        for b, axis in enumerate(nxt):
-            if axis < ends[b]:
-                out[pos] = axis
-                nxt[b] = axis + 1
-                yield from rec(pos + 1)
-                nxt[b] = axis
-
-    yield from rec(0)
-
-
+# kept only for perfbench/test_bench.py, until ROADMAP item 7 retires it
 def _arrangement_count(blocks):
     q = sum(blocks)
     n = math.factorial(q)
@@ -118,16 +92,15 @@ def _arrangement_count(blocks):
     return n
 
 
-def symmetrize(tensor, blocks=None, max_order=None, max_elements=None):
-    """Average ``tensor`` over all index permutations.
+def symmetrize(tensor, *, max_order=None, max_elements=None):
+    """Average ``tensor`` over all q! index permutations.
 
-    When ``blocks`` is given, the tensor is assumed symmetric within each
-    consecutive group of ``blocks[i]`` axes, and the average runs over the
-    distinct interleavings of the groups only.  This is exact (it equals the
-    full q!-permutation average) and is what keeps high-order products of
-    symmetric kernels tractable.  With ``blocks=None`` every axis is its own
-    group, so all q! permutations are enumerated, which the order guard caps
-    at 8! = 40320.
+    Axes are inserted one at a time: when the first m axes of ``acc`` are
+    symmetric, ``(acc + sum_{j<m} swapaxes(acc, j, m)) / (m + 1)`` averages
+    over the m + 1 places of axis m among them, so the first m + 1 axes are
+    symmetric.  Running m = 1 .. q-1 gives exactly the q!-permutation average
+    in q(q-1)/2 strided adds over the tensor, with two tensors alive besides
+    the input.  At order 2 this is ``(t + t.T) / 2``.
     """
     t = np.asarray(tensor, dtype=float)
     q = t.ndim
@@ -136,22 +109,15 @@ def symmetrize(tensor, blocks=None, max_order=None, max_elements=None):
     dim = t.shape[0]
     if t.shape != (dim,) * q:
         raise ValueError(f"tensor shape {t.shape} is not cubical")
-    if blocks is None:
-        blocks = (1,) * q
-    if sum(blocks) != q:
-        raise ValueError(f"blocks {blocks} do not sum to the order {q}")
     _check_guard(q, dim, max_order, max_elements)
 
-    count = _arrangement_count(blocks)
-    if count > 1_000_000:
-        raise ResourceGuardError(
-            f"symmetrization over {count} arrangements (blocks {blocks}) "
-            "exceeds the enumeration guard"
-        )
-    acc = np.zeros_like(t)
-    for axes in _interleavings(blocks):
-        acc += t.transpose(axes)
-    acc /= count
+    acc = t
+    for m in range(1, q):
+        nxt = acc + acc.swapaxes(0, m)
+        for j in range(1, m):
+            nxt += acc.swapaxes(j, m)
+        nxt /= m + 1
+        acc = nxt
     return acc
 
 
@@ -176,14 +142,13 @@ def contract(f: SymmetricKernel, g: SymmetricKernel, r: int) -> np.ndarray:
 
 def sym_contract(f: SymmetricKernel, g: SymmetricKernel, r: int,
                  max_order=None, max_elements=None) -> SymmetricKernel:
-    """Symmetrized contraction of f and g of order r, with read-only
-    coefficients that the kernel holds without a copy."""
+    """Symmetrized contraction of f and g of order r: :func:`contract`, then
+    :func:`symmetrize` (q(q-1)/2 adds over the order-q result), with
+    read-only coefficients that the kernel holds without a copy."""
     raw = contract(f, g, r)
-    blocks_list = [b for b in (f.order - r, g.order - r) if b > 0]
-    if not blocks_list:
+    if raw.ndim == 0:
         return SymmetricKernel(0, f.dim, raw)
-    sym = symmetrize(raw, blocks=tuple(blocks_list),
-                     max_order=max_order, max_elements=max_elements)
+    sym = symmetrize(raw, max_order=max_order, max_elements=max_elements)
     sym.flags.writeable = False
     return SymmetricKernel(raw.ndim, f.dim, sym)
 

@@ -9,6 +9,8 @@ import time
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from chi2chaos import chaos, cli, criteria, montecarlo, spectral2, sym_tensor
 from chi2chaos.chaos import (
@@ -101,6 +103,20 @@ def test_01_four_way_equality_random_kernels():
     assert elapsed < 10.0
     print(f"\nacceptance  1 PASS  four-way equality, 100 kernels x k=1..3 "
           f"({elapsed:.1f}s)")
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.lists(hst.integers(-12, 12).filter(bool), min_size=1, max_size=3,
+                 unique=True),
+       hst.integers(1, 6), hst.integers(0, 2**32 - 1))
+def test_four_way_equality_property(quarters, d, seed):
+    spec = TargetSpec(tuple(q / 4.0 for q in quarters))
+    f = random_kernel(2, d, np.random.default_rng(seed))
+    vals = four_way_quantities(f, spec)
+    scale = 1e-9 * (1 + max(abs(v) for v in vals))
+    for i in range(4):
+        for j in range(i + 1, 4):
+            assert abs(vals[i] - vals[j]) < scale, (i, j, vals)
 
 
 def test_02_four_way_vanishes_at_target():

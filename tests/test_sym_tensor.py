@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from chi2chaos import sym_tensor
 from chi2chaos.chaos import ChaosExpansion
@@ -67,8 +69,34 @@ def test_symmetrize_blocks_equals_full_average():
     a = symmetrize(rng.standard_normal((3, 3)))
     b = symmetrize(rng.standard_normal((3, 3, 3)))
     t = np.tensordot(a, b, axes=0)
-    assert np.allclose(symmetrize(t, blocks=(2, 3)), brute_force_symmetrize(t),
-                       atol=1e-13)
+    assert np.allclose(symmetrize(t), brute_force_symmetrize(t), atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.integers(0, 6), hst.integers(1, 4), hst.integers(0, 2**32 - 1))
+def test_symmetrize_matches_permutation_average_property(q, d, seed):
+    t = np.random.default_rng(seed).standard_normal((d,) * q)
+    want = brute_force_symmetrize(t)
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert np.max(np.abs(symmetrize(t) - want)) <= 1e-12 * scale
+
+
+def test_symmetrize_order_two_is_bitwise_half_sum():
+    t = np.random.default_rng(6).standard_normal((7, 7))
+    assert np.array_equal(symmetrize(t), (t + t.T) / 2)
+
+
+def test_symmetrize_order_ten_single_arrangement():
+    # e0^{x9} x e1: 1/10 on each of its ten arrangements, 0 elsewhere
+    t = np.zeros((2,) * 10)
+    t[(0,) * 9 + (1,)] = 1.0
+    s = symmetrize(t, max_order=10)
+    for k in range(10):
+        pos = [0] * 10
+        pos[k] = 1
+        assert abs(s[tuple(pos)] - 0.1) < 1e-15
+        s[tuple(pos)] = 0.0
+    assert not np.any(s)
 
 
 def test_symmetrize_order_guard():
