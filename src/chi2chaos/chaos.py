@@ -32,7 +32,6 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import sym_tensor
-from .errors import ResourceGuardError
 from .sym_tensor import SymmetricKernel
 
 
@@ -122,27 +121,11 @@ def _sealed(a) -> np.ndarray:
     return a
 
 
-def hermite(q: int, x):
-    """Probabilists' Hermite polynomial H_q evaluated at x (scalar or array)."""
-    if q < 0:
-        raise ValueError(f"q must be >= 0, got {q}")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if q == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for m in range(1, q):
-        h, h_prev = x * h - m * h_prev, h
-    return h if h.ndim else float(h)
-
-
 def _pair(F: ChaosExpansion, G: ChaosExpansion, weight, r_min: int,
           max_order=None) -> ChaosExpansion:
     """sum_{p,q,r >= r_min} weight(p,q,r) I_{p+q-2r}(f_p (x)~_r g_q)."""
     if F.dim != G.dim:
         raise ValueError("dimension mismatch")
-    if max_order is None:
-        max_order = sym_tensor.MAX_ORDER
     out = {}
     for p in F.orders():
         f = SymmetricKernel(p, F.dim, F.kernel(p))
@@ -150,10 +133,6 @@ def _pair(F: ChaosExpansion, G: ChaosExpansion, weight, r_min: int,
             g = SymmetricKernel(q, G.dim, G.kernel(q))
             for r in range(r_min, min(p, q) + 1):
                 m = p + q - 2 * r
-                if m > max_order:
-                    raise ResourceGuardError(
-                        f"chaos term of order {m} exceeds max_order={max_order}"
-                    )
                 term = weight(p, q, r) * sym_tensor.sym_contract(
                     f, g, r, max_order=max_order).coeffs
                 out[m] = out.get(m, 0.0) + term
@@ -183,6 +162,15 @@ def _hermite_table(x: np.ndarray, qmax: int) -> np.ndarray:
     for m in range(1, qmax):
         table[m + 1] = x * table[m] - m * table[m - 1]
     return table
+
+
+def hermite(q: int, x):
+    """Probabilists' Hermite polynomial H_q evaluated at x (scalar or array):
+    row q of :func:`_hermite_table`."""
+    if q < 0:
+        raise ValueError(f"q must be >= 0, got {q}")
+    h = _hermite_table(np.asarray(x, dtype=float), q)[q]
+    return h if h.ndim else float(h)
 
 
 def _hermite_terms(kern: np.ndarray, q: int, dim: int):
@@ -314,8 +302,6 @@ def gamma_explicit(f: SymmetricKernel, i: int, max_order=None) -> ChaosExpansion
         raise ValueError(f"kernel order must be >= 2, got {f.order}")
     if i < 1:
         raise ValueError(f"i must be >= 1, got {i}")
-    if max_order is None:
-        max_order = sym_tensor.MAX_ORDER
     q = f.order
     out = {}
 
@@ -325,10 +311,6 @@ def gamma_explicit(f: SymmetricKernel, i: int, max_order=None) -> ChaosExpansion
             m_next = m + q - 2 * r
             if step < i and m_next == 0:
                 continue
-            if m_next > max_order:
-                raise ResourceGuardError(
-                    f"gamma term of order {m_next} exceeds max_order={max_order}"
-                )
             weight = (const * q * math.factorial(r - 1)
                       * math.comb(m - 1, r - 1) * math.comb(q - 1, r - 1))
             nxt = sym_tensor.sym_contract(current, f, r, max_order=max_order)
@@ -419,15 +401,14 @@ def save_expansion(F: ChaosExpansion, path):
         json.dump(doc, fh)
 
 
-def load_expansion(path, max_order=None, max_elements=None) -> ChaosExpansion:
+def load_expansion(path, max_order=None) -> ChaosExpansion:
     with open(path) as fh:
         doc = json.load(fh)
     dim = int(doc["dim"])
     kernels = {}
     for entry in doc["kernels"]:
         kdoc = {"order": entry["order"], "dim": dim, "coeffs": entry["coeffs"]}
-        kern = sym_tensor.kernel_from_dict(kdoc, max_order=max_order,
-                                           max_elements=max_elements)
+        kern = sym_tensor.kernel_from_dict(kdoc, max_order=max_order)
         if kern.order in kernels:
             raise ValueError(f"{path}: order {kern.order} is listed twice")
         kernels[kern.order] = kern.coeffs

@@ -30,6 +30,11 @@ _BLOCK_POINTS = 1 << 16
 # Most subpanels one quadrature panel of one point may need: a phase change
 # of up to 2e5 pi rad, at one subpanel per 2 pi.
 _MAX_SUBPANELS = 100_000
+# A CDF point is done when two successive estimates in a row differ by less
+# than _TOL; it raises NumericalError if that takes more than _MAX_DOUBLINGS
+# doublings of its integration range.
+_TOL = 1e-6
+_MAX_DOUBLINGS = 64
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -105,12 +110,12 @@ def k_statistics(batch, rmax: int = 6):
     return out
 
 
-def k_statistic_errors(batch, rmax: int = 6, nsplit: int = 10):
-    """Standard errors of :func:`k_statistics` from nsplit contiguous sub-batches."""
+def k_statistic_errors(batch, rmax: int = 6):
+    """Standard errors of :func:`k_statistics` from 10 contiguous sub-batches."""
     values = batch.values if isinstance(batch, SampleBatch) else np.asarray(batch, float)
-    chunks = np.array_split(values, nsplit)
+    chunks = np.array_split(values, 10)
     stats = np.array([k_statistics(c, rmax) for c in chunks])
-    return list(np.std(stats, axis=0, ddof=1) / math.sqrt(nsplit))
+    return list(np.std(stats, axis=0, ddof=1) / math.sqrt(len(chunks)))
 
 
 def target_cf(spec: TargetSpec, t):
@@ -123,9 +128,10 @@ def target_cf(spec: TargetSpec, t):
     return z * np.exp(-1j * t * float(np.sum(alphas)))
 
 
-class _Inverter:
-    """Adaptive quadrature of Im[e^{-itx} cf(t)] / t over t in (0, T], for
-    many points x in lockstep.
+class TargetLaw:
+    """The target law: characteristic function, and the CDF by adaptive
+    quadrature of Im[e^{-itx} cf(t)] / t over t in (0, T], for many points x
+    in lockstep.
 
     The integrand is rho(t) sin(theta(t)) / t with
     rho(t) = prod (1 + 4 a^2 t^2)^{-1/4} and
@@ -137,8 +143,8 @@ class _Inverter:
     below 1e-18 of the envelope rho(t)/t, so rounding, not the rule, sets the
     quadrature error.  Once the phase at the panel end dominates
     (|theta'(T)| T >= 20), two integration-by-parts tail terms are added, and
-    a point is done when its successive estimates differ by < tol twice in a
-    row.  That stop rule, not the quadrature, limits the accuracy.
+    a point is done when its successive estimates differ by < ``_TOL`` twice
+    in a row.  That stop rule, not the quadrature, limits the accuracy.
 
     Every point still refining takes each doubling step together with the
     others: their subpanels form one flat array, reduced per point with
@@ -149,14 +155,15 @@ class _Inverter:
     its own x alone, not on which other points share the call.
     """
 
-    def __init__(self, spec: TargetSpec, tol: float = 1e-6,
-                 max_doublings: int = 64):
+    def __init__(self, spec: TargetSpec):
+        self.spec = spec
         self.alphas = np.asarray(spec.alphas)
         self.asum = float(np.sum(self.alphas))
-        self.tol = tol
-        self.max_doublings = max_doublings
         self.lower_edge = -self.asum if np.all(self.alphas > 0) else None
         self.upper_edge = -self.asum if np.all(self.alphas < 0) else None
+
+    def cf(self, t):
+        return target_cf(self.spec, t)
 
     def _rho(self, t):
         return np.exp(-0.25 * np.sum(
@@ -225,7 +232,7 @@ class _Inverter:
         return out
 
     def cdf(self, x):
-        """P(target <= x) for a scalar (returns a float) or an array of x."""
+        """P(target <= x): a float for scalar x, an array of x's shape otherwise."""
         xs = np.asarray(x, dtype=float)
         flat = xs.ravel()
         out = np.full(flat.shape, np.nan)
@@ -250,11 +257,11 @@ class _Inverter:
         prev = np.full(len(x), np.nan)
         small_steps = np.zeros(len(x), dtype=np.int64)
         pos = np.arange(len(x))  # where each point still refining goes
-        for _ in range(self.max_doublings):
+        for _ in range(_MAX_DOUBLINGS):
             integral = integral + self._panels(T, 2.0 * T, x)
             T = 2.0 * T
             est = 0.5 - (integral + self._tails(T, x)) / math.pi
-            small_steps = np.where(np.abs(est - prev) < self.tol, small_steps + 1, 0)
+            small_steps = np.where(np.abs(est - prev) < _TOL, small_steps + 1, 0)
             done = small_steps >= 2
             result[pos[done]] = np.clip(est[done], 0.0, 1.0)
             keep = ~done
@@ -265,41 +272,26 @@ class _Inverter:
                 return result
         raise NumericalError(
             f"CDF quadrature did not converge at x={x[0]:g}: reached T={T[0]:g}, "
-            f"last estimate {float(prev[0])!r}, tolerance {self.tol:g} "
+            f"last estimate {float(prev[0])!r}, tolerance {_TOL:g} "
             f"({len(x)} of {len(result)} points unconverged)"
         )
 
-
-class TargetLaw:
-    """The target law: characteristic function plus CDF by numerical inversion."""
-
-    def __init__(self, spec: TargetSpec, tol: float = 1e-6):
-        self.spec = spec
-        self._inverter = _Inverter(spec, tol=tol)
-
-    def cf(self, t):
-        return target_cf(self.spec, t)
-
-    def cdf(self, x):
-        """P(target <= x): a float for scalar x, an array of x's shape otherwise."""
-        return self._inverter.cdf(x)
-
-    def cdf_batch(self, xs, grid_size: int = None) -> np.ndarray:
-        """CDF at many points: exact inversion on a quantile grid of the
-        inputs, monotone interpolation in between.
+    def cdf_batch(self, xs) -> np.ndarray:
+        """CDF at many points: exact inversion on a quantile grid of the n
+        inputs, with clip(n // 64, 256, 1600) nodes, and monotone
+        interpolation in between; up to 256 inputs are all inverted.
 
         The interpolation error at any point is at most the CDF increment
-        between adjacent grid nodes, roughly 1/grid_size when the nodes are
-        sample quantiles.
+        between adjacent grid nodes, roughly one over the number of nodes
+        when the nodes are sample quantiles.
         """
         xs = np.asarray(xs, dtype=float)
         n = len(xs)
-        if grid_size is None:
-            grid_size = int(np.clip(n // 64, 256, 1600))
-        if n <= grid_size:
+        nodes = int(np.clip(n // 64, 256, 1600))
+        if n <= nodes:
             return self.cdf(xs)
         order = np.sort(xs)
-        idx = np.unique(np.round(np.linspace(0, n - 1, grid_size)).astype(int))
+        idx = np.unique(np.round(np.linspace(0, n - 1, nodes)).astype(int))
         grid = np.unique(order[idx])
         vals = self.cdf(grid)
         vals = np.clip(np.maximum.accumulate(vals), 0.0, 1.0)

@@ -4,7 +4,9 @@ A kernel of order q is stored as the full dense array of its d^q coefficients
 (row-major), which keeps contraction code free of multiset bookkeeping at the
 cost of redundancy.  Guard rails reject tensors that would not fit desk-scale
 work: orders above ``MAX_ORDER`` and coefficient arrays above ``MAX_ELEMENTS``
-entries.  Both limits can be overridden per call.
+entries.  Each is checked where a tensor's order and dimension first become
+known, before its array is allocated.  Only ``max_order`` can be overridden
+per call; the element limit is fixed.
 """
 
 from __future__ import annotations
@@ -23,17 +25,16 @@ MAX_ELEMENTS = 10_000_000
 SYMMETRY_RTOL = 1e-12  # load-time symmetry tolerance, relative to the norm
 
 
-def _check_guard(order, dim, max_order=None, max_elements=None):
+def _check_guard(order, dim, max_order=None):
     max_order = MAX_ORDER if max_order is None else max_order
-    max_elements = MAX_ELEMENTS if max_elements is None else max_elements
     if order > max_order:
         raise ResourceGuardError(
             f"tensor order {order} exceeds the guard max_order={max_order}"
         )
-    if dim ** order > max_elements:
+    if dim ** order > MAX_ELEMENTS:
         raise ResourceGuardError(
             f"dense tensor with dim={dim}, order={order} has {dim ** order} "
-            f"entries, above the guard max_elements={max_elements}"
+            f"entries, above the guard MAX_ELEMENTS={MAX_ELEMENTS}"
         )
 
 
@@ -92,7 +93,7 @@ def _arrangement_count(blocks):
     return n
 
 
-def symmetrize(tensor, *, max_order=None, max_elements=None):
+def symmetrize(tensor, *, max_order=None):
     """Average ``tensor`` over all q! index permutations.
 
     Axes are inserted one at a time: when the first m axes of ``acc`` are
@@ -109,7 +110,7 @@ def symmetrize(tensor, *, max_order=None, max_elements=None):
     dim = t.shape[0]
     if t.shape != (dim,) * q:
         raise ValueError(f"tensor shape {t.shape} is not cubical")
-    _check_guard(q, dim, max_order, max_elements)
+    _check_guard(q, dim, max_order)
 
     acc = t
     for m in range(1, q):
@@ -141,14 +142,18 @@ def contract(f: SymmetricKernel, g: SymmetricKernel, r: int) -> np.ndarray:
 
 
 def sym_contract(f: SymmetricKernel, g: SymmetricKernel, r: int,
-                 max_order=None, max_elements=None) -> SymmetricKernel:
+                 max_order=None) -> SymmetricKernel:
     """Symmetrized contraction of f and g of order r: :func:`contract`, then
     :func:`symmetrize` (q(q-1)/2 adds over the order-q result), with
-    read-only coefficients that the kernel holds without a copy."""
+    read-only coefficients that the kernel holds without a copy.
+
+    The guards are checked on the result's order f.order + g.order - 2r
+    before ``contract`` allocates it."""
+    _check_guard(f.order + g.order - 2 * r, f.dim, max_order)
     raw = contract(f, g, r)
     if raw.ndim == 0:
         return SymmetricKernel(0, f.dim, raw)
-    sym = symmetrize(raw, max_order=max_order, max_elements=max_elements)
+    sym = symmetrize(raw, max_order=max_order)
     sym.flags.writeable = False
     return SymmetricKernel(raw.ndim, f.dim, sym)
 
@@ -170,18 +175,18 @@ def norm(f: SymmetricKernel) -> float:
 def basis_kernel(dim: int, index: tuple) -> SymmetricKernel:
     """Symmetrized elementary tensor e_{i1} o ... o e_{iq} (0-based indices)."""
     q = len(index)
+    _check_guard(q, dim)
     t = np.zeros((dim,) * q)
     t[tuple(index)] = 1.0
     return SymmetricKernel(q, dim, symmetrize(t))
 
 
 def random_kernel(order: int, dim: int, rng, scale=1.0,
-                  max_order=None, max_elements=None) -> SymmetricKernel:
+                  max_order=None) -> SymmetricKernel:
     """Symmetrization of a tensor with U[-scale, scale] entries."""
-    _check_guard(order, dim, max_order, max_elements)
+    _check_guard(order, dim, max_order)
     raw = rng.uniform(-scale, scale, size=(dim,) * order)
-    return SymmetricKernel(order, dim, symmetrize(raw, max_order=max_order,
-                                                  max_elements=max_elements))
+    return SymmetricKernel(order, dim, symmetrize(raw, max_order=max_order))
 
 
 def save_kernel(f: SymmetricKernel, path):
@@ -192,24 +197,24 @@ def save_kernel(f: SymmetricKernel, path):
         json.dump(doc, fh)
 
 
-def load_kernel(path, max_order=None, max_elements=None) -> SymmetricKernel:
+def load_kernel(path, max_order=None) -> SymmetricKernel:
     """Load and validate a kernel file (length and symmetry checks)."""
     with open(path) as fh:
         doc = json.load(fh)
-    return kernel_from_dict(doc, max_order=max_order, max_elements=max_elements)
+    return kernel_from_dict(doc, max_order=max_order)
 
 
-def kernel_from_dict(doc, max_order=None, max_elements=None) -> SymmetricKernel:
+def kernel_from_dict(doc, max_order=None) -> SymmetricKernel:
     order = int(doc["order"])
     dim = int(doc["dim"])
-    _check_guard(order, dim, max_order, max_elements)
+    _check_guard(order, dim, max_order)
     coeffs = np.asarray(doc["coeffs"], dtype=float)
     if coeffs.size != dim ** order:
         raise ValueError(
             f"coeffs has {coeffs.size} entries, expected dim^order = {dim ** order}"
         )
     arr = coeffs.reshape((dim,) * order)
-    sym = symmetrize(arr, max_order=max_order, max_elements=max_elements)
+    sym = symmetrize(arr, max_order=max_order)
     scale = np.sqrt(np.sum(arr ** 2))
     if np.max(np.abs(arr - sym), initial=0.0) > SYMMETRY_RTOL * max(scale, 1e-300):
         raise ValueError(

@@ -62,6 +62,26 @@ def test_hermite_recurrence_on_array():
     assert np.allclose(hermite(4, x), x ** 4 - 6 * x ** 2 + 3)
 
 
+def _hermite_running_pair(q, x):
+    """Reference H_q(x): the recurrence on two running values."""
+    h_prev, h = np.ones_like(x), x
+    for m in range(1, q):
+        h, h_prev = x * h - m * h_prev, h
+    return h_prev if q == 0 else h
+
+
+def test_hermite_is_bitwise_a_row_of_the_hermite_table():
+    x = np.linspace(-4.0, 4.0, 33)
+    table = chaos._hermite_table(x, 8)
+    scalar_table = chaos._hermite_table(np.asarray(-2.7), 8)
+    for q in range(9):
+        assert np.array_equal(hermite(q, x), table[q])
+        assert np.array_equal(hermite(q, x), _hermite_running_pair(q, x))
+        h = hermite(q, -2.7)
+        assert isinstance(h, float) and h == scalar_table[q]
+        assert h == _hermite_running_pair(q, np.float64(-2.7))
+
+
 def test_hermite_orthogonality_montecarlo():
     rng = np.random.default_rng(0)
     z = rng.standard_normal(200_000)
@@ -115,6 +135,23 @@ def test_multiply_overflow_guard():
     with pytest.raises(ResourceGuardError):
         multiply(F, F)
     multiply(F, F, max_order=10)
+
+
+# Each call below needs a 20^6-entry (512 MB) term: the element guard must
+# fire before that tensor is allocated.
+def test_gamma_sequence_guard_fires_before_allocating(guard_peak_mb):
+    F = ChaosExpansion.from_kernel(random_kernel(4, 20, np.random.default_rng(4)))
+    assert guard_peak_mb(lambda: gamma_sequence(F, 1)) < 8.0
+
+
+def test_multiply_guard_fires_before_allocating(guard_peak_mb):
+    G = ChaosExpansion.from_kernel(random_kernel(3, 20, np.random.default_rng(4)))
+    assert guard_peak_mb(lambda: multiply(G, G)) < 8.0
+
+
+def test_gamma_explicit_guard_fires_before_allocating(guard_peak_mb):
+    f = random_kernel(4, 20, np.random.default_rng(4))
+    assert guard_peak_mb(lambda: gamma_explicit(f, 1)) < 8.0
 
 
 # random expansions: a mean plus kernels at 1-3 distinct orders in 1..3

@@ -8,6 +8,7 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from chi2chaos import montecarlo
 from chi2chaos.chaos import ChaosExpansion
 from chi2chaos.cli import load_config, shipped_scenarios
 from chi2chaos.errors import NumericalError
@@ -15,7 +16,6 @@ from chi2chaos.montecarlo import (
     GENERATOR_ID,
     SampleBatch,
     TargetLaw,
-    _Inverter,
     export_csv,
     k_statistic_errors,
     k_statistics,
@@ -195,6 +195,24 @@ def test_cdf_batch_matches_scalar():
     assert np.allclose(law.cdf_batch(xs), [law.cdf(x) for x in xs], atol=1e-9)
 
 
+def test_cdf_batch_inverts_clip_n_over_64_quantile_nodes():
+    law = TargetLaw(TargetSpec((1.0,)))
+    values = sample_target(law.spec, 200_000, 12).values
+    sizes = []
+    cdf = TargetLaw.cdf
+
+    def recording(self, x):
+        sizes.append(np.size(x))
+        return cdf(self, x)
+
+    with mock.patch.object(TargetLaw, "cdf", recording):
+        for n, nodes in [(200, 200), (25_600, 400), (100_000, 1562),
+                         (200_000, 1600)]:
+            sizes.clear()
+            law.cdf_batch(values[:n])
+            assert sizes == [nodes], n
+
+
 def test_kolmogorov_distance_examples():
     # single point at the median of any law gives distance 1/2
     law = TargetLaw(TargetSpec((0.5, -0.5)))
@@ -278,8 +296,8 @@ def test_target_cdf_bounded_monotone_and_exact_beyond_the_edge(quarters):
         assert np.all(law.cdf(edge + beyond) == 1.0)
 
 
-class QuarterTurnInverter(_Inverter):
-    """The inverter with the subpanel rule it used before one 16-node
+class QuarterTurnInverter(TargetLaw):
+    """The CDF inverter with the subpanel rule it used before one 16-node
     subpanel per 2 pi of phase: one per pi/2 of phase and at least 2 per
     panel, kept as its reference.  It integrates all points in one block;
     a point's sum is the same whichever block it lies in."""
@@ -299,7 +317,7 @@ def test_target_cdf_matches_the_quarter_turn_rule(quarters):
     edge = -sum(spec.alphas)
     sd = math.sqrt(2.0 * sum(a * a for a in spec.alphas))
     xs = np.linspace(edge - 6.0 * sd, edge + 6.0 * sd, 160)
-    got = _Inverter(spec).cdf(xs)
+    got = TargetLaw(spec).cdf(xs)
     want = QuarterTurnInverter(spec).cdf(xs)
     assert np.max(np.abs(got - want)) <= 1e-14
 
@@ -307,14 +325,14 @@ def test_target_cdf_matches_the_quarter_turn_rule(quarters):
 def _quadrature_points(inverter_cls, spec, xs):
     """Quadrature points the inverter evaluates to invert the CDF at xs."""
     count = 0
-    block = _Inverter._block
+    block = TargetLaw._block
 
     def counting(self, a, b, x, nsub):
         nonlocal count
         count += int(np.sum(nsub)) * 16
         return block(self, a, b, x, nsub)
 
-    with mock.patch.object(_Inverter, "_block", counting):
+    with mock.patch.object(TargetLaw, "_block", counting):
         inverter_cls(spec).cdf(xs)
     return count
 
@@ -324,7 +342,7 @@ def test_target_cdf_uses_under_035_of_the_quarter_turn_work(scenario):
     spec = load_config(shipped_scenarios()[scenario]).target
     xs = np.quantile(sample_target(spec, 20_000, 5).values,
                      np.linspace(0.0, 1.0, 400))
-    new = _quadrature_points(_Inverter, spec, xs)
+    new = _quadrature_points(TargetLaw, spec, xs)
     old = _quadrature_points(QuarterTurnInverter, spec, xs)
     assert new <= 0.35 * old, (new, old)
 
@@ -332,7 +350,7 @@ def test_target_cdf_uses_under_035_of_the_quarter_turn_work(scenario):
 def test_subpanel_guard_trips_above_2e5_pi_of_phase():
     # one subpanel per 2 pi: 1e5 subpanels cover 2e5 pi rad.  The quarter-turn
     # rule's limit of 4e5 subpanels tripped at the same phase.
-    inv = _Inverter(TargetSpec((1.0,)))
+    inv = TargetLaw(TargetSpec((1.0,)))
     # on [0, 1] the phase change is |arctan(2) / 2 - (x + 1)|
     x_below, x_above = (0.5 * math.atan(2.0) - 1.0 - (2e5 * math.pi + s)
                         for s in (-1.0, 1.0))
@@ -346,9 +364,10 @@ def test_subpanel_guard_trips_above_2e5_pi_of_phase():
 
 def test_target_cdf_guards_raise_numerical_error():
     spec = TargetSpec((1.0, 2.0))
-    with pytest.raises(NumericalError, match=r"x=0\.3\b"):
-        _Inverter(spec, max_doublings=2).cdf(np.array([0.3, 1.7]))
-    inv = _Inverter(spec)
+    with mock.patch.object(montecarlo, "_MAX_DOUBLINGS", 2), \
+            pytest.raises(NumericalError, match=r"x=0\.3\b"):
+        TargetLaw(spec).cdf(np.array([0.3, 1.7]))
+    inv = TargetLaw(spec)
     with pytest.raises(NumericalError, match=r"at x=5\b.*subpanels"):
         inv._panels(np.array([0.0, 0.0]), np.array([1.0, 1e6]),
                     np.array([1.0, 5.0]))

@@ -112,6 +112,11 @@ def test_element_guard():
         random_kernel(8, 10, np.random.default_rng(0))  # 10^8 entries
 
 
+def test_basis_kernel_guard_fires_before_allocating(guard_peak_mb):
+    # 20^6 entries would be 512 MB
+    assert guard_peak_mb(lambda: basis_kernel(20, (0,) * 6)) < 8.0
+
+
 def test_contract_single_basis():
     f = basis_kernel(2, (0, 0))
     out = contract(f, f, 1)
