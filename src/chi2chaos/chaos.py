@@ -210,44 +210,58 @@ def evaluate(F: ChaosExpansion, x):
     :func:`_hermite_terms`): the rows are walked in blocks of ``_BLOCK_ROWS``
     over a (qmax+1, d, rows) Hermite table, so each factor H_m(x_i) is a
     contiguous row, memory is bounded per block, and a row's order >= 3 part
-    does not depend on the other rows in the call.
+    does not depend on the other rows in the call.  ``sample_chaos`` runs
+    the same code block by block, through :func:`_evaluator`.
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim not in (1, 2) or xs.shape[-1] != F.dim:
         raise ValueError(
             f"x must have shape (d,) or (n, d) with d = {F.dim}, got {xs.shape}")
-    scalar_input = xs.ndim == 1
-    if scalar_input:
-        xs = xs[None, :]
-    n = xs.shape[0]
-    total = np.zeros(n)
-    hermite_orders = []
-    for q in F.orders():
-        kern = F.kernel(q)
-        if q == 0:
-            total += float(kern)
-        elif q == 1:
-            total += xs @ kern
-        elif q == 2:
-            # I_2(f) = x^T f x - tr f  (quadratic-form fast path)
-            total += np.einsum("ni,ni->n", xs @ kern, xs) - np.trace(kern)
-        else:
-            hermite_orders.append(_hermite_terms(kern, q, F.dim))
-    if hermite_orders:
-        term = np.empty(min(n, _BLOCK_ROWS))
-        for lo in range(0, n, _BLOCK_ROWS):
-            block = total[lo:lo + _BLOCK_ROWS]
-            table = _hermite_table(
-                np.ascontiguousarray(xs[lo:lo + _BLOCK_ROWS].T), F.max_order)
-            rows = table.reshape(-1, len(block))
-            t = term[:len(block)]
-            for terms in hermite_orders:
-                for c, factors in terms:
-                    t.fill(c)
-                    for j in factors:
-                        t *= rows[j]
-                    block += t
-    return float(total[0]) if scalar_input else total
+    if xs.ndim == 1:
+        return float(_evaluator(F)(xs[None, :])[0])
+    return _evaluator(F)(xs)
+
+
+def _evaluator(F: ChaosExpansion):
+    """F's pathwise values as a function of an (n, d) float array of rows,
+    the body of :func:`evaluate` without its shape checks.
+
+    The term list of each order >= 3 is built here, once, however many
+    arrays the function is then called on.  It is not kept on ``F``: at
+    (q, d) = (3, 100) it takes 26 MB.
+    """
+    hermite_orders = [_hermite_terms(F.kernel(q), q, F.dim)
+                      for q in F.orders() if q >= 3]
+
+    def values(xs):
+        n = xs.shape[0]
+        total = np.zeros(n)
+        for q in F.orders():
+            kern = F.kernel(q)
+            if q == 0:
+                total += float(kern)
+            elif q == 1:
+                total += xs @ kern
+            elif q == 2:
+                # I_2(f) = x^T f x - tr f  (quadratic-form fast path)
+                total += np.einsum("ni,ni->n", xs @ kern, xs) - np.trace(kern)
+        if hermite_orders:
+            term = np.empty(min(n, _BLOCK_ROWS))
+            for lo in range(0, n, _BLOCK_ROWS):
+                block = total[lo:lo + _BLOCK_ROWS]
+                table = _hermite_table(
+                    np.ascontiguousarray(xs[lo:lo + _BLOCK_ROWS].T), F.max_order)
+                rows = table.reshape(-1, len(block))
+                t = term[:len(block)]
+                for terms in hermite_orders:
+                    for c, factors in terms:
+                        t.fill(c)
+                        for j in factors:
+                            t *= rows[j]
+                        block += t
+        return total
+
+    return values
 
 
 def apply_L(F: ChaosExpansion) -> ChaosExpansion:

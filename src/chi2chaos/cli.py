@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 configuration error or unusable output path,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -36,6 +35,7 @@ from .sym_tensor import SymmetricKernel
 KNOWN_FAMILIES = ("diag", "equal-split", "rank-one-difference")
 KNOWN_OUTPUTS = ("cumulant_gaps", "gamma_stat", "ks", "empirical_cumulants",
                  "q_chaos")
+DEFAULT_MC_SAMPLES = 100_000
 METRIC_LABELS = {
     "gamma_stat": "unconditional (sufficient)",
     "distance": "kolmogorov",
@@ -77,6 +77,10 @@ def _family_diagnostics(family) -> list:
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def config_diagnostics(doc) -> list:
     """Schema and invariant report for a parsed config; empty means valid."""
     out = []
@@ -105,15 +109,27 @@ def config_diagnostics(doc) -> list:
                 out.append(f"indices[{i}]: must be strictly increasing "
                            f"({n} follows {indices[i - 1]})")
                 break
+    outputs = doc.get("outputs", [])
+    if not isinstance(outputs, list):
+        out.append("outputs: list required")
+        outputs = []
     mc = doc.get("mc", {})
     if not isinstance(mc, dict):
         out.append("mc: object expected")
     else:
-        if not isinstance(mc.get("samples", 1), int) or mc.get("samples", 1) < 1:
-            out.append("mc.samples: positive integer required")
-        if not isinstance(mc.get("seed", 0), int):
-            out.append("mc.seed: integer required")
-    outputs = doc.get("outputs", [])
+        samples = mc.get("samples", DEFAULT_MC_SAMPLES)
+        # k_statistics(batch, 4) needs more than 4 rows
+        least = 5 if "empirical_cumulants" in outputs else 1
+        if not _is_int(samples) or samples < least:
+            out.append(f"mc.samples: integer >= {least} required"
+                       + (" with 'empirical_cumulants'" if least > 1 else "")
+                       + f", got {samples!r}")
+        # the Philox key is a uint64, and the index at position i uses seed + i
+        most = 2 ** 64 - (len(indices) if isinstance(indices, list) else 1)
+        seed = mc.get("seed", 0)
+        if not _is_int(seed) or not 0 <= seed <= most:
+            out.append(f"mc.seed: integer in [0, 2**64 - len(indices)] = "
+                       f"[0, {most}] required, got {seed!r}")
     for name in outputs:
         if name not in KNOWN_OUTPUTS:
             out.append(f"outputs: unknown metric {name!r} "
@@ -128,18 +144,27 @@ def config_diagnostics(doc) -> list:
 def validate_config(path) -> list:
     """Diagnostics for a config file without running it."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = _read_config(path)
     except OSError as exc:
         return [f"config: cannot read {path}: {exc}"]
-    except json.JSONDecodeError as exc:
-        return [f"config: invalid JSON: {exc}"]
+    except ConfigError as exc:
+        return [str(exc)]
     return config_diagnostics(doc)
 
 
-def load_config(path) -> Scenario:
+def _read_config(path):
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config: invalid JSON: {exc}") from None
+
+
+def load_config(path) -> Scenario:
+    return _scenario(_read_config(path))
+
+
+def _scenario(doc) -> Scenario:
     problems = config_diagnostics(doc)
     if problems:
         raise ConfigError("; ".join(problems))
@@ -149,7 +174,7 @@ def load_config(path) -> Scenario:
         target=TargetSpec(tuple(doc["target"]["alphas"])),
         family=doc["family"],
         indices=tuple(doc["indices"]),
-        mc_samples=int(mc.get("samples", 100_000)),
+        mc_samples=int(mc.get("samples", DEFAULT_MC_SAMPLES)),
         mc_seed=int(mc.get("seed", 0)),
         outputs=tuple(doc.get("outputs", ())),
     )
@@ -193,11 +218,16 @@ def _columns(scenario: Scenario, with_mc: bool, first_row: dict) -> list:
 def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
                  no_mc: bool = False):
     """Run one scenario end to end; returns (csv_path, summary_path)."""
-    scenario = load_config(config_path)
-    if mc_samples is not None:
-        scenario = dataclasses.replace(scenario, mc_samples=int(mc_samples))
-    if seed is not None:
-        scenario = dataclasses.replace(scenario, mc_seed=int(seed))
+    doc = _read_config(config_path)
+    # the overrides go into the document, so the config rules check them too
+    if isinstance(doc, dict) and isinstance(doc.get("mc", {}), dict):
+        mc = dict(doc.get("mc", {}))
+        if mc_samples is not None:
+            mc["samples"] = int(mc_samples)
+        if seed is not None:
+            mc["seed"] = int(seed)
+        doc["mc"] = mc
+    scenario = _scenario(doc)
     with_mc = not no_mc
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chaos
+from . import chaos, sym_tensor
 from .chaos import ChaosExpansion
 from .errors import NumericalError
 from .spectral2 import TargetSpec
@@ -43,16 +43,20 @@ def _rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Reproducible sample: (seed, generator_id, n) determines the values."""
+    """Reproducible sample: (seed, generator_id, n) determines the values.
+
+    ``values`` is held read-only.  An array passed in that already is a
+    read-only float64 array owning its data (the samplers below pass one) is
+    kept as it is; anything else is copied, so later writes to the caller's
+    array never reach the batch.
+    """
 
     values: np.ndarray
     seed: int
     generator_id: str = GENERATOR_ID
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", sym_tensor._held(self.values))
 
     @property
     def n(self) -> int:
@@ -65,15 +69,36 @@ def sample_target(spec: TargetSpec, n: int, seed: int) -> SampleBatch:
         raise ValueError(f"n must be >= 1, got {n}")
     z = _rng(seed).standard_normal((n, spec.k))
     values = (z ** 2 - 1.0) @ np.asarray(spec.alphas)
+    values.flags.writeable = False
     return SampleBatch(values, seed)
 
 
 def sample_chaos(F: ChaosExpansion, n: int, seed: int) -> SampleBatch:
-    """n pathwise evaluations of F at i.i.d. standard normal inputs."""
+    """n pathwise evaluations of F at i.i.d. standard normal inputs.
+
+    The inputs are drawn and evaluated ``chaos._BLOCK_ROWS`` rows at a time,
+    so memory is n values plus one block, however large n * d is.  The
+    Philox draws of consecutive blocks are bitwise the rows of one (n, d)
+    draw, so the values are those of ``evaluate`` on that whole draw: bitwise
+    for orders 0 and >= 3, whose rows do not depend on each other, which
+    also makes a sample of n rows bitwise the first n values of a longer one
+    with the same seed.  Orders 1-2 go through BLAS on each block, so their
+    rows may differ from a whole-draw evaluation in the last bits.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    x = _rng(seed).standard_normal((n, F.dim))
-    return SampleBatch(chaos.evaluate(F, x), seed)
+    rng = _rng(seed)
+    values_of = chaos._evaluator(F)
+    values = np.empty(n)
+    # one buffer for every block's draw: with a fresh array per block the
+    # allocator returns the freed memory and faults it in again each block
+    x = np.empty((min(n, chaos._BLOCK_ROWS), F.dim))
+    for lo in range(0, n, chaos._BLOCK_ROWS):
+        xs = x[:min(chaos._BLOCK_ROWS, n - lo)]
+        rng.standard_normal(out=xs)
+        values[lo:lo + len(xs)] = values_of(xs)
+    values.flags.writeable = False
+    return SampleBatch(values, seed)
 
 
 def k_statistics(batch, rmax: int = 6):

@@ -12,16 +12,28 @@ if os.environ.get("CI"):
     settings.load_profile("ci")
 
 
+def _peak_mb(call):
+    """Run call() and return the peak memory traced while it ran, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def peak_mb():
+    return _peak_mb
+
+
 @pytest.fixture
 def guard_peak_mb():
     """Run a call that must raise ResourceGuardError and return the peak
     memory traced while it ran, in MB."""
     def run(call):
-        tracemalloc.start()
-        try:
+        def guarded():
             with pytest.raises(ResourceGuardError):
                 call()
-            return tracemalloc.get_traced_memory()[1] / 2 ** 20
-        finally:
-            tracemalloc.stop()
+        return _peak_mb(guarded)
     return run

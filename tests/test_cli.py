@@ -210,3 +210,56 @@ def test_consistency_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.splitlines() == [
         "scenario 'gamma-nu1' aborted at n=2: cumulant order 3: two forms disagree"]
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--mc-samples", "0"], "mc.samples"),
+    (["--mc-samples", "-5"], "mc.samples"),
+    (["--mc-samples", "3"], "mc.samples"),  # gamma-nu1 asks for k-statistics
+    (["--seed", "-1"], "mc.seed"),
+])
+def test_run_rejects_bad_sample_count_and_seed_flags(tmp_path, capsys, flags,
+                                                     field):
+    code = main(["run", "gamma-nu1", "--out", str(tmp_path / "out")] + flags)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(field)
+
+
+@pytest.mark.parametrize("mc, field", [
+    ({"samples": 2000, "seed": -3}, "mc.seed"),
+    ({"samples": 4, "seed": 1}, "mc.samples"),  # k_statistics(., 4) needs > 4
+])
+def test_validate_and_run_reject_bad_mc_config(tmp_path, capsys, mc, field):
+    config = write_config(tmp_path, mc=mc)
+    assert main(["validate", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(field)
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(field)
+
+
+def test_mc_seed_bounds_leave_room_for_every_index():
+    # the Philox key is a uint64 and index i runs on seed + i; 3 indices
+    top = 2 ** 64 - 3
+    for seed, ok in ((0, True), (top, True), (top + 1, False), (-1, False),
+                     (1.5, False), (True, False)):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["mc"]["seed"] = seed
+        assert (config_diagnostics(doc) == []) is ok, seed
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["mc"] = {"samples": 4}
+    doc["outputs"] = ["gamma_stat", "ks"]  # no k-statistics: 1 row will do
+    assert config_diagnostics(doc) == []
+    doc["mc"]["samples"] = 0
+    assert config_diagnostics(doc)[0].startswith("mc.samples")
+
+
+def test_run_rejects_invalid_json_and_non_list_outputs(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{\"id\": ")
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config: invalid JSON")
+    config = write_config(tmp_path, outputs="ks")
+    assert main(["validate", str(config)]) == 2
+    assert "outputs: list required" in capsys.readouterr().err

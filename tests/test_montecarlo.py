@@ -8,7 +8,7 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from chi2chaos import montecarlo
+from chi2chaos import chaos, montecarlo
 from chi2chaos.chaos import ChaosExpansion
 from chi2chaos.cli import load_config, shipped_scenarios
 from chi2chaos.errors import NumericalError
@@ -26,7 +26,7 @@ from chi2chaos.montecarlo import (
     target_cf,
 )
 from chi2chaos.spectral2 import TargetSpec
-from chi2chaos.sym_tensor import basis_kernel
+from chi2chaos.sym_tensor import basis_kernel, random_kernel
 
 
 def test_sample_target_moments():
@@ -65,6 +65,78 @@ def test_sample_chaos_constant_and_gaussian():
     b = sample_chaos(G, 100_000, 2)
     ks = kolmogorov_distance(b.values, st.norm.cdf)
     assert ks < 1.63 / math.sqrt(b.n)  # 99% DKW-style band
+
+
+def whole_draw_sample(F, n, seed):
+    """sample_chaos as it was before it drew in blocks: one (n, d) draw,
+    evaluated in one call."""
+    return chaos.evaluate(F, montecarlo._rng(seed).standard_normal((n, F.dim)))
+
+
+def expansion(rng, dim, orders):
+    kernels = {q: (np.asarray(rng.uniform(-1, 1)) if q == 0 else
+                   random_kernel(q, dim, rng, scale=0.6).coeffs)
+               for q in orders}
+    return ChaosExpansion(dim, kernels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=hst.integers(1, 4), seed=hst.integers(0, 2 ** 32 - 1),
+       orders=hst.sets(hst.integers(0, 5), min_size=1, max_size=4),
+       n=hst.integers(1, 80), block=hst.integers(1, 25))
+def test_sample_chaos_is_the_whole_draw_evaluated_property(dim, seed, orders,
+                                                           n, block):
+    F = expansion(np.random.default_rng(seed), dim, sorted(orders))
+    with mock.patch.object(chaos, "_BLOCK_ROWS", block):
+        got = sample_chaos(F, n, seed).values
+    expected = whole_draw_sample(F, n, seed)
+    if orders & {1, 2}:
+        # BLAS products of a block and of the whole draw may round apart
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
+    else:
+        assert np.array_equal(got, expected)
+
+
+def test_sample_chaos_is_prefix_stable_at_orders_0_and_above_2():
+    F = expansion(np.random.default_rng(40), 3, [0, 3, 4])
+    with mock.patch.object(chaos, "_BLOCK_ROWS", 7):
+        whole = sample_chaos(F, 50, 41).values
+        for n in (1, 6, 7, 8, 14, 15, 21, 49):
+            assert np.array_equal(sample_chaos(F, n, 41).values, whole[:n])
+
+
+def test_sample_chaos_memory_does_not_grow_with_n_times_d(peak_mb):
+    # one (400 000, 16) draw alone is 51 MB
+    F = ChaosExpansion.from_kernel(
+        random_kernel(3, 16, np.random.default_rng(42)))
+    assert peak_mb(lambda: sample_chaos(F, 400_000, 43)) < 25.0
+
+
+def test_sample_chaos_builds_each_term_list_once():
+    F = expansion(np.random.default_rng(44), 3, [0, 3, 4, 5])
+    with mock.patch.object(chaos, "_BLOCK_ROWS", 10), \
+            mock.patch.object(chaos, "_hermite_terms",
+                              wraps=chaos._hermite_terms) as terms:
+        sample_chaos(F, 47, 45)
+    assert [c.args[1] for c in terms.call_args_list] == [3, 4, 5]
+
+
+def test_sample_batch_keeps_sealed_values_and_copies_writable_ones(peak_mb):
+    sealed = np.arange(500_000, dtype=float)  # 4 MB
+    sealed.flags.writeable = False
+    batches = []
+    assert peak_mb(lambda: batches.append(SampleBatch(sealed, 0))) < 1.0
+    assert batches[0].values is sealed
+
+    mine = np.arange(10, dtype=float)
+    batch = SampleBatch(mine, 0)
+    mine[0] = 99.0
+    assert batch.values[0] == 0.0 and not batch.values.flags.writeable
+
+    F = ChaosExpansion.from_kernel(basis_kernel(3, (0, 1, 1)))
+    for built in (sample_chaos(F, 100, 1), sample_target(TargetSpec((1.0,)), 100, 1)):
+        assert SampleBatch(built.values, built.seed).values is built.values
 
 
 def test_sample_chaos_matches_target_in_law():
@@ -385,7 +457,6 @@ def test_target_cdf_rejects_non_finite_points():
 def test_sampling_isometry():
     # k2 of a sampled expansion sits on sum_q q! ||f_q||^2
     rng = np.random.default_rng(33)
-    from chi2chaos.sym_tensor import random_kernel
     kernels = {1: random_kernel(1, 3, rng).coeffs,
                2: random_kernel(2, 3, rng).coeffs}
     F = ChaosExpansion(3, kernels)
