@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -173,30 +172,48 @@ def hermite(q: int, x):
     return h if h.ndim else float(h)
 
 
+def _multisets(q: int, dim: int) -> np.ndarray:
+    """Every non-decreasing q-tuple over range(dim), one per row, in
+    ``combinations_with_replacement`` order: each tuple of length m is
+    followed by itself extended by every i from its last entry to dim - 1."""
+    idx = np.arange(dim)[:, None]
+    for _ in range(1, q):
+        count = dim - idx[:, -1]
+        ends = np.cumsum(count)
+        last = np.arange(ends[-1]) - np.repeat(ends - count - idx[:, -1], count)
+        idx = np.column_stack([np.repeat(idx, count, axis=0), last])
+    return idx
+
+
 def _hermite_terms(kern: np.ndarray, q: int, dim: int):
-    """(weight * coeff, (m_i * dim + i, ...)) for every nonzero unordered
-    basis multi-index of order q, in ``combinations_with_replacement`` order.
+    """(coeffs, factors) for the nonzero unordered basis multi-indices of
+    order q, in ``combinations_with_replacement`` order: term t is
+    coeffs[t] * prod_j row factors[t, j] of a Hermite table flattened to
+    ((qmax+1) * dim, rows), over the entries before the first -1.
 
     The multi-index with multiplicities m_i evaluates to prod_i H_{m_i}(x_i),
-    row m_i * dim + i of a Hermite table flattened to ((qmax+1) * dim, rows),
-    and its q!/prod(m_i!) ordered positions all carry the same stored
-    coefficient, which supplies the multinomial weight.
+    whose factors are rows m_i * dim + i in increasing i, and its
+    q!/prod(m_i!) ordered positions all carry the same stored coefficient,
+    which supplies the multinomial weight: coeffs[t] is float(weight) * coeff.
     """
-    qfact = math.factorial(q)
-    terms = []
-    for idx in combinations_with_replacement(range(dim), q):
-        coeff = kern[idx]
-        if coeff == 0.0:
-            continue
-        mult = {}
-        for i in idx:
-            mult[i] = mult.get(i, 0) + 1
-        weight = qfact
-        for m in mult.values():
-            weight //= math.factorial(m)
-        terms.append((float(weight) * coeff,
-                      tuple(m * dim + i for i, m in mult.items())))
-    return terms
+    idx = _multisets(q, dim)
+    coeffs = kern[tuple(idx.T)]
+    keep = coeffs != 0.0
+    idx, coeffs = idx[keep], coeffs[keep]
+    # each run of equal entries i is one factor H_m(x_i); its first column
+    # carries the multiplicity m
+    first = np.ones(idx.shape, dtype=bool)
+    first[:, 1:] = idx[:, 1:] != idx[:, :-1]
+    mult = np.where(first, (idx[:, :, None] == idx[:, None, :]).sum(axis=2), 0)
+    # q!/prod(m_i!) is the product over runs of C(end of run, its length),
+    # exact in int64: it is at most the d**q entries of the kernel
+    binom = np.array([[math.comb(n, k) for k in range(q + 1)]
+                      for n in range(q + 1)])
+    weights = np.prod(binom[np.arange(q) + mult, mult], axis=1)
+    factors = np.where(first, mult * dim + idx, -1)
+    factors = np.take_along_axis(
+        factors, np.argsort(~first, axis=1, kind="stable"), axis=1)
+    return weights.astype(float) * coeffs, factors
 
 
 def evaluate(F: ChaosExpansion, x):
@@ -226,9 +243,11 @@ def _evaluator(F: ChaosExpansion):
     """F's pathwise values as a function of an (n, d) float array of rows,
     the body of :func:`evaluate` without its shape checks.
 
-    The term list of each order >= 3 is built here, once, however many
-    arrays the function is then called on.  It is not kept on ``F``: at
-    (q, d) = (3, 100) it takes 26 MB.
+    The term arrays of each order >= 3 are built here, once, however many
+    arrays the function is then called on.  They are not kept on ``F``: at
+    (q, d) = (3, 100) they take 5.2 MB.  Each term starts as
+    H_m(x_i) * coeff, written into one reused row vector, and is multiplied
+    by its other factors in place.
     """
     hermite_orders = [_hermite_terms(F.kernel(q), q, F.dim)
                       for q in F.orders() if q >= 3]
@@ -253,10 +272,13 @@ def _evaluator(F: ChaosExpansion):
                     np.ascontiguousarray(xs[lo:lo + _BLOCK_ROWS].T), F.max_order)
                 rows = table.reshape(-1, len(block))
                 t = term[:len(block)]
-                for terms in hermite_orders:
-                    for c, factors in terms:
-                        t.fill(c)
-                        for j in factors:
+                for coeffs, factors in hermite_orders:
+                    for c, (first, *rest) in zip(coeffs.tolist(),
+                                                 factors.tolist()):
+                        np.multiply(rows[first], c, out=t)
+                        for j in rest:
+                            if j < 0:
+                                break
                             t *= rows[j]
                         block += t
         return total

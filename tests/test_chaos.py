@@ -270,6 +270,43 @@ def per_multiset_evaluate(F, x):
     return total
 
 
+def per_multiset_terms(kern, q, dim):
+    """The Python walk over every multiset that built ``_hermite_terms``
+    before it was vectorised, kept as its reference: (weight * coeff, factor
+    rows) per nonzero multiset, in ``combinations_with_replacement`` order."""
+    qfact = math.factorial(q)
+    terms = []
+    for idx in combinations_with_replacement(range(dim), q):
+        coeff = kern[idx]
+        if coeff == 0.0:
+            continue
+        mult = {}
+        for i in idx:
+            mult[i] = mult.get(i, 0) + 1
+        weight = qfact
+        for m in mult.values():
+            weight //= math.factorial(m)
+        terms.append((float(weight) * coeff,
+                      tuple(m * dim + i for i, m in mult.items())))
+    return terms
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_hermite_terms_are_the_per_multiset_loop(q, d):
+    kern = random_kernel(q, d, np.random.default_rng((q, d))).coeffs.copy()
+    # zero every entry whose index sum is a multiple of 3, a symmetric set
+    kern[np.indices(kern.shape).sum(axis=0) % 3 == 0] = 0.0
+    coeffs, factors = chaos._hermite_terms(kern, q, d)
+    assert factors.shape == (len(coeffs), q)
+    got = [(c, tuple(j for j in row if j >= 0))
+           for c, row in zip(coeffs.tolist(), factors.tolist())]
+    assert got == per_multiset_terms(kern, q, d)
+    # the factors fill each row from the front; -1 only pads its end
+    pad = factors < 0
+    assert np.array_equal(pad, np.sort(pad, axis=1))
+
+
 @settings(max_examples=40, deadline=None)
 @given(dim=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
        orders=st.sets(st.integers(1, 5), min_size=1, max_size=4),

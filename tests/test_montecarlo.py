@@ -113,6 +113,64 @@ def test_sample_chaos_memory_does_not_grow_with_n_times_d(peak_mb):
     assert peak_mb(lambda: sample_chaos(F, 400_000, 43)) < 25.0
 
 
+def test_sample_chaos_memory_at_d_256_is_n_values_plus_8_mb(peak_mb):
+    # gaussian-counterexample's shape at n = 256: one block of 16 384 rows
+    # of 256 normals alone is 33.5 MB
+    rng = np.random.default_rng(46)
+    F = expansion(rng, 256, [1, 2])
+    n = 40_000
+    assert peak_mb(lambda: sample_chaos(F, n, 47)) <= (n * 8 + 8 * 2 ** 20) / 2 ** 20
+
+
+@pytest.mark.parametrize("dim, rows", [(16, 16_384), (17, 15_420),
+                                       (64, 4_096), (256, 1_024)])
+def test_sample_chaos_blocks_hold_at_most_2_18_normals(dim, rows):
+    n = 2 * rows + 5
+    seed = 48 + dim
+    seen = []
+    evaluator = chaos._evaluator
+
+    def recording(F):
+        values = evaluator(F)
+
+        def record(xs):
+            seen.append(len(xs))
+            return values(xs)
+        return record
+
+    F = expansion(np.random.default_rng(dim), dim, [1, 2])
+    with mock.patch.object(chaos, "_evaluator", recording):
+        got = sample_chaos(F, n, seed).values
+    assert seen == [rows, rows, 5]
+    whole = montecarlo._rng(seed).standard_normal((n, dim))
+    # orders 1-2 go through BLAS per block: equal to a whole-draw evaluation
+    # up to rounding
+    want = chaos.evaluate(F, whole)
+    np.testing.assert_allclose(got, want, rtol=1e-13,
+                               atol=1e-13 * float(np.max(np.abs(want))))
+    # the blocks are the rows of the whole draw: x @ e_i is exactly x_i
+    coordinate = ChaosExpansion.from_kernel(basis_kernel(dim, (dim - 1,)))
+    assert np.array_equal(sample_chaos(coordinate, n, seed).values, whole[:, -1])
+
+
+@pytest.mark.parametrize("dim", [17, 64])
+def test_sample_chaos_is_prefix_stable_above_order_2_in_short_blocks(dim):
+    # d = 256 is left out: an order-3 kernel there has 1.7e7 entries, over
+    # the 1e7-element guard.  A sparse kernel keeps the term loop short.
+    rows = montecarlo._BLOCK_VALUES // dim
+    rng = np.random.default_rng(dim)
+    f = sum(rng.uniform(-1, 1) * basis_kernel(dim, idx).coeffs
+            for idx in [(0, 0, 0), (0, 1, dim - 1), (2, 5, 5), (dim - 1,) * 3])
+    F = ChaosExpansion(dim, {0: np.asarray(0.5), 3: f})
+    n = 2 * rows + 5
+    seed = 50 + dim
+    whole = sample_chaos(F, n, seed).values
+    draw = montecarlo._rng(seed).standard_normal((n, dim))
+    assert np.array_equal(whole, chaos.evaluate(F, draw))
+    for m in (1, rows - 1, rows, rows + 1, 2 * rows):
+        assert np.array_equal(sample_chaos(F, m, seed).values, whole[:m])
+
+
 def test_sample_chaos_builds_each_term_list_once():
     F = expansion(np.random.default_rng(44), 3, [0, 3, 4, 5])
     with mock.patch.object(chaos, "_BLOCK_ROWS", 10), \
@@ -392,6 +450,59 @@ def test_target_cdf_matches_the_quarter_turn_rule(quarters):
     got = TargetLaw(spec).cdf(xs)
     want = QuarterTurnInverter(spec).cdf(xs)
     assert np.max(np.abs(got - want)) <= 1e-14
+
+
+class AllocatingInverter(TargetLaw):
+    """The CDF inverter as it was before its blocks wrote into reused
+    scratch buffers, kept as its reference: every array of a block, and of
+    rho and theta, freshly allocated."""
+
+    def _rho(self, t):
+        return np.exp(-0.25 * np.sum(
+            np.log1p(4.0 * (self.alphas[:, None] * t[None, :]) ** 2), axis=0))
+
+    def _theta(self, t, x):
+        return 0.5 * np.sum(np.arctan(2.0 * self.alphas[:, None] * t[None, :]),
+                            axis=0) - t * (x + self.asum)
+
+    def _block(self, a, b, x, nsub):
+        owner = np.repeat(np.arange(len(x)), nsub)
+        j = np.arange(len(owner)) - np.repeat(np.cumsum(nsub) - nsub, nsub)
+        step = ((b - a) / nsub)[owner]
+        left = j * step + a[owner]
+        right = np.where(j + 1 == nsub[owner], b[owner], (j + 1) * step + a[owner])
+        mid = 0.5 * (right + left)
+        half = 0.5 * (right - left)
+        ts = (mid[:, None] + half[:, None] * montecarlo._GL_NODES[None, :]).ravel()
+        ws = (half[:, None] * montecarlo._GL_WEIGHTS[None, :]).ravel()
+        point_owner = np.repeat(owner, len(montecarlo._GL_NODES))
+        vals = self._rho(ts) * np.sin(self._theta(ts, x[point_owner])) / ts
+        return np.bincount(point_owner, weights=ws * vals, minlength=len(x))
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.lists(hst.integers(-12, 12).filter(bool), min_size=1, max_size=3,
+                 unique=True))
+def test_target_cdf_is_bitwise_the_allocating_blocks_property(quarters):
+    spec = TargetSpec(tuple(q / 4.0 for q in quarters))
+    law, ref = TargetLaw(spec), AllocatingInverter(spec)
+    edge = -sum(spec.alphas)
+    sd = math.sqrt(2.0 * sum(a * a for a in spec.alphas))
+    xs = np.linspace(edge - 6.0 * sd, edge + 6.0 * sd, 400)
+    # a long call, then shorter ones on the front of the same buffers
+    assert np.array_equal(law.cdf(xs), ref.cdf(xs))
+    held = law._buffers["t"]
+    for pts in (xs[::37], xs[200:201]):
+        assert np.array_equal(law.cdf(pts), ref.cdf(pts))
+    assert law._buffers["t"] is held
+    # one panel of about 8 000 subpanels, 1.3e5 quadrature points: a block
+    # of its own, for which the buffers grow
+    zero, one = np.zeros(1), np.ones(1)
+    far = np.array([edge + 0.5 * sum(math.atan(2.0 * a) for a in spec.alphas)
+                    - 5e4])
+    assert np.array_equal(law._panels(zero, one, far), ref._panels(zero, one, far))
+    assert law._buffers["t"].size > montecarlo._BLOCK_POINTS
+    assert np.array_equal(law.cdf(xs[::3]), ref.cdf(xs[::3]))
 
 
 def _quadrature_points(inverter_cls, spec, xs):
