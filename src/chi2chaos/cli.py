@@ -234,6 +234,7 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
 
     law = TargetLaw(scenario.target) if with_mc and "ks" in scenario.outputs else None
     rows = []
+    cdf_work = []
     for position, n in enumerate(scenario.indices):
         try:
             kernel = family_kernel(scenario.family, n)
@@ -253,6 +254,7 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
                 if "ks" in scenario.outputs:
                     row["ks"] = montecarlo.kolmogorov_distance(
                         batch.values, law.cdf_batch)
+                    cdf_work.append({"n": n, **law.take_diagnostics()})
                 if "empirical_cumulants" in scenario.outputs:
                     emp = montecarlo.k_statistics(batch, 4)
                     row["emp_kappa_2"] = emp[1]
@@ -280,6 +282,17 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
         "metrics": {},
         "final": {c: rows[-1].get(c) for c in columns},
     }
+    if law is not None:
+        # the 95% quantile of the Kolmogorov statistic of N draws against
+        # their own law, 1.36 / sqrt(N) (Marsaglia, Tsang and Wang 2003):
+        # a ks near it is Monte Carlo noise
+        summary["ks_noise_floor"] = 1.36 / math.sqrt(scenario.mc_samples)
+        summary["cdf_diagnostics"] = {
+            "guards": {"max_doublings": montecarlo._MAX_DOUBLINGS,
+                       "max_subpanels": montecarlo._MAX_SUBPANELS,
+                       "max_bound": montecarlo._TOL},
+            "by_index": cdf_work,
+        }
     for metric in ("gamma_stat", "ks"):
         if metric not in columns:
             continue

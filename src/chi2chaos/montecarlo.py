@@ -34,9 +34,9 @@ _BLOCK_POINTS = 1 << 16
 # Most subpanels one quadrature panel of one point may need: a phase change
 # of up to 2e5 pi rad, at one subpanel per 2 pi.
 _MAX_SUBPANELS = 100_000
-# A CDF point is done when two successive estimates in a row differ by less
-# than _TOL; it raises NumericalError if that takes more than _MAX_DOUBLINGS
-# doublings of its integration range.
+# A CDF point stops at the first doubling of its integration range where a
+# bound on what the estimate leaves out, over pi, is below _TOL; it raises
+# NumericalError if no doubling up to _MAX_DOUBLINGS gives one.
 _TOL = 1e-6
 _MAX_DOUBLINGS = 64
 
@@ -164,41 +164,61 @@ def target_cf(spec: TargetSpec, t):
 
 
 class TargetLaw:
-    """The target law: characteristic function, and the CDF by adaptive
-    quadrature of Im[e^{-itx} cf(t)] / t over t in (0, T], for many points x
-    in lockstep.
+    """The target law: characteristic function, and the CDF by quadrature of
+    Im[e^{-itx} cf(t)] / t over t in (0, T] plus a tail estimate, for many
+    points x at once.
 
     The integrand is rho(t) sin(theta(t)) / t with
     rho(t) = prod (1 + 4 a^2 t^2)^{-1/4} and
     theta(t) = (1/2) sum arctan(2 a t) - t (x + sum a).
-    Each point starts at T = 0.25 / max(|x + sum a|, 2 max |a|) and its panels
-    double geometrically; a panel gets max(1, ceil(dtheta / (2 pi)))
-    16-node Gauss-Legendre subpanels, one per 2 pi of phase change.  On
-    about 2 pi of phase the Bernstein-ellipse bound on the 16-node error is
-    below 1e-18 of the envelope rho(t)/t, so rounding, not the rule, sets the
-    quadrature error.  Once the phase at the panel end dominates
-    (|theta'(T)| T >= 20), two integration-by-parts tail terms are added, and
-    a point is done when its successive estimates differ by < ``_TOL`` twice
-    in a row.  That stop rule, not the quadrature, limits the accuracy.
+    A point x has the rungs T0 2^m, m = 1 .. ``_MAX_DOUBLINGS``, with
+    T0 = 0.25 / max(|x + sum a|, 2 max |a|), and stops at the first rung
+    whose remainder bound, over pi, is below ``_TOL``; if none is, it raises
+    ``NumericalError``.  The bound bounds what the estimate at T leaves out
+    of the integral over (T, inf) (see :meth:`_tails`):
 
-    Every point still refining takes each doubling step together with the
-    others: their subpanels form one flat array, reduced per point with
-    ``np.bincount``, and points that converge drop out.  The flat array is
-    cut between points into blocks of at most ``_BLOCK_POINTS`` quadrature
-    points (a point whose panel alone needs more is a block of its own), so
-    memory does not grow with the number of points.  Each value depends on
-    its own x alone, not on which other points share the call.
+    * while the phase does not yet dominate (|theta'(T)| T < 20), the
+      estimate stops at T, and since rho(t) <= prod (2 |a| t)^{-1/2} the
+      rest is at most prod (2 |a|)^{-1/2} T^{-k/2} / (k/2);
+    * after that two integration-by-parts tail terms are added, and the
+      rest is at most their last coefficient |h(T)|, where h is monotone on
+      [T, inf).  A rung where that monotonicity cannot be shown from the
+      rational forms of theta' and rho'/rho does not count; for k <= 5
+      weights it always can.
+
+    The stop rung depends on (x, T) alone, so it is found before any
+    quadrature: from a closed-form rung below which none can stop, rung by
+    rung for the points not yet resolved.  Each point's panels [0, T0],
+    [T0, 2 T0], ..., [T0 2^{m-1}, T0 2^m] are then integrated in one pass.
+    A panel gets max(1, ceil(dtheta / (2 pi))) 16-node Gauss-Legendre
+    subpanels, one per 2 pi of phase change; on about 2 pi of phase the
+    Bernstein-ellipse bound on the 16-node error is below 1e-18 of the
+    envelope rho(t)/t, so rounding, not the rule, sets the quadrature
+    error, and the remainder bound sets the accuracy.
+
+    Points are taken in chunks of at most ``_BLOCK_POINTS`` / 16 for the
+    stop search, and a chunk's points in groups of at most that many
+    panels, so the per-point and per-panel arrays are never longer than a
+    block's per-subpanel arrays.  A group's panels form one flat list, cut
+    between panels into blocks of at most ``_BLOCK_POINTS`` quadrature
+    points (a panel that alone needs more is a block of its own), so memory
+    does not grow with the number of points.  Each point's panel integrals
+    are summed in rung order with ``np.bincount``, and the tail terms at its
+    last rung are added.  Each value depends on its own x alone, not on
+    which other points share the call.
 
     A block's per-quadrature-point arrays (nodes, weights, owners, the
     (k, points) work array for rho and theta, and the integrand) are
     written with ``out=`` into scratch buffers that the law holds and
-    reuses across blocks, doublings and calls; a shorter block uses the
+    reuses across blocks, groups and calls; a shorter block uses the
     leading part of each.  They have room for ``_BLOCK_POINTS`` points and
-    grow only for a point whose panel alone needs more, so the law then
-    keeps that larger size.  Without them every block would allocate about
+    grow only for a panel that alone needs more, so the law then keeps
+    that larger size.  Without them every block would allocate about
     fifteen half-megabyte arrays, each mapped, unmapped and page-faulted
     again.  The operations run in the allocating order, so the values are
-    bitwise the same.  A law is therefore not safe to share between threads.
+    bitwise the same.  The law also counts its work for
+    :meth:`take_diagnostics`.  A law is therefore not safe to share
+    between threads.
     """
 
     def __init__(self, spec: TargetSpec):
@@ -207,10 +227,27 @@ class TargetLaw:
         self.asum = float(np.sum(self.alphas))
         self.lower_edge = -self.asum if np.all(self.alphas > 0) else None
         self.upper_edge = -self.asum if np.all(self.alphas < 0) else None
+        # prod (2 |a|)^{-1/2} / (k/2): the envelope bound is this times T^{-k/2}
+        self._envelope = float(np.prod(2.0 * np.abs(self.alphas)) ** -0.5
+                               / (0.5 * len(self.alphas)))
         self._buffers = {}
+        self._diagnostics = None
+        self.take_diagnostics()
 
     def cf(self, t):
         return target_cf(self.spec, t)
+
+    def take_diagnostics(self) -> dict:
+        """The inverter's work since the law was made or this was last
+        called, and start counting afresh: points inverted, quadrature
+        points evaluated, the most doublings a point used (guard
+        ``_MAX_DOUBLINGS``), the most subpanels one panel needed (guard
+        ``_MAX_SUBPANELS``) and the largest remainder bound over pi at a
+        point's stop (below ``_TOL``).  All are exact for given inputs."""
+        taken, self._diagnostics = self._diagnostics, {
+            "points": 0, "quadrature_points": 0, "max_doublings": 0,
+            "max_subpanels": 0, "max_bound": 0.0}
+        return taken
 
     def _scratch(self, name, shape, dtype=float):
         """A C-contiguous array of ``shape``, whose last axis runs over
@@ -258,6 +295,10 @@ class TargetLaw:
                 f"CDF quadrature panel [{a[i]:g}, {b[i]:g}] at x={x[i]:g} would "
                 f"need {nsub[i]} subpanels"
             )
+        diagnostics = self._diagnostics
+        diagnostics["quadrature_points"] += int(np.sum(nsub)) * len(_GL_NODES)
+        diagnostics["max_subpanels"] = max(diagnostics["max_subpanels"],
+                                           int(np.max(nsub, initial=0)))
         out = np.empty(len(x))
         ends = np.cumsum(nsub) * len(_GL_NODES)
         lo = 0
@@ -305,15 +346,36 @@ class TargetLaw:
         return np.bincount(point_owner, weights=vals, minlength=len(x))
 
     def _tails(self, T, x):
-        """Two integration-by-parts terms for the remainder beyond T[i], or 0
-        while the oscillation does not yet dominate the envelope decay."""
+        """The two integration-by-parts tail terms beyond T[i] for the point
+        x[i], or 0 while the oscillation does not yet dominate the envelope
+        decay (|theta'(T)| T < 20); and a bound on what the estimate with
+        them leaves out of the integral over (T[i], inf), or inf.
+
+        Without tail terms that is the envelope bound.  With them, let
+        env = rho/t and h = (env/theta')'/theta'.  The terms are
+        (env/theta') cos theta - h sin theta at T, and they leave out
+        -int_T^inf h' sin theta dt, at most |h(T)| where h is monotone on
+        [T, inf), since h -> 0.  With q_i = 1/(1 + 4 a_i^2 t^2),
+        lam = 1 + sum (1 - q_i) / 2 and S = sum |a_i| q_i:
+        t env'/env = -lam, t theta'' = -2 sum a_i q_i (1 - q_i) and
+        t^2 theta''' = sum a_i q_i (1 - q_i) (6 - 8 q_i), so
+        |t theta''| <= 2 S, |t^2 theta'''| <= 6 S, and
+        t^2 theta'^2 h'/env = lam^2 + lam - sum q_i (1 - q_i)
+        + 3 lam t theta''/theta' - t^2 theta'''/theta' + 3 (t theta''/theta')^2
+        >= 2 - (12 + 3k) S/|theta'|.  S falls with t, and
+        |theta'| >= |x + sum a| - S, so (14 + 3k) S(T) < 2 |x + sum a| makes
+        h' > 0 on all of [T, inf).  Where it does not hold, the bound is
+        inf.  With the tail terms on it holds for k <= 5: S T <= k/4 and
+        |x + sum a| T >= 20 - k/4."""
         a = self.alphas[:, None]
         a2t2 = 4.0 * (a * T) ** 2
-        dtheta = np.sum(a / (1.0 + a2t2), axis=0) - (x + self.asum)
+        shift = x + self.asum
+        dtheta = np.sum(a / (1.0 + a2t2), axis=0) - shift
         out = np.zeros(len(T))
+        bound = self._envelope * T ** (-0.5 * len(self.alphas))
         use = np.abs(dtheta) * T >= 20.0
         if not use.any():
-            return out
+            return out, bound
         T, x, dtheta, a2t2 = T[use], x[use], dtheta[use], a2t2[:, use]
         theta = self._theta(T, x)
         env = self._rho(T) / T
@@ -322,7 +384,10 @@ class TargetLaw:
         d2theta = np.sum(-8.0 * a ** 3 * T / (1.0 + a2t2) ** 2, axis=0)
         g = (denv * dtheta - env * d2theta) / dtheta ** 2
         out[use] = env * np.cos(theta) / dtheta - g * np.sin(theta) / dtheta
-        return out
+        s = np.sum(np.abs(a) / (1.0 + a2t2), axis=0)
+        monotone = (14.0 + 3.0 * len(self.alphas)) * s < 2.0 * np.abs(shift[use])
+        bound[use] = np.where(monotone, np.abs(g / dtheta), np.inf)
+        return out, bound
 
     def cdf(self, x):
         """P(target <= x): a float for scalar x, an array of x's shape otherwise."""
@@ -341,33 +406,87 @@ class TargetLaw:
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
     def _invert(self, x):
-        """CDF values at the finite points x, refined together."""
-        result = np.empty(len(x))
-        freq = np.maximum(np.abs(x + self.asum),
-                          2.0 * float(np.max(np.abs(self.alphas))))
-        T = 0.25 / freq
-        integral = self._panels(np.zeros(len(x)), T, x)
-        prev = np.full(len(x), np.nan)
-        small_steps = np.zeros(len(x), dtype=np.int64)
-        pos = np.arange(len(x))  # where each point still refining goes
-        for _ in range(_MAX_DOUBLINGS):
-            integral = integral + self._panels(T, 2.0 * T, x)
-            T = 2.0 * T
-            est = 0.5 - (integral + self._tails(T, x)) / math.pi
-            small_steps = np.where(np.abs(est - prev) < _TOL, small_steps + 1, 0)
-            done = small_steps >= 2
-            result[pos[done]] = np.clip(est[done], 0.0, 1.0)
-            keep = ~done
-            pos, x, T, integral, prev, small_steps = (
-                pos[keep], x[keep], T[keep], integral[keep], est[keep],
-                small_steps[keep])
-            if not pos.size:
-                return result
-        raise NumericalError(
-            f"CDF quadrature did not converge at x={x[0]:g}: reached T={T[0]:g}, "
-            f"last estimate {float(prev[0])!r}, tolerance {_TOL:g} "
-            f"({len(x)} of {len(result)} points unconverged)"
-        )
+        """CDF values at the finite points x, taken in chunks of at most
+        ``_BLOCK_POINTS`` / 16 points, so the per-point arrays of the stop
+        search stay bounded too."""
+        out = np.empty(len(x))
+        most = _BLOCK_POINTS // len(_GL_NODES)
+        diagnostics = self._diagnostics
+        for lo in range(0, len(x), most):
+            chunk = x[lo:lo + most]
+            freq = np.maximum(np.abs(chunk + self.asum),
+                              2.0 * float(np.max(np.abs(self.alphas))))
+            T0 = 0.25 / freq
+            rung, tail, bound = self._stops(T0, chunk)
+            diagnostics["points"] += len(chunk)
+            diagnostics["max_doublings"] = max(diagnostics["max_doublings"],
+                                               int(np.max(rung)))
+            diagnostics["max_bound"] = max(diagnostics["max_bound"],
+                                           float(np.max(bound)))
+            est = 0.5 - (self._integrals(T0, rung, chunk) + tail) / math.pi
+            out[lo:lo + most] = np.clip(est, 0.0, 1.0)
+        return out
+
+    def _stops(self, T0, x):
+        """Each point's stop rung m, the first in 1 .. ``_MAX_DOUBLINGS``
+        where its remainder bound at T0 2^m, over pi, is below ``_TOL``;
+        the tail terms there; and that bound over pi.
+
+        No rung below T = min(T_env, (20 - k/4) / |x + sum a|) can stop:
+        the envelope bound over pi is below ``_TOL`` only for T > T_env, and
+        the tail terms need |theta'(T)| T >= 20, where
+        |theta'(T) + x + sum a| T <= k/4.  So a point starts at the last
+        rung at or below that T, and then moves up one rung at a time until
+        it stops."""
+        k = len(self.alphas)
+        t_env = (self._envelope / (math.pi * _TOL)) ** (2.0 / k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            first = np.minimum(t_env, max(0.0, 20.0 - 0.25 * k)
+                               / np.abs(x + self.asum))
+            start = np.floor(np.log2(first / T0))
+        # fmax: a NaN start (0 / 0, from k >= 80 at x = -sum a) becomes 1
+        rung = np.minimum(np.fmax(start, 1), _MAX_DOUBLINGS).astype(np.int64)
+        tail, bound = np.empty(len(x)), np.empty(len(x))
+        pos = np.arange(len(x))  # the points not yet resolved
+        while pos.size:
+            t, b = self._tails(np.ldexp(T0[pos], rung[pos]), x[pos])
+            b /= math.pi
+            done = b < _TOL
+            tail[pos[done]], bound[pos[done]] = t[done], b[done]
+            pos, b = pos[~done], b[~done]
+            rung[pos] += 1
+            over = np.flatnonzero(rung[pos] > _MAX_DOUBLINGS)
+            if over.size:
+                i = pos[over[0]]
+                raise NumericalError(
+                    f"CDF inversion at x={x[i]:g} found no remainder bound "
+                    f"below {_TOL:g} within {_MAX_DOUBLINGS} doublings: at "
+                    f"T={np.ldexp(T0[i], _MAX_DOUBLINGS):g} the bound is "
+                    f"{float(b[over[0]]):g} ({len(pos)} of {len(x)} points "
+                    f"unresolved)"
+                )
+        return rung, tail, bound
+
+    def _integrals(self, T0, rung, x):
+        """Each point's integral over [0, T0 2^m], m its stop rung: panels
+        [0, T0] and [T0 2^{j-1}, T0 2^j] for j = 1 .. m, summed in that
+        order, in groups of at most ``_BLOCK_POINTS`` / 16 panels."""
+        out = np.empty(len(x))
+        ends = np.cumsum(rung + 1)
+        most = _BLOCK_POINTS // len(_GL_NODES)
+        lo = 0
+        while lo < len(x):
+            start = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, start + most, side="right")))
+            count = rung[lo:hi] + 1
+            owner = np.repeat(np.arange(hi - lo), count)
+            j = np.arange(len(owner)) - np.repeat(ends[lo:hi] - count - start, count)
+            b = np.ldexp(T0[lo:hi][owner], j)
+            a = np.where(j > 0, 0.5 * b, 0.0)
+            vals = self._panels(a, b, x[lo:hi][owner])
+            out[lo:hi] = np.bincount(owner, weights=vals, minlength=hi - lo)
+            lo = hi
+        return out
 
     def cdf_batch(self, xs) -> np.ndarray:
         """CDF at many points: exact inversion on a quantile grid of the n

@@ -82,6 +82,7 @@ def scenario_runs(tmp_path_factory):
             "csv": csv_path,
             "rows": list(csv.DictReader(open(csv_path))),
             "summary": json.load(open(summary_path)),
+            "summary_path": summary_path,
             "seconds": time.monotonic() - t0,
         }
     return out
@@ -301,9 +302,12 @@ def test_11_power_sum_lemma():
 
 def test_12_determinism(scenario_runs, tmp_path):
     for name, path in cli.shipped_scenarios().items():
-        csv_path, _ = cli.run_scenario(path, tmp_path / name)
+        csv_path, summary_path = cli.run_scenario(path, tmp_path / name)
         first = scenario_runs[name]["csv"].read_bytes()
         second = csv_path.read_bytes()
         assert first == second, f"{name}: CSV outputs differ between runs"
-    print("\nacceptance 12 PASS  byte-identical CSVs across reruns of all "
-          "shipped scenarios")
+        first = scenario_runs[name]["summary_path"].read_bytes()
+        second = summary_path.read_bytes()
+        assert first == second, f"{name}: summaries differ between runs"
+    print("\nacceptance 12 PASS  byte-identical CSVs and summaries across "
+          "reruns of all shipped scenarios")

@@ -116,6 +116,35 @@ def test_run_scenario_outputs(tmp_path):
     assert summary["labels"]["distance"] == "kolmogorov"
 
 
+def test_run_scenario_summary_records_the_cdf_work_per_index(tmp_path):
+    path = write_config(tmp_path)
+    _, summary_path = run_scenario(path, tmp_path / "out")
+    work = json.load(open(summary_path))["cdf_diagnostics"]
+    guards = work["guards"]
+    assert guards == {"max_doublings": 64, "max_subpanels": 100_000,
+                      "max_bound": 1e-6}
+    assert [row["n"] for row in work["by_index"]] == [2, 4, 8]
+    for row in work["by_index"]:
+        assert set(row) == {"n", "points", "quadrature_points", "max_doublings",
+                            "max_subpanels", "max_bound"}
+        # 2 000 samples: cdf_batch inverts all of them up to 256 grid nodes
+        assert 0 < row["points"] <= 256
+        assert row["quadrature_points"] >= 16 * row["points"]
+        assert 0 < row["max_doublings"] <= guards["max_doublings"]
+        assert 0 < row["max_subpanels"] <= guards["max_subpanels"]
+        assert 0.0 < row["max_bound"] < guards["max_bound"]
+
+
+def test_run_scenario_summary_has_the_ks_noise_floor(tmp_path):
+    path = write_config(tmp_path)
+    _, summary_path = run_scenario(path, tmp_path / "out")
+    summary = json.load(open(summary_path))
+    assert summary["ks_noise_floor"] == 1.36 / math.sqrt(2000)
+    _, summary_path = run_scenario(path, tmp_path / "no_mc", no_mc=True)
+    summary = json.load(open(summary_path))
+    assert "ks_noise_floor" not in summary and "cdf_diagnostics" not in summary
+
+
 def test_run_scenario_no_mc(tmp_path):
     path = write_config(tmp_path)
     csv_path, _ = run_scenario(path, tmp_path / "out", no_mc=True)

@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.stats as st
+from scipy import integrate, special
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -554,6 +555,187 @@ def test_target_cdf_guards_raise_numerical_error():
     with pytest.raises(NumericalError, match=r"at x=5\b.*subpanels"):
         inv._panels(np.array([0.0, 0.0]), np.array([1.0, 1e6]),
                     np.array([1.0, 5.0]))
+
+
+def test_target_cdf_memory_is_flat_in_the_number_of_points(peak_mb):
+    # the stop search runs on chunks of points and the panels go in groups;
+    # one flat list of every point's panels took about 790 MB here
+    spec = TargetSpec((1.0, -0.6, 2.2))
+    xs = sample_target(spec, 200_000, 51).values
+    assert peak_mb(lambda: TargetLaw(spec).cdf(xs)) < 47.0
+
+
+def _product_normal_cdf(x, a):
+    """P(a (N_1^2 - N_2^2) <= x): the law of 2 a U V for independent
+    standard normals U, V, so 2 int_0^inf phi(v) Phi(x / (2 a v)) dv."""
+    y = x / (2.0 * a)
+    value, _ = integrate.quad(lambda v: st.norm.pdf(v) * special.ndtr(y / v),
+                              0.0, 40.0, points=[abs(y)] if 0 < abs(y) < 40 else None,
+                              epsabs=1e-13, epsrel=1e-13, limit=500)
+    return 2.0 * value
+
+
+def _chi2_12_cdf(x):
+    """P(N_1^2 + 2 N_2^2 - 3 <= x) = int phi(z) erf(sqrt((x + 3 - 2 z^2) / 2)) dz
+    over 2 z^2 < x + 3."""
+    edge = math.sqrt((x + 3.0) / 2.0)
+    value, _ = integrate.quad(
+        lambda z: st.norm.pdf(z) * special.erf(math.sqrt(max(0.0, (x + 3.0 - 2.0 * z * z) / 2.0))),
+        0.0, edge, epsabs=1e-13, epsrel=1e-13, limit=500)
+    return 2.0 * value
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 1.5])
+def test_target_cdf_product_normal_oracle(a):
+    # -sum a = 0 is where theta' -> 0; the standard deviation is 2a
+    xs = np.array([-13.0 * a, -3.0 * a, -1e-7, 0.0, 1e-7, 5e-7, 0.4 * a,
+                   2.0 * a, 13.0 * a, 20.0 * a])
+    got = TargetLaw(TargetSpec((a, -a))).cdf(xs)
+    want = np.array([_product_normal_cdf(x, a) for x in xs])
+    assert np.max(np.abs(got - want)) < 1e-6
+
+
+def test_target_cdf_chi2_12_oracle_to_the_edge_and_beyond_6_sd():
+    # support edge -3; the standard deviation is sqrt(10)
+    xs = np.array([-3.0 + 1e-7, -3.0 + 5e-7, -3.0 + 1e-6, -2.9, -1.0, 0.0,
+                   2.0, 8.0, 20.0, 30.0, 45.0])
+    got = TargetLaw(TargetSpec((1.0, 2.0))).cdf(xs)
+    want = np.array([_chi2_12_cdf(x) for x in xs])
+    assert np.max(np.abs(got - want)) < 1e-6
+
+
+def _tight_cdf(spec, xs):
+    """The CDF with the stop tolerance at 1e-10 instead of 1e-6."""
+    with mock.patch.object(montecarlo, "_TOL", 1e-10):
+        return TargetLaw(spec).cdf(xs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hst.lists(hst.integers(-12, 12).filter(bool), min_size=1, max_size=3,
+                 unique=True))
+def test_target_cdf_is_within_1e_6_of_a_tight_tolerance_property(quarters):
+    spec = TargetSpec(tuple(q / 4.0 for q in quarters))
+    edge = -sum(spec.alphas)
+    sd = math.sqrt(2.0 * sum(a * a for a in spec.alphas))
+    # at x = -sum a +- 1e-3, theta' -> 1e-3: only the envelope bound can stop
+    # the point until T is about 2e4
+    xs = np.concatenate([np.linspace(edge - 6.0 * sd, edge + 6.0 * sd, 41),
+                         [edge - 1e-3, edge + 1e-3]])
+    assert np.max(np.abs(TargetLaw(spec).cdf(xs) - _tight_cdf(spec, xs))) <= 1e-6
+
+
+def test_target_cdf_light_tail_is_within_1e_6_of_a_tight_tolerance():
+    # far in this tail the values are not monotone by a few 1e-10: within
+    # the bound, and cdf_batch's running maximum hides it
+    spec = TargetSpec((-3.0, -2.75, 0.25))
+    xs = np.linspace(10.0, 30.0, 81)
+    assert np.max(np.abs(TargetLaw(spec).cdf(xs) - _tight_cdf(spec, xs))) <= 1e-6
+
+
+def _h(alphas, x, t):
+    """h = (env/theta')'/theta' with env = rho/t, from the closed forms of
+    theta' and rho'/rho: the tail terms leave out -int_T^inf h' sin theta."""
+    a = np.asarray(alphas)[:, None]
+    q = 1.0 / (1.0 + 4.0 * (a * t) ** 2)
+    dtheta = np.sum(a * q, axis=0) - (x + float(np.sum(alphas)))
+    d2theta = -8.0 * t * np.sum(a ** 3 * q ** 2, axis=0)
+    env = np.exp(-0.25 * np.sum(np.log1p(4.0 * (a * t) ** 2), axis=0)) / t
+    denv = env * (-2.0 * t * np.sum(a ** 2 * q, axis=0) - 1.0 / t)
+    return (denv * dtheta - env * d2theta) / dtheta ** 3
+
+
+def test_tail_bound_is_h_at_t_where_h_is_monotone_beyond_it():
+    rng = np.random.default_rng(52)
+    finite = 0
+    for _ in range(300):
+        k = int(rng.integers(1, 9))
+        alphas = tuple(rng.uniform(0.05, 3.0, k) * rng.choice([-1.0, 1.0], k))
+        law = TargetLaw(TargetSpec(alphas))
+        x = -sum(alphas) + rng.normal() * 10.0 ** rng.uniform(-3, 2)
+        T = 10.0 ** rng.uniform(-2, 4)
+        tail, bound = law._tails(np.array([T]), np.array([x]))
+        if tail[0] == 0.0:
+            continue  # the envelope bound
+        if k <= 5:
+            # |theta'(T)| T >= 20 then already gives the monotonicity
+            assert np.isfinite(bound[0])
+        if np.isfinite(bound[0]):
+            finite += 1
+            h = _h(alphas, x, T * np.logspace(0.0, 6.0, 4000))
+            assert bound[0] == pytest.approx(abs(h[0]), rel=1e-12)
+            assert np.all(np.diff(h) >= -1e-12 * np.max(np.abs(h)))
+    assert finite > 50
+
+
+@settings(max_examples=30, deadline=None)
+@given(hst.lists(hst.integers(-12, 12).filter(bool), min_size=1, max_size=3,
+                 unique=True))
+def test_stop_rung_is_the_first_rung_whose_bound_is_below_tol_property(quarters):
+    # the search skips the rungs below its closed-form start; checking every
+    # rung from 1 must find the same first one
+    spec = TargetSpec(tuple(q / 4.0 for q in quarters))
+    law = TargetLaw(spec)
+    edge = -sum(spec.alphas)
+    sd = math.sqrt(2.0 * sum(a * a for a in spec.alphas))
+    xs = np.concatenate([np.linspace(edge - 6.0 * sd, edge + 6.0 * sd, 41),
+                         [edge - 1e-3, edge + 1e-3]])
+    T0 = 0.25 / np.maximum(np.abs(xs - edge), 2.0 * max(map(abs, spec.alphas)))
+    rung, _, _ = law._stops(T0, xs)
+    rungs = np.arange(1, montecarlo._MAX_DOUBLINGS + 1)
+    for x, t0, m in zip(xs, T0, rung):
+        _, bound = law._tails(np.ldexp(t0, rungs), np.full(len(rungs), x))
+        assert m == rungs[np.argmax(bound / math.pi < montecarlo._TOL)], x
+
+
+def _doubling_loop_cdf(law, x):
+    """The CDF at one point as the doubling loop summed it: the panel
+    [0, T0], then one panel [T, 2T] per doubling, each added to the running
+    integral, up to the point's stop rung; kept as the one-pass reference."""
+    xs = np.array([x])
+    T = 0.25 / np.maximum(np.abs(xs + law.asum), 2.0 * np.max(np.abs(law.alphas)))
+    rung, _, _ = law._stops(T, xs)
+    integral = law._panels(np.zeros(1), T, xs)
+    for _ in range(int(rung[0])):
+        integral = integral + law._panels(T, 2.0 * T, xs)
+        T = 2.0 * T
+    tail, _ = law._tails(T, xs)
+    return float(np.clip(0.5 - (integral + tail) / math.pi, 0.0, 1.0)[0])
+
+
+@pytest.mark.parametrize("alphas", [(1.0,), (1.0, 2.0), (0.5, -0.5),
+                                    (1.0, -0.6, 2.2)])
+def test_target_cdf_is_bitwise_the_doubling_loop_to_the_same_rung(alphas):
+    spec = TargetSpec(alphas)
+    law = TargetLaw(spec)
+    xs = np.quantile(sample_target(spec, 20_000, 53).values,
+                     np.linspace(0.0, 1.0, 60))
+    assert np.array_equal(law.cdf(xs), [_doubling_loop_cdf(law, x) for x in xs])
+
+
+def test_tail_bound_does_not_count_where_monotonicity_is_not_shown():
+    # eight weights with 2 a T near 1 at T = 1: S = sum |a| q is about 2, and
+    # (14 + 3k) S < 2 |x + sum a| fails although |theta'(T)| T is about 21
+    alphas = tuple(0.5 + 0.01 * i for i in range(8))
+    law = TargetLaw(TargetSpec(alphas))
+    x = np.array([-sum(alphas) - 19.0])
+    tail, bound = law._tails(np.array([1.0]), x)
+    assert tail[0] != 0.0 and bound[0] == np.inf
+    tail, bound = law._tails(np.array([4.0]), x)
+    assert tail[0] != 0.0 and np.isfinite(bound[0])
+
+
+def test_target_cdf_stops_on_a_remainder_bound_below_tol():
+    law = TargetLaw(TargetSpec((1.0, -0.6, 2.2)))
+    xs = np.linspace(-20.0, 30.0, 300)
+    law.cdf(xs)
+    work = law.take_diagnostics()
+    assert work["points"] == 300
+    assert 0.0 < work["max_bound"] < montecarlo._TOL
+    assert 0 < work["max_doublings"] <= montecarlo._MAX_DOUBLINGS
+    assert 0 < work["max_subpanels"] <= montecarlo._MAX_SUBPANELS
+    assert work["quadrature_points"] % len(montecarlo._GL_NODES) == 0
+    # taking the counts starts them afresh
+    assert law.take_diagnostics()["points"] == 0
 
 
 def test_target_cdf_rejects_non_finite_points():
