@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import criteria, montecarlo, sym_tensor
+from . import __version__, criteria, montecarlo, sym_tensor
 from .chaos import ChaosExpansion
 from .errors import ConfigError, ConsistencyError, NumericalError, ResourceGuardError
 from .montecarlo import TargetLaw
@@ -235,6 +236,7 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
     law = TargetLaw(scenario.target) if with_mc and "ks" in scenario.outputs else None
     rows = []
     cdf_work = []
+    kappa_se = []
     for position, n in enumerate(scenario.indices):
         try:
             kernel = family_kernel(scenario.family, n)
@@ -257,9 +259,11 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
                     cdf_work.append({"n": n, **law.take_diagnostics()})
                 if "empirical_cumulants" in scenario.outputs:
                     emp = montecarlo.k_statistics(batch, 4)
-                    row["emp_kappa_2"] = emp[1]
-                    row["emp_kappa_3"] = emp[2]
-                    row["emp_kappa_4"] = emp[3]
+                    se = montecarlo.k_statistic_errors(batch, 4)
+                    kappa_se.append({"n": n})
+                    for r in (2, 3, 4):
+                        row[f"emp_kappa_{r}"] = emp[r - 1]
+                        kappa_se[-1][f"emp_kappa_{r}"] = se[r - 1]
         except (ResourceGuardError, NumericalError, ConsistencyError) as exc:
             raise type(exc)(f"scenario {scenario.id!r} aborted at n={n}: {exc}")
         rows.append(row)
@@ -281,7 +285,13 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
              "generator_id": montecarlo.GENERATOR_ID},
         "metrics": {},
         "final": {c: rows[-1].get(c) for c in columns},
+        "provenance": {"chi2chaos": __version__, "numpy": np.__version__,
+                       "python": platform.python_version(),
+                       "generator_id": montecarlo.GENERATOR_ID},
     }
+    if kappa_se:
+        # standard errors of the emp_kappa_* columns, from 10 sub-batches
+        summary["emp_kappa_se"] = kappa_se
     if law is not None:
         # the 95% quantile of the Kolmogorov statistic of N draws against
         # their own law, 1.36 / sqrt(N) (Marsaglia, Tsang and Wang 2003):

@@ -39,6 +39,9 @@ _MAX_SUBPANELS = 100_000
 # NumericalError if no doubling up to _MAX_DOUBLINGS gives one.
 _TOL = 1e-6
 _MAX_DOUBLINGS = 64
+# The bounds a point can stop on, as TargetLaw._tails numbers them: the
+# envelope before the tail terms, then two or three integration-by-parts terms.
+_STOP_RULES = ("envelope", "two_terms", "three_terms")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -146,8 +149,14 @@ def k_statistics(batch, rmax: int = 6):
 
 
 def k_statistic_errors(batch, rmax: int = 6):
-    """Standard errors of :func:`k_statistics` from 10 contiguous sub-batches."""
+    """Standard errors of :func:`k_statistics` from 10 contiguous sub-batches,
+    or None for each below 10 (rmax + 1) values, where some sub-batch would
+    hold rmax values or fewer."""
     values = batch.values if isinstance(batch, SampleBatch) else np.asarray(batch, float)
+    if not 1 <= rmax <= 6:
+        raise ValueError(f"rmax must be in 1..6, got {rmax}")
+    if len(values) < 10 * (rmax + 1):
+        return [None] * rmax
     chunks = np.array_split(values, 10)
     stats = np.array([k_statistics(c, rmax) for c in chunks])
     return list(np.std(stats, axis=0, ddof=1) / math.sqrt(len(chunks)))
@@ -180,21 +189,27 @@ class TargetLaw:
     * while the phase does not yet dominate (|theta'(T)| T < 20), the
       estimate stops at T, and since rho(t) <= prod (2 |a| t)^{-1/2} the
       rest is at most prod (2 |a|)^{-1/2} T^{-k/2} / (k/2);
-    * after that two integration-by-parts tail terms are added, and the
-      rest is at most their last coefficient |h(T)|, where h is monotone on
-      [T, inf).  A rung where that monotonicity cannot be shown from the
-      rational forms of theta' and rho'/rho does not count; for k <= 5
-      weights it always can.
+    * after that three integration-by-parts tail terms are added, and the
+      rest is at most the last one's coefficient |u(T)|, u = h'/theta' and
+      h = (rho/(t theta'))'/theta', where u is monotone on [T, inf).  Where
+      that cannot be shown from the rational forms of theta' and rho'/rho,
+      the first two terms are added and the rest is at most |h(T)|, where h
+      is monotone; a rung where neither is shown does not count.  For
+      k <= 2 weights u always is, and for k <= 5 at least h.
 
     The stop rung depends on (x, T) alone, so it is found before any
     quadrature: from a closed-form rung below which none can stop, rung by
     rung for the points not yet resolved.  Each point's panels [0, T0],
     [T0, 2 T0], ..., [T0 2^{m-1}, T0 2^m] are then integrated in one pass.
-    A panel gets max(1, ceil(dtheta / (2 pi))) 16-node Gauss-Legendre
-    subpanels, one per 2 pi of phase change; on about 2 pi of phase the
+    A panel gets ceil(dtheta / (2 pi)) 16-node Gauss-Legendre subpanels,
+    one per 2 pi of phase change, except that a panel whose phase changes
+    by at most 4 pi is one subpanel.  On 2 pi of phase the
     Bernstein-ellipse bound on the 16-node error is below 1e-18 of the
-    envelope rho(t)/t, so rounding, not the rule, sets the quadrature
-    error, and the remainder bound sets the accuracy.
+    envelope rho(t)/t times the subpanel's length, and on 4 pi about
+    1e-16; on 80 000 panels of 2 pi to 4 pi, one subpanel and two are
+    within 9e-16 and 8e-16 of that scale of a 16-subpanel reference.  So
+    rounding, not the rule, sets the quadrature error, and the remainder
+    bound sets the accuracy.
 
     Points are taken in chunks of at most ``_BLOCK_POINTS`` / 16 for the
     stop search, and a chunk's points in groups of at most that many
@@ -242,11 +257,13 @@ class TargetLaw:
         called, and start counting afresh: points inverted, quadrature
         points evaluated, the most doublings a point used (guard
         ``_MAX_DOUBLINGS``), the most subpanels one panel needed (guard
-        ``_MAX_SUBPANELS``) and the largest remainder bound over pi at a
-        point's stop (below ``_TOL``).  All are exact for given inputs."""
+        ``_MAX_SUBPANELS``), the largest remainder bound over pi at a
+        point's stop (below ``_TOL``) and how many points stopped on each
+        bound of ``_STOP_RULES``.  All are exact for given inputs."""
         taken, self._diagnostics = self._diagnostics, {
             "points": 0, "quadrature_points": 0, "max_doublings": 0,
-            "max_subpanels": 0, "max_bound": 0.0}
+            "max_subpanels": 0, "max_bound": 0.0,
+            "stopped_on": dict.fromkeys(_STOP_RULES, 0)}
         return taken
 
     def _scratch(self, name, shape, dtype=float):
@@ -287,7 +304,8 @@ class TargetLaw:
     def _panels(self, a, b, x):
         """Integral over [a[i], b[i]] for the point x[i], for every i."""
         dtheta = np.abs(self._theta(b, x) - self._theta(a, x))
-        nsub = np.maximum(1, np.ceil(dtheta / (2.0 * math.pi))).astype(np.int64)
+        nsub = np.where(dtheta <= 4.0 * math.pi, 1,
+                        np.ceil(dtheta / (2.0 * math.pi))).astype(np.int64)
         over = np.flatnonzero(nsub > _MAX_SUBPANELS)
         if over.size:
             i = over[0]
@@ -346,48 +364,80 @@ class TargetLaw:
         return np.bincount(point_owner, weights=vals, minlength=len(x))
 
     def _tails(self, T, x):
-        """The two integration-by-parts tail terms beyond T[i] for the point
-        x[i], or 0 while the oscillation does not yet dominate the envelope
-        decay (|theta'(T)| T < 20); and a bound on what the estimate with
-        them leaves out of the integral over (T[i], inf), or inf.
+        """The integration-by-parts tail terms beyond T[i] for the point x[i],
+        a bound on what the estimate with them leaves out of the integral
+        over (T[i], inf), and the rule that gave the bound, an index into
+        ``_STOP_RULES``.
 
-        Without tail terms that is the envelope bound.  With them, let
-        env = rho/t and h = (env/theta')'/theta'.  The terms are
-        (env/theta') cos theta - h sin theta at T, and they leave out
-        -int_T^inf h' sin theta dt, at most |h(T)| where h is monotone on
-        [T, inf), since h -> 0.  With q_i = 1/(1 + 4 a_i^2 t^2),
-        lam = 1 + sum (1 - q_i) / 2 and S = sum |a_i| q_i:
-        t env'/env = -lam, t theta'' = -2 sum a_i q_i (1 - q_i) and
-        t^2 theta''' = sum a_i q_i (1 - q_i) (6 - 8 q_i), so
-        |t theta''| <= 2 S, |t^2 theta'''| <= 6 S, and
-        t^2 theta'^2 h'/env = lam^2 + lam - sum q_i (1 - q_i)
-        + 3 lam t theta''/theta' - t^2 theta'''/theta' + 3 (t theta''/theta')^2
-        >= 2 - (12 + 3k) S/|theta'|.  S falls with t, and
-        |theta'| >= |x + sum a| - S, so (14 + 3k) S(T) < 2 |x + sum a| makes
-        h' > 0 on all of [T, inf).  Where it does not hold, the bound is
-        inf.  With the tail terms on it holds for k <= 5: S T <= k/4 and
-        |x + sum a| T >= 20 - k/4."""
+        While the oscillation does not yet dominate the envelope decay
+        (|theta'(T)| T < 20) there are no terms and the bound is the envelope
+        bound.  After that let env = rho/t, h = (env/theta')'/theta' and
+        u = h'/theta'.  Three integrations by parts give the terms
+        (env/theta') cos theta - h sin theta - u cos theta at T, and leave
+        out -int_T^inf u' cos theta dt, at most |u(T)| where u is monotone
+        on [T, inf), since u -> 0.  The first two terms alone leave out
+        -int_T^inf h' sin theta dt, at most |h(T)| where h is monotone.
+
+        With q_i = 1/(1 + 4 a_i^2 t^2), p_i = 1 - q_i, S = sum |a_i| q_i and
+        lam = 1 + sum p_i / 2: t env'/env = -lam, t lam' = sum q_i p_i,
+        t^2 lam'' = -sum q_i p_i (3 - 4 q_i), and
+        t^j theta^(j+1) = sum a_i q_i P_j(q_i) with P_1 = -2 p,
+        P_2 = 2 p (3 - 4 q) and P_3 = 24 p^2 (2 q - 1), so
+        w_j = t^j theta^(j+1) / theta' has |w_j| <= c_j e with
+        c = (2, 6, 24) and e = S/|theta'|.  Then
+        t theta'^2 h/env = -(lam + w_1),
+        t^2 theta'^2 h'/env = lam^2 + lam - t lam' + 3 lam w_1 + 3 w_1^2 - w_2,
+        t^3 theta'^3 u'/env = L + 6 w_1 (t lam' - lam (lam + 1)) - 15 lam w_1^2
+        + 4 lam w_2 - 15 w_1^3 + 10 w_1 w_2 - w_3, and
+        L = -lam (lam + 1) (lam + 2) + (3 lam + 2) t lam' - t^2 lam''.
+
+        * h: t^2 theta'^2 h'/env >= 2 - (12 + 3k) e.  S falls with t and
+          |theta'| >= |x + sum a| - S, so (14 + 3k) S(T) < 2 |x + sum a|
+          makes h' > 0 on all of [T, inf).
+        * u: q p <= p and q p (3 - 4 q) <= 9 p / 16 give
+          -L >= lam (lam + 1) (lam + 2) - (3 lam + 2) P - 9 P / 16 with
+          P = sum p = 2 (lam - 1), which is at least 0.56 (lam + 1) (lam + 2)
+          for lam >= 1 (its least ratio is 0.5638, at lam = 2.196).  The
+          other terms are at most (lam + 1) (lam + 2) (12 e + 30 e^2 + 20 e^3),
+          below 0.53 (lam + 1) (lam + 2) for e <= 1/25.  So
+          26 S(T) < |x + sum a|, which keeps e <= 1/25 on [T, inf), makes
+          u' of one sign there.
+
+        A rung where u is shown monotone uses all three terms and |u(T)|;
+        one where only h is uses the first two and |h(T)|; one where
+        neither is has the bound inf and does not count.  With the tail
+        terms on, S T <= k/4 and |x + sum a| T >= 20 - k/4, so u is always
+        shown monotone for k <= 2 weights and h for k <= 5."""
         a = self.alphas[:, None]
         a2t2 = 4.0 * (a * T) ** 2
+        q = 1.0 / (1.0 + a2t2)
         shift = x + self.asum
-        dtheta = np.sum(a / (1.0 + a2t2), axis=0) - shift
+        dtheta = np.sum(a * q, axis=0) - shift
         out = np.zeros(len(T))
         bound = self._envelope * T ** (-0.5 * len(self.alphas))
+        rule = np.zeros(len(T), dtype=np.intp)
         use = np.abs(dtheta) * T >= 20.0
         if not use.any():
-            return out, bound
-        T, x, dtheta, a2t2 = T[use], x[use], dtheta[use], a2t2[:, use]
-        theta = self._theta(T, x)
+            return out, bound, rule
+        T, x, shift, dtheta = T[use], x[use], shift[use], dtheta[use]
+        q, p = q[:, use], a2t2[:, use] * q[:, use]
+        aq = a * q
+        lam = 1.0 + 0.5 * np.sum(p, axis=0)
+        w1 = -2.0 * np.sum(aq * p, axis=0) / dtheta
+        w2 = 2.0 * np.sum(aq * p * (3.0 - 4.0 * q), axis=0) / dtheta
         env = self._rho(T) / T
-        dlog_rho = -2.0 * T * np.sum(a ** 2 / (1.0 + a2t2), axis=0)
-        denv = env * (dlog_rho - 1.0 / T)
-        d2theta = np.sum(-8.0 * a ** 3 * T / (1.0 + a2t2) ** 2, axis=0)
-        g = (denv * dtheta - env * d2theta) / dtheta ** 2
-        out[use] = env * np.cos(theta) / dtheta - g * np.sin(theta) / dtheta
-        s = np.sum(np.abs(a) / (1.0 + a2t2), axis=0)
-        monotone = (14.0 + 3.0 * len(self.alphas)) * s < 2.0 * np.abs(shift[use])
-        bound[use] = np.where(monotone, np.abs(g / dtheta), np.inf)
-        return out, bound
+        theta = self._theta(T, x)
+        cos, sin = np.cos(theta), np.sin(theta)
+        h = -env * (lam + w1) / (T * dtheta ** 2)
+        u = env * (lam ** 2 + lam - np.sum(q * p, axis=0) + 3.0 * lam * w1
+                   + 3.0 * w1 ** 2 - w2) / (T ** 2 * dtheta ** 3)
+        s = np.sum(np.abs(aq), axis=0)
+        three = 26.0 * s < np.abs(shift)
+        two = (14.0 + 3.0 * len(self.alphas)) * s < 2.0 * np.abs(shift)
+        out[use] = env * cos / dtheta - h * sin - np.where(three, u * cos, 0.0)
+        bound[use] = np.where(three, np.abs(u), np.where(two, np.abs(h), np.inf))
+        rule[use] = np.where(three, 2, 1)
+        return out, bound, rule
 
     def cdf(self, x):
         """P(target <= x): a float for scalar x, an array of x's shape otherwise."""
@@ -417,8 +467,11 @@ class TargetLaw:
             freq = np.maximum(np.abs(chunk + self.asum),
                               2.0 * float(np.max(np.abs(self.alphas))))
             T0 = 0.25 / freq
-            rung, tail, bound = self._stops(T0, chunk)
+            rung, tail, bound, rule = self._stops(T0, chunk)
             diagnostics["points"] += len(chunk)
+            for name, count in zip(_STOP_RULES, np.bincount(
+                    rule, minlength=len(_STOP_RULES))):
+                diagnostics["stopped_on"][name] += int(count)
             diagnostics["max_doublings"] = max(diagnostics["max_doublings"],
                                                int(np.max(rung)))
             diagnostics["max_bound"] = max(diagnostics["max_bound"],
@@ -430,7 +483,7 @@ class TargetLaw:
     def _stops(self, T0, x):
         """Each point's stop rung m, the first in 1 .. ``_MAX_DOUBLINGS``
         where its remainder bound at T0 2^m, over pi, is below ``_TOL``;
-        the tail terms there; and that bound over pi.
+        the tail terms there; that bound over pi; and the rule that gave it.
 
         No rung below T = min(T_env, (20 - k/4) / |x + sum a|) can stop:
         the envelope bound over pi is below ``_TOL`` only for T > T_env, and
@@ -447,12 +500,14 @@ class TargetLaw:
         # fmax: a NaN start (0 / 0, from k >= 80 at x = -sum a) becomes 1
         rung = np.minimum(np.fmax(start, 1), _MAX_DOUBLINGS).astype(np.int64)
         tail, bound = np.empty(len(x)), np.empty(len(x))
+        rule = np.empty(len(x), dtype=np.intp)
         pos = np.arange(len(x))  # the points not yet resolved
         while pos.size:
-            t, b = self._tails(np.ldexp(T0[pos], rung[pos]), x[pos])
+            t, b, r = self._tails(np.ldexp(T0[pos], rung[pos]), x[pos])
             b /= math.pi
             done = b < _TOL
-            tail[pos[done]], bound[pos[done]] = t[done], b[done]
+            tail[pos[done]], bound[pos[done]], rule[pos[done]] = (
+                t[done], b[done], r[done])
             pos, b = pos[~done], b[~done]
             rung[pos] += 1
             over = np.flatnonzero(rung[pos] > _MAX_DOUBLINGS)
@@ -465,7 +520,7 @@ class TargetLaw:
                     f"{float(b[over[0]]):g} ({len(pos)} of {len(x)} points "
                     f"unresolved)"
                 )
-        return rung, tail, bound
+        return rung, tail, bound, rule
 
     def _integrals(self, T0, rung, x):
         """Each point's integral over [0, T0 2^m], m its stop rung: panels
@@ -490,12 +545,13 @@ class TargetLaw:
 
     def cdf_batch(self, xs) -> np.ndarray:
         """CDF at many points: exact inversion on a quantile grid of the n
-        inputs, with clip(n // 64, 256, 1600) nodes, and monotone
+        inputs, with clip(n // 64, 256, 1600) nodes, and linear
         interpolation in between; up to 256 inputs are all inverted.
 
         The interpolation error at any point is at most the CDF increment
         between adjacent grid nodes, roughly one over the number of nodes
-        when the nodes are sample quantiles.
+        when the nodes are sample quantiles, plus the nodes' own remainder
+        bounds.
         """
         xs = np.asarray(xs, dtype=float)
         n = len(xs)
@@ -505,9 +561,7 @@ class TargetLaw:
         order = np.sort(xs)
         idx = np.unique(np.round(np.linspace(0, n - 1, nodes)).astype(int))
         grid = np.unique(order[idx])
-        vals = self.cdf(grid)
-        vals = np.clip(np.maximum.accumulate(vals), 0.0, 1.0)
-        return np.interp(xs, grid, vals)
+        return np.interp(xs, grid, self.cdf(grid))
 
 
 def target_cdf(spec: TargetSpec, x):

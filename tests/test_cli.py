@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
 
-from chi2chaos import cli
+import chi2chaos
+from chi2chaos import cli, montecarlo
+from chi2chaos.chaos import ChaosExpansion
 from chi2chaos.cli import (
     config_diagnostics,
     family_kernel,
@@ -126,13 +129,54 @@ def test_run_scenario_summary_records_the_cdf_work_per_index(tmp_path):
     assert [row["n"] for row in work["by_index"]] == [2, 4, 8]
     for row in work["by_index"]:
         assert set(row) == {"n", "points", "quadrature_points", "max_doublings",
-                            "max_subpanels", "max_bound"}
+                            "max_subpanels", "max_bound", "stopped_on"}
         # 2 000 samples: cdf_batch inverts all of them up to 256 grid nodes
         assert 0 < row["points"] <= 256
         assert row["quadrature_points"] >= 16 * row["points"]
         assert 0 < row["max_doublings"] <= guards["max_doublings"]
         assert 0 < row["max_subpanels"] <= guards["max_subpanels"]
         assert 0.0 < row["max_bound"] < guards["max_bound"]
+        stopped = row["stopped_on"]
+        assert set(stopped) == {"envelope", "two_terms", "three_terms"}
+        assert sum(stopped.values()) == row["points"]
+        # two weights: with the tail terms on, u is always shown monotone
+        assert stopped["two_terms"] == 0 and stopped["three_terms"] > 0
+
+
+def test_run_scenario_summary_has_the_monte_carlo_standard_errors(tmp_path):
+    path = write_config(tmp_path)
+    csv_path, summary_path = run_scenario(path, tmp_path / "out")
+    rows = list(csv.DictReader(open(csv_path)))
+    se = json.load(open(summary_path))["emp_kappa_se"]
+    assert [row["n"] for row in se] == [2, 4, 8]
+    batch = montecarlo.sample_chaos(
+        ChaosExpansion.from_kernel(family_kernel(BASE_CONFIG["family"], 2)),
+        2000, 321)
+    want = montecarlo.k_statistic_errors(batch, 4)
+    assert se[0] == {"n": 2, "emp_kappa_2": want[1], "emp_kappa_3": want[2],
+                     "emp_kappa_4": want[3]}
+    for row, errors in zip(rows, se):
+        assert set(errors) == {"n", "emp_kappa_2", "emp_kappa_3", "emp_kappa_4"}
+        assert all(errors[c] > 0.0 for c in errors if c != "n")
+        assert float(row["emp_kappa_2"]) > 3.0 * errors["emp_kappa_2"]
+    # fewer than 50 samples leave no ten sub-batches of more than 4 rows
+    path = write_config(tmp_path, mc={"samples": 20, "seed": 1})
+    _, summary_path = run_scenario(path, tmp_path / "small")
+    se = json.load(open(summary_path))["emp_kappa_se"]
+    assert se[0] == {"n": 2, "emp_kappa_2": None, "emp_kappa_3": None,
+                     "emp_kappa_4": None}
+    _, summary_path = run_scenario(path, tmp_path / "no_mc", no_mc=True)
+    assert "emp_kappa_se" not in json.load(open(summary_path))
+
+
+def test_run_scenario_summary_records_the_software(tmp_path):
+    path = write_config(tmp_path)
+    _, summary_path = run_scenario(path, tmp_path / "out", no_mc=True)
+    provenance = json.load(open(summary_path))["provenance"]
+    assert provenance == {"chi2chaos": chi2chaos.__version__,
+                          "numpy": np.__version__,
+                          "python": platform.python_version(),
+                          "generator_id": montecarlo.GENERATOR_ID}
 
 
 def test_run_scenario_summary_has_the_ks_noise_floor(tmp_path):

@@ -224,6 +224,15 @@ def test_k_statistics_chi2_third_cumulant():
     assert abs(k[2] - 8.0) < 4 * se[2]
 
 
+def test_k_statistic_errors_are_none_below_ten_sub_batches_of_rmax_plus_1():
+    values = np.random.default_rng(3).standard_normal(50)
+    assert k_statistic_errors(values[:49], 4) == [None] * 4
+    assert all(se > 0.0 for se in k_statistic_errors(values, 4))
+    assert k_statistic_errors(values[:19], 1) == [None]
+    with pytest.raises(ValueError, match="rmax"):
+        k_statistic_errors(values[:5], 7)
+
+
 def test_k_statistics_constant_batch():
     values = np.full(100, 2.5)
     k = k_statistics(values, 4)
@@ -324,6 +333,27 @@ def test_cdf_batch_matches_scalar():
     law = TargetLaw(TargetSpec((1.0, 2.0)))
     xs = np.array([-2.5, -1.0, 0.0, 1.0, 5.0])
     assert np.allclose(law.cdf_batch(xs), [law.cdf(x) for x in xs], atol=1e-9)
+
+
+def test_cdf_batch_interpolates_the_inverted_values_as_they_are():
+    # each inverted value is within its own bound, and neighbours may fall
+    # by a few 1e-8: cdf_batch interpolates them unchanged.  Every other
+    # node is lowered here, so many of them fall.
+    law = TargetLaw(TargetSpec((1.0,)))
+    xs = sample_target(law.spec, 25_600, 61).values
+    cdf = TargetLaw.cdf
+
+    def falling(self, x):
+        values = cdf(self, x)
+        values[1::2] *= 0.99
+        return values
+
+    idx = np.unique(np.round(np.linspace(0, len(xs) - 1, len(xs) // 64)).astype(int))
+    grid = np.unique(np.sort(xs)[idx])
+    with mock.patch.object(TargetLaw, "cdf", falling):
+        nodes = law.cdf(grid)
+        assert np.sum(np.diff(nodes) < 0) > 10
+        assert np.array_equal(law.cdf_batch(xs), np.interp(xs, grid, nodes))
 
 
 def test_cdf_batch_inverts_clip_n_over_64_quantile_nodes():
@@ -453,6 +483,37 @@ def test_target_cdf_matches_the_quarter_turn_rule(quarters):
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
+class TwoTermInverter(TargetLaw):
+    """The CDF inverter with the tail terms it used before the third one:
+    two integration-by-parts terms and the bound |h(T)| where h is shown
+    monotone, kept as its reference."""
+
+    def _tails(self, T, x):
+        a = self.alphas[:, None]
+        a2t2 = 4.0 * (a * T) ** 2
+        shift = x + self.asum
+        dtheta = np.sum(a / (1.0 + a2t2), axis=0) - shift
+        out = np.zeros(len(T))
+        bound = self._envelope * T ** (-0.5 * len(self.alphas))
+        rule = np.zeros(len(T), dtype=np.intp)
+        use = np.abs(dtheta) * T >= 20.0
+        if not use.any():
+            return out, bound, rule
+        T, x, dtheta, a2t2 = T[use], x[use], dtheta[use], a2t2[:, use]
+        theta = self._theta(T, x)
+        env = self._rho(T) / T
+        dlog_rho = -2.0 * T * np.sum(a ** 2 / (1.0 + a2t2), axis=0)
+        denv = env * (dlog_rho - 1.0 / T)
+        d2theta = np.sum(-8.0 * a ** 3 * T / (1.0 + a2t2) ** 2, axis=0)
+        g = (denv * dtheta - env * d2theta) / dtheta ** 2
+        out[use] = env * np.cos(theta) / dtheta - g * np.sin(theta) / dtheta
+        s = np.sum(np.abs(a) / (1.0 + a2t2), axis=0)
+        monotone = (14.0 + 3.0 * len(self.alphas)) * s < 2.0 * np.abs(shift[use])
+        bound[use] = np.where(monotone, np.abs(g / dtheta), np.inf)
+        rule[use] = 1
+        return out, bound, rule
+
+
 class AllocatingInverter(TargetLaw):
     """The CDF inverter as it was before its blocks wrote into reused
     scratch buffers, kept as its reference: every array of a block, and of
@@ -529,6 +590,32 @@ def test_target_cdf_uses_under_035_of_the_quarter_turn_work(scenario):
     new = _quadrature_points(TargetLaw, spec, xs)
     old = _quadrature_points(QuarterTurnInverter, spec, xs)
     assert new <= 0.35 * old, (new, old)
+
+
+@pytest.mark.parametrize("alphas", [(1.0,), (1.0, 2.0), (0.5, -0.5)])
+def test_third_tail_term_cuts_the_work_of_a_1600_point_call_by_1_4(alphas):
+    spec = TargetSpec(alphas)
+    xs = np.quantile(sample_target(spec, 200_000, 12).values,
+                     np.linspace(0.0, 1.0, 1600))
+    work = []
+    for law in (TargetLaw(spec), TwoTermInverter(spec)):
+        law.cdf(xs)
+        work.append(law.take_diagnostics()["quadrature_points"])
+    assert 1.4 * work[0] <= work[1], work
+
+
+def test_a_panel_of_up_to_4_pi_of_phase_is_one_subpanel():
+    # on [0, 1] the phase change is |arctan(2) / 2 - (x + 1)|; past 4 pi a
+    # panel gets one subpanel per 2 pi
+    inv = TargetLaw(TargetSpec((1.0,)))
+    for phase, nsub in ((1e-3, 1), (2.0 * math.pi + 0.1, 1),
+                        (4.0 * math.pi - 1e-9, 1), (4.0 * math.pi + 1e-9, 3),
+                        (6.0 * math.pi + 0.1, 4)):
+        x = np.array([0.5 * math.atan(2.0) - 1.0 - phase])
+        inv._panels(np.zeros(1), np.ones(1), x)
+        work = inv.take_diagnostics()
+        assert work["max_subpanels"] == nsub, phase
+        assert work["quadrature_points"] == 16 * nsub
 
 
 def test_subpanel_guard_trips_above_2e5_pi_of_phase():
@@ -625,8 +712,8 @@ def test_target_cdf_is_within_1e_6_of_a_tight_tolerance_property(quarters):
 
 
 def test_target_cdf_light_tail_is_within_1e_6_of_a_tight_tolerance():
-    # far in this tail the values are not monotone by a few 1e-10: within
-    # the bound, and cdf_batch's running maximum hides it
+    # far in this tail the two-term stop left values that fell by a few
+    # 1e-10 from point to point, within the bound
     spec = TargetSpec((-3.0, -2.75, 0.25))
     xs = np.linspace(10.0, 30.0, 81)
     assert np.max(np.abs(TargetLaw(spec).cdf(xs) - _tight_cdf(spec, xs))) <= 1e-6
@@ -644,7 +731,41 @@ def _h(alphas, x, t):
     return (denv * dtheta - env * d2theta) / dtheta ** 3
 
 
+def _u(alphas, x, t):
+    """u = h'/theta', with h' by a complex step of :func:`_h`: the three
+    tail terms leave out -int_T^inf u' cos theta."""
+    a = np.asarray(alphas)[:, None]
+    dtheta = np.sum(a / (1.0 + 4.0 * (a * t) ** 2), axis=0) - (x + sum(alphas))
+    step = 1e-30 * t
+    return _h(alphas, x, t + 1j * step).imag / step / dtheta
+
+
 def test_tail_bound_is_h_at_t_where_h_is_monotone_beyond_it():
+    # where h is shown monotone and u is not: five to eight weights with
+    # 2 |a| T near 1 and |x + sum a| between (7 + 3k/2) S and 26 S, for
+    # S = sum |a| q at T
+    rng = np.random.default_rng(52)
+    finite = 0
+    for _ in range(100):
+        k = int(rng.integers(5, 9))
+        alphas = tuple(rng.uniform(0.3, 0.7, k) * rng.choice([-1.0, 1.0], k))
+        T = rng.uniform(1.0, 3.0)
+        s = sum(abs(a) / (1.0 + 4.0 * a * a * T * T) for a in alphas)
+        x = -sum(alphas) + (rng.choice([-1.0, 1.0])
+                            * rng.uniform(7.0 + 1.5 * k, 26.0) * s)
+        law = TargetLaw(TargetSpec(alphas))
+        tail, bound, rule = law._tails(np.array([T]), np.array([x]))
+        if tail[0] == 0.0:
+            continue  # the envelope bound
+        assert rule[0] == 1 and np.isfinite(bound[0])
+        finite += 1
+        h = _h(alphas, x, T * np.logspace(0.0, 6.0, 4000))
+        assert bound[0] == pytest.approx(abs(h[0]), rel=1e-12)
+        assert np.all(np.diff(h) >= -1e-12 * np.max(np.abs(h)))
+    assert finite > 50
+
+
+def test_tail_bound_is_u_at_t_where_u_is_monotone_beyond_it():
     rng = np.random.default_rng(52)
     finite = 0
     for _ in range(300):
@@ -653,18 +774,65 @@ def test_tail_bound_is_h_at_t_where_h_is_monotone_beyond_it():
         law = TargetLaw(TargetSpec(alphas))
         x = -sum(alphas) + rng.normal() * 10.0 ** rng.uniform(-3, 2)
         T = 10.0 ** rng.uniform(-2, 4)
-        tail, bound = law._tails(np.array([T]), np.array([x]))
+        tail, bound, rule = law._tails(np.array([T]), np.array([x]))
         if tail[0] == 0.0:
+            assert rule[0] == 0
             continue  # the envelope bound
+        # |theta'(T)| T >= 20 then already shows h monotone for k <= 5
+        # and u for k <= 2
         if k <= 5:
-            # |theta'(T)| T >= 20 then already gives the monotonicity
             assert np.isfinite(bound[0])
-        if np.isfinite(bound[0]):
+        if k <= 2:
+            assert rule[0] == 2
+        if rule[0] == 2:
             finite += 1
-            h = _h(alphas, x, T * np.logspace(0.0, 6.0, 4000))
-            assert bound[0] == pytest.approx(abs(h[0]), rel=1e-12)
-            assert np.all(np.diff(h) >= -1e-12 * np.max(np.abs(h)))
+            u = _u(alphas, x, T * np.logspace(0.0, 6.0, 4000))
+            assert bound[0] == pytest.approx(abs(u[0]), rel=1e-11)
+            # u -> 0, so monotone means it moves toward 0 throughout
+            assert np.all(np.diff(u) * np.sign(u[0]) <= 1e-12 * np.max(np.abs(u)))
     assert finite > 50
+
+
+def test_three_term_monotonicity_constants():
+    # -L >= lam (lam+1) (lam+2) - (3 lam + 2) P - 9 P/16, P = 2 (lam - 1),
+    # stays above 0.56 (lam+1) (lam+2) for lam >= 1, and the terms in w_j
+    # stay below 0.53 (lam+1) (lam+2) for e <= 1/25
+    lam = np.polynomial.Polynomial([0.0, 1.0])
+    P = 2.0 * (lam - 1.0)
+    gap = (lam * (lam + 1.0) * (lam + 2.0) - (3.0 * lam + 2.0) * P - 9.0 * P / 16.0
+           - 0.56 * (lam + 1.0) * (lam + 2.0))
+    assert gap(1.0) > 0.0
+    roots = gap.roots()
+    assert not np.any((np.abs(roots.imag) < 1e-9) & (roots.real >= 1.0)), roots
+    e = 1.0 / 25.0
+    assert 12.0 * e + 30.0 * e ** 2 + 20.0 * e ** 3 < 0.53
+
+
+@settings(max_examples=20, deadline=None)
+@given(hst.lists(hst.integers(-12, 12).filter(bool), min_size=1, max_size=5,
+                 unique=True))
+def test_three_term_estimate_is_within_its_bound_at_every_rung_property(quarters):
+    # at every rung where the three-term bound is used, the estimate is
+    # within it of the inversion at 1e-10 (whose own bound is below 1e-10);
+    # bounds under 1e-11 are beyond what that reference resolves
+    spec = TargetSpec(tuple(q / 4.0 for q in quarters))
+    law = TargetLaw(spec)
+    edge = -sum(spec.alphas)
+    sd = math.sqrt(2.0 * sum(a * a for a in spec.alphas))
+    xs = np.concatenate([np.linspace(edge - 6.0 * sd, edge + 6.0 * sd, 13),
+                         [edge - 1e-3, edge + 1e-3]])
+    T0 = 0.25 / np.maximum(np.abs(xs - edge), 2.0 * max(map(abs, spec.alphas)))
+    rungs = np.arange(1, montecarlo._MAX_DOUBLINGS + 1)
+    checked = 0
+    for x, t0, want in zip(xs, T0, _tight_cdf(spec, xs)):
+        tail, bound, rule = law._tails(np.ldexp(t0, rungs), np.full(len(rungs), x))
+        bound /= math.pi
+        for m in rungs[(rule == 2) & (bound > 1e-11) & (bound < 1e-2)]:
+            integral = law._integrals(np.array([t0]), np.array([m]), np.array([x]))
+            est = 0.5 - (integral[0] + tail[m - 1]) / math.pi
+            assert abs(est - want) <= bound[m - 1] + 1e-10 + 1e-13, (x, m)
+            checked += 1
+    assert checked > 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -680,10 +848,10 @@ def test_stop_rung_is_the_first_rung_whose_bound_is_below_tol_property(quarters)
     xs = np.concatenate([np.linspace(edge - 6.0 * sd, edge + 6.0 * sd, 41),
                          [edge - 1e-3, edge + 1e-3]])
     T0 = 0.25 / np.maximum(np.abs(xs - edge), 2.0 * max(map(abs, spec.alphas)))
-    rung, _, _ = law._stops(T0, xs)
+    rung, _, _, _ = law._stops(T0, xs)
     rungs = np.arange(1, montecarlo._MAX_DOUBLINGS + 1)
     for x, t0, m in zip(xs, T0, rung):
-        _, bound = law._tails(np.ldexp(t0, rungs), np.full(len(rungs), x))
+        _, bound, _ = law._tails(np.ldexp(t0, rungs), np.full(len(rungs), x))
         assert m == rungs[np.argmax(bound / math.pi < montecarlo._TOL)], x
 
 
@@ -693,12 +861,12 @@ def _doubling_loop_cdf(law, x):
     integral, up to the point's stop rung; kept as the one-pass reference."""
     xs = np.array([x])
     T = 0.25 / np.maximum(np.abs(xs + law.asum), 2.0 * np.max(np.abs(law.alphas)))
-    rung, _, _ = law._stops(T, xs)
+    rung, _, _, _ = law._stops(T, xs)
     integral = law._panels(np.zeros(1), T, xs)
     for _ in range(int(rung[0])):
         integral = integral + law._panels(T, 2.0 * T, xs)
         T = 2.0 * T
-    tail, _ = law._tails(T, xs)
+    tail, _, _ = law._tails(T, xs)
     return float(np.clip(0.5 - (integral + tail) / math.pi, 0.0, 1.0)[0])
 
 
@@ -718,10 +886,33 @@ def test_tail_bound_does_not_count_where_monotonicity_is_not_shown():
     alphas = tuple(0.5 + 0.01 * i for i in range(8))
     law = TargetLaw(TargetSpec(alphas))
     x = np.array([-sum(alphas) - 19.0])
-    tail, bound = law._tails(np.array([1.0]), x)
+    tail, bound, _ = law._tails(np.array([1.0]), x)
     assert tail[0] != 0.0 and bound[0] == np.inf
-    tail, bound = law._tails(np.array([4.0]), x)
+    tail, bound, _ = law._tails(np.array([4.0]), x)
     assert tail[0] != 0.0 and np.isfinite(bound[0])
+
+
+def test_tail_terms_fall_back_to_two_where_u_is_not_shown_monotone():
+    # the eight weights above at T = 2: S is about 0.86, so
+    # (14 + 3k) S < 2 |x + sum a| = 38 holds and 26 S < 19 does not
+    alphas = tuple(0.5 + 0.01 * i for i in range(8))
+    law, ref = TargetLaw(TargetSpec(alphas)), TwoTermInverter(TargetSpec(alphas))
+    x = np.array([-sum(alphas) - 19.0])
+    T = np.array([2.0])
+    tail, bound, rule = law._tails(T, x)
+    two, two_bound, _ = ref._tails(T, x)
+    assert rule[0] == 1
+    assert bound[0] == pytest.approx(abs(_h(alphas, x[0], T)[0]), rel=1e-12)
+    assert bound[0] == pytest.approx(two_bound[0], rel=1e-12)
+    assert tail[0] == pytest.approx(two[0], rel=1e-12)
+    # at T = 4 u is shown monotone: the third term is -u(T) cos theta(T)
+    T = np.array([4.0])
+    tail, bound, rule = law._tails(T, x)
+    two, _, _ = ref._tails(T, x)
+    u = _u(alphas, x[0], T)
+    assert rule[0] == 2 and bound[0] == pytest.approx(abs(u[0]), rel=1e-11)
+    third = -u[0] * math.cos(law._theta(T, x)[0])
+    assert tail[0] - two[0] == pytest.approx(third, rel=1e-9)
 
 
 def test_target_cdf_stops_on_a_remainder_bound_below_tol():
@@ -734,6 +925,9 @@ def test_target_cdf_stops_on_a_remainder_bound_below_tol():
     assert 0 < work["max_doublings"] <= montecarlo._MAX_DOUBLINGS
     assert 0 < work["max_subpanels"] <= montecarlo._MAX_SUBPANELS
     assert work["quadrature_points"] % len(montecarlo._GL_NODES) == 0
+    assert set(work["stopped_on"]) == set(montecarlo._STOP_RULES)
+    assert sum(work["stopped_on"].values()) == 300
+    assert work["stopped_on"]["three_terms"] > 250
     # taking the counts starts them afresh
     assert law.take_diagnostics()["points"] == 0
 
