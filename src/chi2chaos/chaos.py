@@ -146,10 +146,16 @@ def multiply(F: ChaosExpansion, G: ChaosExpansion, max_order=None) -> ChaosExpan
     return _pair(F, G, weight, 0, max_order)
 
 
-# Rows per block of the pathwise Hermite path (orders >= 3): the block's
-# (qmax+1, d, rows) Hermite table and one term's row vector stay small however
-# many rows a call has.
+# Most rows, and most inputs (2 MB), in one block of pathwise evaluation: the
+# block's (qmax+1, d, rows) Hermite table, its order-2 product x f and one
+# term's row vector stay small however many rows a call has.
 _BLOCK_ROWS = 1 << 14
+_BLOCK_VALUES = 1 << 18
+
+
+def _block_rows(d: int) -> int:
+    """Rows per block of d inputs: 16 384 up to d = 16, fewer above."""
+    return min(_BLOCK_ROWS, max(1, _BLOCK_VALUES // d))
 
 
 def _hermite_table(x: np.ndarray, qmax: int) -> np.ndarray:
@@ -221,40 +227,47 @@ def evaluate(F: ChaosExpansion, x):
 
     ``x`` is a vector of length d (a float comes back) or an (n, d) array of
     sample rows (a length-n array comes back); any other shape raises
-    ``ValueError``.  Orders 0-2 are evaluated on all rows at once (order 2 as
-    the quadratic form x^T f x - tr f).  Orders >= 3 go through products of
-    Hermite polynomials, one term per unordered basis multi-index (see
-    :func:`_hermite_terms`): the rows are walked in blocks of ``_BLOCK_ROWS``
-    over a (qmax+1, d, rows) Hermite table, so each factor H_m(x_i) is a
-    contiguous row, memory is bounded per block, and a row's order >= 3 part
-    does not depend on the other rows in the call.  ``sample_chaos`` runs
-    the same code block by block, through :func:`_evaluator`.
+    ``ValueError``.  The rows are walked in blocks of :func:`_block_rows`
+    rows, each evaluated by :func:`_evaluator`, so memory is bounded per
+    block.  Orders 0-2 are evaluated on a block's rows at once (order 2 as
+    the quadratic form x^T f x - tr f, through BLAS, so a row's last bits
+    can depend on its block's row count).  Orders >= 3 go through products
+    of Hermite polynomials, one term per unordered basis multi-index (see
+    :func:`_hermite_terms`), over a (qmax+1, d, rows) Hermite table, so each
+    factor H_m(x_i) is a contiguous row and a row's order >= 3 part does not
+    depend on the other rows in the call.  ``sample_chaos`` draws and
+    evaluates the same blocks.
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim not in (1, 2) or xs.shape[-1] != F.dim:
         raise ValueError(
             f"x must have shape (d,) or (n, d) with d = {F.dim}, got {xs.shape}")
+    values_of = _evaluator(F)
     if xs.ndim == 1:
-        return float(_evaluator(F)(xs[None, :])[0])
-    return _evaluator(F)(xs)
+        return float(values_of(xs[None, :])[0])
+    rows = _block_rows(F.dim)
+    out = np.empty(len(xs))
+    for lo in range(0, len(xs), rows):
+        out[lo:lo + rows] = values_of(xs[lo:lo + rows])
+    return out
 
 
 def _evaluator(F: ChaosExpansion):
-    """F's pathwise values as a function of an (n, d) float array of rows,
-    the body of :func:`evaluate` without its shape checks.
+    """F's pathwise values as a function of one block of rows, an (n, d)
+    float array with 1 <= n: the body of :func:`evaluate` without its shape
+    checks and its block loop.
 
     The term arrays of each order >= 3 are built here, once, however many
-    arrays the function is then called on.  They are not kept on ``F``: at
+    blocks the function is then called on.  They are not kept on ``F``: at
     (q, d) = (3, 100) they take 5.2 MB.  Each term starts as
-    H_m(x_i) * coeff, written into one reused row vector, and is multiplied
-    by its other factors in place.
+    H_m(x_i) * coeff, written into one row vector, and is multiplied by its
+    other factors in place.
     """
     hermite_orders = [_hermite_terms(F.kernel(q), q, F.dim)
                       for q in F.orders() if q >= 3]
 
     def values(xs):
-        n = xs.shape[0]
-        total = np.zeros(n)
+        total = np.zeros(xs.shape[0])
         for q in F.orders():
             kern = F.kernel(q)
             if q == 0:
@@ -265,22 +278,17 @@ def _evaluator(F: ChaosExpansion):
                 # I_2(f) = x^T f x - tr f  (quadratic-form fast path)
                 total += np.einsum("ni,ni->n", xs @ kern, xs) - np.trace(kern)
         if hermite_orders:
-            term = np.empty(min(n, _BLOCK_ROWS))
-            for lo in range(0, n, _BLOCK_ROWS):
-                block = total[lo:lo + _BLOCK_ROWS]
-                table = _hermite_table(
-                    np.ascontiguousarray(xs[lo:lo + _BLOCK_ROWS].T), F.max_order)
-                rows = table.reshape(-1, len(block))
-                t = term[:len(block)]
-                for coeffs, factors in hermite_orders:
-                    for c, (first, *rest) in zip(coeffs.tolist(),
-                                                 factors.tolist()):
-                        np.multiply(rows[first], c, out=t)
-                        for j in rest:
-                            if j < 0:
-                                break
-                            t *= rows[j]
-                        block += t
+            table = _hermite_table(np.ascontiguousarray(xs.T), F.max_order)
+            rows = table.reshape(-1, len(total))
+            term = np.empty(len(total))
+            for coeffs, factors in hermite_orders:
+                for c, (first, *rest) in zip(coeffs.tolist(), factors.tolist()):
+                    np.multiply(rows[first], c, out=term)
+                    for j in rest:
+                        if j < 0:
+                            break
+                        term *= rows[j]
+                    total += term
         return total
 
     return values

@@ -204,18 +204,6 @@ def family_kernel(family: dict, n: int) -> SymmetricKernel:
     raise ConfigError(f"family.name: unknown family {name!r}")
 
 
-def _columns(scenario: Scenario, with_mc: bool, first_row: dict) -> list:
-    cols = ["n"]
-    cols += [f"kappa_gap_{r}" for r in range(2, scenario.target.k + 2)]
-    cols.append("gamma_stat")
-    if with_mc and "ks" in scenario.outputs:
-        cols.append("ks")
-    if with_mc and "empirical_cumulants" in scenario.outputs:
-        cols += ["emp_kappa_2", "emp_kappa_3", "emp_kappa_4"]
-    cols += [key for key in first_row if key.startswith("cond_")]
-    return cols
-
-
 def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
                  no_mc: bool = False):
     """Run one scenario end to end; returns (csv_path, summary_path)."""
@@ -242,13 +230,11 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
             kernel = family_kernel(scenario.family, n)
             F = ChaosExpansion.from_kernel(kernel)
             report = criteria.criterion_statistic(F, scenario.target)
-            row = {"n": n, "gamma_stat": report.gamma_stat}
+            # each row is built in CSV column order
+            row = {"n": n}
             for (r, _, _, gap) in report.cumulant_gaps:
                 row[f"kappa_gap_{r}"] = gap
-            if "q_chaos" in scenario.outputs:
-                for key, val in criteria.q_chaos_conditions(
-                        kernel, scenario.target).items():
-                    row[f"cond_{key}"] = val
+            row["gamma_stat"] = report.gamma_stat
             if with_mc and ("ks" in scenario.outputs
                             or "empirical_cumulants" in scenario.outputs):
                 batch = montecarlo.sample_chaos(
@@ -264,11 +250,15 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
                     for r in (2, 3, 4):
                         row[f"emp_kappa_{r}"] = emp[r - 1]
                         kappa_se[-1][f"emp_kappa_{r}"] = se[r - 1]
+            if "q_chaos" in scenario.outputs:
+                for key, val in criteria.q_chaos_conditions(
+                        kernel, scenario.target).items():
+                    row[f"cond_{key}"] = val
         except (ResourceGuardError, NumericalError, ConsistencyError) as exc:
             raise type(exc)(f"scenario {scenario.id!r} aborted at n={n}: {exc}")
         rows.append(row)
 
-    columns = _columns(scenario, with_mc, rows[0])
+    columns = list(rows[0])
     csv_path = out_dir / f"{scenario.id}.csv"
     with open(csv_path, "w") as fh:
         fh.write(",".join(columns) + "\n")

@@ -24,10 +24,6 @@ from .spectral2 import TargetSpec
 
 GENERATOR_ID = "philox4x64-normals-v1"
 
-# Most normals one block of sample_chaos draws: 2 MB, so at d > 16 a block
-# has fewer than chaos._BLOCK_ROWS rows.
-_BLOCK_VALUES = 1 << 18
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # Most quadrature points the CDF inverter holds in one flat array.
 _BLOCK_POINTS = 1 << 16
@@ -40,8 +36,8 @@ _MAX_SUBPANELS = 100_000
 _TOL = 1e-6
 _MAX_DOUBLINGS = 64
 # The bounds a point can stop on, as TargetLaw._tails numbers them: the
-# envelope before the tail terms, then two or three integration-by-parts terms.
-_STOP_RULES = ("envelope", "two_terms", "three_terms")
+# envelope before the tail terms, then three integration-by-parts terms.
+_STOP_RULES = ("envelope", "three_terms")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -83,26 +79,22 @@ def sample_target(spec: TargetSpec, n: int, seed: int) -> SampleBatch:
 def sample_chaos(F: ChaosExpansion, n: int, seed: int) -> SampleBatch:
     """n pathwise evaluations of F at i.i.d. standard normal inputs.
 
-    The inputs are drawn and evaluated in blocks of
-    min(``chaos._BLOCK_ROWS``, max(1, ``_BLOCK_VALUES`` // d)) rows, so a
-    block holds at most 2^18 normals (2 MB) at any d, and memory is the n
-    values plus a few blocks, however large n * d is.  The Philox draws of
-    consecutive blocks are bitwise the rows of one (n, d) draw, so the
-    values are those of ``evaluate`` on that whole draw: bitwise for orders
-    0 and >= 3, whose rows do not depend on each other, which also makes a
-    sample of n rows bitwise the first n values of a longer one with the
-    same seed.  Orders 1 and 2 are the exception: they go through BLAS on
-    each block (``xs @ f``), so their rows may differ from a whole-draw
-    evaluation in the last bits.  At d = 300 (blocks of 873 rows) and
-    n = 40 000, 35 order-1 and 182 order-2 rows of a random kernel did, by
-    at most 2.3e-16 of the largest |value|.
+    The inputs are drawn and evaluated in the blocks ``evaluate`` walks,
+    ``chaos._block_rows(d)`` rows of at most 2^18 normals (2 MB) at any d,
+    so memory is the n values plus a few blocks, however large n * d is.
+    The Philox draws of consecutive blocks are bitwise the rows of one
+    (n, d) draw, so the values are bitwise those of ``evaluate`` on that
+    whole draw.  At orders 0 and >= 3, whose rows do not depend on each
+    other, a sample of n rows is also bitwise the first n values of a
+    longer one with the same seed; at orders 1 and 2 the last block's row
+    count can move its rows' last bits.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = _rng(seed)
     values_of = chaos._evaluator(F)
     values = np.empty(n)
-    rows = min(chaos._BLOCK_ROWS, max(1, _BLOCK_VALUES // F.dim))
+    rows = chaos._block_rows(F.dim)
     # one buffer for every block's draw: with a fresh array per block the
     # allocator returns the freed memory and faults it in again each block
     x = np.empty((min(n, rows), F.dim))
@@ -173,9 +165,8 @@ def target_cf(spec: TargetSpec, t):
 
 
 class TargetLaw:
-    """The target law: characteristic function, and the CDF by quadrature of
-    Im[e^{-itx} cf(t)] / t over t in (0, T] plus a tail estimate, for many
-    points x at once.
+    """The target law's CDF, by quadrature of Im[e^{-itx} cf(t)] / t over
+    t in (0, T] plus a tail estimate, for many points x at once.
 
     The integrand is rho(t) sin(theta(t)) / t with
     rho(t) = prod (1 + 4 a^2 t^2)^{-1/4} and
@@ -191,11 +182,9 @@ class TargetLaw:
       rest is at most prod (2 |a|)^{-1/2} T^{-k/2} / (k/2);
     * after that three integration-by-parts tail terms are added, and the
       rest is at most the last one's coefficient |u(T)|, u = h'/theta' and
-      h = (rho/(t theta'))'/theta', where u is monotone on [T, inf).  Where
-      that cannot be shown from the rational forms of theta' and rho'/rho,
-      the first two terms are added and the rest is at most |h(T)|, where h
-      is monotone; a rung where neither is shown does not count.  For
-      k <= 2 weights u always is, and for k <= 5 at least h.
+      h = (rho/(t theta'))'/theta', where u is shown monotone on [T, inf)
+      from the rational forms of theta' and rho'/rho; a rung where it is
+      not shown does not count.  For k <= 2 weights it always is.
 
     The stop rung depends on (x, T) alone, so it is found before any
     quadrature: from a closed-form rung below which none can stop, rung by
@@ -211,21 +200,21 @@ class TargetLaw:
     rounding, not the rule, sets the quadrature error, and the remainder
     bound sets the accuracy.
 
-    Points are taken in chunks of at most ``_BLOCK_POINTS`` / 16 for the
-    stop search, and a chunk's points in groups of at most that many
-    panels, so the per-point and per-panel arrays are never longer than a
-    block's per-subpanel arrays.  A group's panels form one flat list, cut
-    between panels into blocks of at most ``_BLOCK_POINTS`` quadrature
-    points (a panel that alone needs more is a block of its own), so memory
-    does not grow with the number of points.  Each point's panel integrals
-    are summed in rung order with ``np.bincount``, and the tail terms at its
-    last rung are added.  Each value depends on its own x alone, not on
-    which other points share the call.
+    Points are taken in chunks of at most ``_BLOCK_POINTS`` / 16, so the
+    per-point arrays of the stop search and the chunk's panel list (at most
+    ``_MAX_DOUBLINGS`` + 1 panels a point) stay bounded.  A chunk's panels
+    form one flat list, cut between panels into blocks of at most
+    ``_BLOCK_POINTS`` quadrature points (a panel that alone needs more is a
+    block of its own), so memory does not grow with the number of points.
+    Each point's panel integrals are summed in rung order with
+    ``np.bincount``, and the tail terms at its last rung are added.  Each
+    value depends on its own x alone, not on which other points share the
+    call.
 
     A block's per-quadrature-point arrays (nodes, weights, owners, the
     (k, points) work array for rho and theta, and the integrand) are
     written with ``out=`` into scratch buffers that the law holds and
-    reuses across blocks, groups and calls; a shorter block uses the
+    reuses across blocks and calls; a shorter block uses the
     leading part of each.  They have room for ``_BLOCK_POINTS`` points and
     grow only for a panel that alone needs more, so the law then keeps
     that larger size.  Without them every block would allocate about
@@ -248,9 +237,6 @@ class TargetLaw:
         self._buffers = {}
         self._diagnostics = None
         self.take_diagnostics()
-
-    def cf(self, t):
-        return target_cf(self.spec, t)
 
     def take_diagnostics(self) -> dict:
         """The inverter's work since the law was made or this was last
@@ -375,8 +361,7 @@ class TargetLaw:
         u = h'/theta'.  Three integrations by parts give the terms
         (env/theta') cos theta - h sin theta - u cos theta at T, and leave
         out -int_T^inf u' cos theta dt, at most |u(T)| where u is monotone
-        on [T, inf), since u -> 0.  The first two terms alone leave out
-        -int_T^inf h' sin theta dt, at most |h(T)| where h is monotone.
+        on [T, inf), since u -> 0.
 
         With q_i = 1/(1 + 4 a_i^2 t^2), p_i = 1 - q_i, S = sum |a_i| q_i and
         lam = 1 + sum p_i / 2: t env'/env = -lam, t lam' = sum q_i p_i,
@@ -391,23 +376,19 @@ class TargetLaw:
         + 4 lam w_2 - 15 w_1^3 + 10 w_1 w_2 - w_3, and
         L = -lam (lam + 1) (lam + 2) + (3 lam + 2) t lam' - t^2 lam''.
 
-        * h: t^2 theta'^2 h'/env >= 2 - (12 + 3k) e.  S falls with t and
-          |theta'| >= |x + sum a| - S, so (14 + 3k) S(T) < 2 |x + sum a|
-          makes h' > 0 on all of [T, inf).
-        * u: q p <= p and q p (3 - 4 q) <= 9 p / 16 give
-          -L >= lam (lam + 1) (lam + 2) - (3 lam + 2) P - 9 P / 16 with
-          P = sum p = 2 (lam - 1), which is at least 0.56 (lam + 1) (lam + 2)
-          for lam >= 1 (its least ratio is 0.5638, at lam = 2.196).  The
-          other terms are at most (lam + 1) (lam + 2) (12 e + 30 e^2 + 20 e^3),
-          below 0.53 (lam + 1) (lam + 2) for e <= 1/25.  So
-          26 S(T) < |x + sum a|, which keeps e <= 1/25 on [T, inf), makes
-          u' of one sign there.
+        q p <= p and q p (3 - 4 q) <= 9 p / 16 give
+        -L >= lam (lam + 1) (lam + 2) - (3 lam + 2) P - 9 P / 16 with
+        P = sum p = 2 (lam - 1), which is at least 0.56 (lam + 1) (lam + 2)
+        for lam >= 1 (its least ratio is 0.5638, at lam = 2.196).  The other
+        terms are at most (lam + 1) (lam + 2) (12 e + 30 e^2 + 20 e^3), below
+        0.53 (lam + 1) (lam + 2) for e <= 1/25.  S falls with t and
+        |theta'| >= |x + sum a| - S, so 26 S(T) < |x + sum a|, which keeps
+        e <= 1/25 on [T, inf), makes u' of one sign there.
 
-        A rung where u is shown monotone uses all three terms and |u(T)|;
-        one where only h is uses the first two and |h(T)|; one where
-        neither is has the bound inf and does not count.  With the tail
-        terms on, S T <= k/4 and |x + sum a| T >= 20 - k/4, so u is always
-        shown monotone for k <= 2 weights and h for k <= 5."""
+        A rung where u is shown monotone uses the three terms and |u(T)|;
+        one where it is not has the bound inf and does not count.  With the
+        tail terms on, S T <= k/4 and |x + sum a| T >= 20 - k/4, so u is
+        always shown monotone for k <= 2 weights."""
         a = self.alphas[:, None]
         a2t2 = 4.0 * (a * T) ** 2
         q = 1.0 / (1.0 + a2t2)
@@ -431,12 +412,10 @@ class TargetLaw:
         h = -env * (lam + w1) / (T * dtheta ** 2)
         u = env * (lam ** 2 + lam - np.sum(q * p, axis=0) + 3.0 * lam * w1
                    + 3.0 * w1 ** 2 - w2) / (T ** 2 * dtheta ** 3)
-        s = np.sum(np.abs(aq), axis=0)
-        three = 26.0 * s < np.abs(shift)
-        two = (14.0 + 3.0 * len(self.alphas)) * s < 2.0 * np.abs(shift)
-        out[use] = env * cos / dtheta - h * sin - np.where(three, u * cos, 0.0)
-        bound[use] = np.where(three, np.abs(u), np.where(two, np.abs(h), np.inf))
-        rule[use] = np.where(three, 2, 1)
+        monotone = 26.0 * np.sum(np.abs(aq), axis=0) < np.abs(shift)
+        out[use] = env * cos / dtheta - h * sin - u * cos
+        bound[use] = np.where(monotone, np.abs(u), np.inf)
+        rule[use] = 1
         return out, bound, rule
 
     def cdf(self, x):
@@ -524,24 +503,15 @@ class TargetLaw:
 
     def _integrals(self, T0, rung, x):
         """Each point's integral over [0, T0 2^m], m its stop rung: panels
-        [0, T0] and [T0 2^{j-1}, T0 2^j] for j = 1 .. m, summed in that
-        order, in groups of at most ``_BLOCK_POINTS`` / 16 panels."""
-        out = np.empty(len(x))
-        ends = np.cumsum(rung + 1)
-        most = _BLOCK_POINTS // len(_GL_NODES)
-        lo = 0
-        while lo < len(x):
-            start = ends[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, start + most, side="right")))
-            count = rung[lo:hi] + 1
-            owner = np.repeat(np.arange(hi - lo), count)
-            j = np.arange(len(owner)) - np.repeat(ends[lo:hi] - count - start, count)
-            b = np.ldexp(T0[lo:hi][owner], j)
-            a = np.where(j > 0, 0.5 * b, 0.0)
-            vals = self._panels(a, b, x[lo:hi][owner])
-            out[lo:hi] = np.bincount(owner, weights=vals, minlength=hi - lo)
-            lo = hi
-        return out
+        [0, T0] and [T0 2^{j-1}, T0 2^j] for j = 1 .. m, laid out point by
+        point in one flat list and summed in that order."""
+        count = rung + 1
+        owner = np.repeat(np.arange(len(x)), count)
+        j = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+        b = np.ldexp(T0[owner], j)
+        a = np.where(j > 0, 0.5 * b, 0.0)
+        return np.bincount(owner, weights=self._panels(a, b, x[owner]),
+                           minlength=len(x))
 
     def cdf_batch(self, xs) -> np.ndarray:
         """CDF at many points: exact inversion on a quantile grid of the n

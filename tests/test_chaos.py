@@ -234,18 +234,23 @@ def test_evaluate_high_orders_match_dense_reference(q, d):
 
 def per_multiset_evaluate(F, x):
     """The per-multiset loop over whole (n, d) Hermite tables that
-    ``evaluate`` used before it walked rows in blocks, kept as its reference."""
+    ``evaluate`` used before it walked rows in blocks, kept as its reference.
+    Orders 1 and 2 go through BLAS on the blocks ``evaluate`` walks, since
+    a row's last bits there can depend on its block's row count."""
     xs = np.asarray(x, dtype=float)
     n = xs.shape[0]
     total = np.zeros(n)
+    block = chaos._block_rows(F.dim)
     for q in F.orders():
         kern = F.kernel(q)
         if q == 0:
             total += float(kern)
-        elif q == 1:
-            total += xs @ kern
-        elif q == 2:
-            total += np.einsum("ni,ni->n", xs @ kern, xs) - np.trace(kern)
+        elif q in (1, 2):
+            for lo in range(0, n, block):
+                rows = xs[lo:lo + block]
+                total[lo:lo + block] += (
+                    rows @ kern if q == 1 else
+                    np.einsum("ni,ni->n", rows @ kern, rows) - np.trace(kern))
         else:
             table = np.empty((q + 1,) + xs.shape)
             table[0] = 1.0
@@ -318,13 +323,12 @@ def test_evaluate_is_bitwise_the_per_multiset_loop_property(dim, seed, orders,
     F = random_expansion(rng, dim, sorted(orders))
     xs = rng.standard_normal((rows, dim))
     with mock.patch.object(chaos, "_BLOCK_ROWS", block):
-        got = evaluate(F, xs)
-    assert np.array_equal(got, per_multiset_evaluate(F, xs))
+        assert np.array_equal(evaluate(F, xs), per_multiset_evaluate(F, xs))
 
 
 def test_evaluate_row_does_not_depend_on_its_block():
     # orders 0 and >= 3 only: orders 1 and 2 go through BLAS matrix products,
-    # whose last bits may depend on how many rows share the call
+    # whose last bits may depend on how many rows share the block
     rng = np.random.default_rng(15)
     F = random_expansion(rng, 3, [3, 4])
     xs = rng.standard_normal((40_000, 3))
@@ -333,6 +337,15 @@ def test_evaluate_row_does_not_depend_on_its_block():
     for r in (0, 16_383, 16_384, 39_999):
         assert evaluate(F, xs[r]) == vals[r]
         assert evaluate(F, xs[r:r + 1])[0] == vals[r]
+
+
+def test_evaluate_memory_at_orders_1_and_2_is_n_values_plus_8_mb(peak_mb):
+    # one (200 000, 64) BLAS product x @ f alone is 102 MB; a block's is 2 MB
+    rng = np.random.default_rng(17)
+    F = random_expansion(rng, 64, [1, 2])
+    xs = rng.standard_normal((200_000, 64))
+    n = len(xs)
+    assert peak_mb(lambda: evaluate(F, xs)) <= (n * 8 + 8 * 2 ** 20) / 2 ** 20
 
 
 @pytest.mark.parametrize("shape", [(), (2, 4, 3), (0,), (5, 2)])

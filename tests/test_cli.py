@@ -137,10 +137,9 @@ def test_run_scenario_summary_records_the_cdf_work_per_index(tmp_path):
         assert 0 < row["max_subpanels"] <= guards["max_subpanels"]
         assert 0.0 < row["max_bound"] < guards["max_bound"]
         stopped = row["stopped_on"]
-        assert set(stopped) == {"envelope", "two_terms", "three_terms"}
+        assert set(stopped) == {"envelope", "three_terms"}
         assert sum(stopped.values()) == row["points"]
-        # two weights: with the tail terms on, u is always shown monotone
-        assert stopped["two_terms"] == 0 and stopped["three_terms"] > 0
+        assert stopped["three_terms"] > 0
 
 
 def test_run_scenario_summary_has_the_monte_carlo_standard_errors(tmp_path):

@@ -88,15 +88,11 @@ def expansion(rng, dim, orders):
 def test_sample_chaos_is_the_whole_draw_evaluated_property(dim, seed, orders,
                                                            n, block):
     F = expansion(np.random.default_rng(seed), dim, sorted(orders))
+    # evaluate walks the whole draw in the blocks sample_chaos draws, so
+    # even the BLAS products of orders 1 and 2 agree bit for bit
     with mock.patch.object(chaos, "_BLOCK_ROWS", block):
-        got = sample_chaos(F, n, seed).values
-    expected = whole_draw_sample(F, n, seed)
-    if orders & {1, 2}:
-        # BLAS products of a block and of the whole draw may round apart
-        scale = max(1.0, float(np.max(np.abs(expected))))
-        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
-    else:
-        assert np.array_equal(got, expected)
+        assert np.array_equal(sample_chaos(F, n, seed).values,
+                              whole_draw_sample(F, n, seed))
 
 
 def test_sample_chaos_is_prefix_stable_at_orders_0_and_above_2():
@@ -144,11 +140,7 @@ def test_sample_chaos_blocks_hold_at_most_2_18_normals(dim, rows):
         got = sample_chaos(F, n, seed).values
     assert seen == [rows, rows, 5]
     whole = montecarlo._rng(seed).standard_normal((n, dim))
-    # orders 1-2 go through BLAS per block: equal to a whole-draw evaluation
-    # up to rounding
-    want = chaos.evaluate(F, whole)
-    np.testing.assert_allclose(got, want, rtol=1e-13,
-                               atol=1e-13 * float(np.max(np.abs(want))))
+    assert np.array_equal(got, chaos.evaluate(F, whole))
     # the blocks are the rows of the whole draw: x @ e_i is exactly x_i
     coordinate = ChaosExpansion.from_kernel(basis_kernel(dim, (dim - 1,)))
     assert np.array_equal(sample_chaos(coordinate, n, seed).values, whole[:, -1])
@@ -158,7 +150,7 @@ def test_sample_chaos_blocks_hold_at_most_2_18_normals(dim, rows):
 def test_sample_chaos_is_prefix_stable_above_order_2_in_short_blocks(dim):
     # d = 256 is left out: an order-3 kernel there has 1.7e7 entries, over
     # the 1e7-element guard.  A sparse kernel keeps the term loop short.
-    rows = montecarlo._BLOCK_VALUES // dim
+    rows = chaos._block_rows(dim)
     rng = np.random.default_rng(dim)
     f = sum(rng.uniform(-1, 1) * basis_kernel(dim, idx).coeffs
             for idx in [(0, 0, 0), (0, 1, dim - 1), (2, 5, 5), (dim - 1,) * 3])
@@ -514,6 +506,85 @@ class TwoTermInverter(TargetLaw):
         return out, bound, rule
 
 
+class ThreeRuleInverter(TargetLaw):
+    """The CDF inverter with the tail rules it used before the two-term
+    fallback was removed, kept as its reference: where u is not shown
+    monotone but h is, the first two terms and the bound |h(T)|.  Its
+    rules are 0 (envelope), 1 (two terms) and 2 (three terms)."""
+
+    def _tails(self, T, x):
+        a = self.alphas[:, None]
+        a2t2 = 4.0 * (a * T) ** 2
+        q = 1.0 / (1.0 + a2t2)
+        shift = x + self.asum
+        dtheta = np.sum(a * q, axis=0) - shift
+        out = np.zeros(len(T))
+        bound = self._envelope * T ** (-0.5 * len(self.alphas))
+        rule = np.zeros(len(T), dtype=np.intp)
+        use = np.abs(dtheta) * T >= 20.0
+        if not use.any():
+            return out, bound, rule
+        T, x, shift, dtheta = T[use], x[use], shift[use], dtheta[use]
+        q, p = q[:, use], a2t2[:, use] * q[:, use]
+        aq = a * q
+        lam = 1.0 + 0.5 * np.sum(p, axis=0)
+        w1 = -2.0 * np.sum(aq * p, axis=0) / dtheta
+        w2 = 2.0 * np.sum(aq * p * (3.0 - 4.0 * q), axis=0) / dtheta
+        env = self._rho(T) / T
+        theta = self._theta(T, x)
+        cos, sin = np.cos(theta), np.sin(theta)
+        h = -env * (lam + w1) / (T * dtheta ** 2)
+        u = env * (lam ** 2 + lam - np.sum(q * p, axis=0) + 3.0 * lam * w1
+                   + 3.0 * w1 ** 2 - w2) / (T ** 2 * dtheta ** 3)
+        s = np.sum(np.abs(aq), axis=0)
+        three = 26.0 * s < np.abs(shift)
+        two = (14.0 + 3.0 * len(self.alphas)) * s < 2.0 * np.abs(shift)
+        out[use] = env * cos / dtheta - h * sin - np.where(three, u * cos, 0.0)
+        bound[use] = np.where(three, np.abs(u), np.where(two, np.abs(h), np.inf))
+        rule[use] = np.where(three, 2, 1)
+        return out, bound, rule
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.lists(hst.integers(-12, 12).filter(bool), min_size=1, max_size=8,
+                 unique=True))
+def test_target_cdf_is_bitwise_the_three_rule_inverter_up_to_8_weights_property(
+        quarters):
+    # up to eight weights the two-term fallback never decides a stop, so
+    # removing it changes no value and no work count
+    spec = TargetSpec(tuple(q / 4.0 for q in quarters))
+    edge = -sum(spec.alphas)
+    sd = math.sqrt(2.0 * sum(a * a for a in spec.alphas))
+    xs = np.concatenate([
+        np.linspace(edge - 8.0 * sd, edge + 8.0 * sd, 41),
+        np.quantile(sample_target(spec, 2000, 3).values, np.linspace(0, 1, 25)),
+        [edge - 1e-3, edge + 1e-3]])
+    law, ref = TargetLaw(spec), ThreeRuleInverter(spec)
+    assert np.array_equal(law.cdf(xs), ref.cdf(xs))
+    assert (law.take_diagnostics()["quadrature_points"]
+            == ref.take_diagnostics()["quadrature_points"])
+
+
+def test_target_cdf_with_9_to_12_weights_is_within_1e_6_of_a_tight_tolerance():
+    # from nine weights on, the removed two-term fallback stopped some points;
+    # without it they stop a rung or more later, still within the bound
+    rng = np.random.default_rng(54)
+    quarters = [q for q in range(-12, 13) if q]
+    fallback = 0
+    for _ in range(40):
+        k = int(rng.integers(9, 13))
+        spec = TargetSpec(tuple(rng.choice(quarters, k, replace=False) / 4.0))
+        edge = -sum(spec.alphas)
+        sd = math.sqrt(2.0 * sum(a * a for a in spec.alphas))
+        xs = np.concatenate([np.linspace(edge - 8.0 * sd, edge + 8.0 * sd, 81),
+                             [edge - 1e-3, edge + 1e-3]])
+        assert np.max(np.abs(TargetLaw(spec).cdf(xs) - _tight_cdf(spec, xs))) <= 1e-6
+        ref = ThreeRuleInverter(spec)
+        T0 = 0.25 / np.maximum(np.abs(xs - edge), 2.0 * max(map(abs, spec.alphas)))
+        fallback += int(np.sum(ref._stops(T0, xs)[3] == 1))
+    assert fallback > 0
+
+
 class AllocatingInverter(TargetLaw):
     """The CDF inverter as it was before its blocks wrote into reused
     scratch buffers, kept as its reference: every array of a block, and of
@@ -721,7 +792,7 @@ def test_target_cdf_light_tail_is_within_1e_6_of_a_tight_tolerance():
 
 def _h(alphas, x, t):
     """h = (env/theta')'/theta' with env = rho/t, from the closed forms of
-    theta' and rho'/rho: the tail terms leave out -int_T^inf h' sin theta."""
+    theta' and rho'/rho: the second tail term's coefficient."""
     a = np.asarray(alphas)[:, None]
     q = 1.0 / (1.0 + 4.0 * (a * t) ** 2)
     dtheta = np.sum(a * q, axis=0) - (x + float(np.sum(alphas)))
@@ -740,31 +811,6 @@ def _u(alphas, x, t):
     return _h(alphas, x, t + 1j * step).imag / step / dtheta
 
 
-def test_tail_bound_is_h_at_t_where_h_is_monotone_beyond_it():
-    # where h is shown monotone and u is not: five to eight weights with
-    # 2 |a| T near 1 and |x + sum a| between (7 + 3k/2) S and 26 S, for
-    # S = sum |a| q at T
-    rng = np.random.default_rng(52)
-    finite = 0
-    for _ in range(100):
-        k = int(rng.integers(5, 9))
-        alphas = tuple(rng.uniform(0.3, 0.7, k) * rng.choice([-1.0, 1.0], k))
-        T = rng.uniform(1.0, 3.0)
-        s = sum(abs(a) / (1.0 + 4.0 * a * a * T * T) for a in alphas)
-        x = -sum(alphas) + (rng.choice([-1.0, 1.0])
-                            * rng.uniform(7.0 + 1.5 * k, 26.0) * s)
-        law = TargetLaw(TargetSpec(alphas))
-        tail, bound, rule = law._tails(np.array([T]), np.array([x]))
-        if tail[0] == 0.0:
-            continue  # the envelope bound
-        assert rule[0] == 1 and np.isfinite(bound[0])
-        finite += 1
-        h = _h(alphas, x, T * np.logspace(0.0, 6.0, 4000))
-        assert bound[0] == pytest.approx(abs(h[0]), rel=1e-12)
-        assert np.all(np.diff(h) >= -1e-12 * np.max(np.abs(h)))
-    assert finite > 50
-
-
 def test_tail_bound_is_u_at_t_where_u_is_monotone_beyond_it():
     rng = np.random.default_rng(52)
     finite = 0
@@ -778,13 +824,11 @@ def test_tail_bound_is_u_at_t_where_u_is_monotone_beyond_it():
         if tail[0] == 0.0:
             assert rule[0] == 0
             continue  # the envelope bound
-        # |theta'(T)| T >= 20 then already shows h monotone for k <= 5
-        # and u for k <= 2
-        if k <= 5:
-            assert np.isfinite(bound[0])
+        assert rule[0] == 1
+        # |theta'(T)| T >= 20 then already shows u monotone for k <= 2
         if k <= 2:
-            assert rule[0] == 2
-        if rule[0] == 2:
+            assert np.isfinite(bound[0])
+        if np.isfinite(bound[0]):
             finite += 1
             u = _u(alphas, x, T * np.logspace(0.0, 6.0, 4000))
             assert bound[0] == pytest.approx(abs(u[0]), rel=1e-11)
@@ -827,7 +871,7 @@ def test_three_term_estimate_is_within_its_bound_at_every_rung_property(quarters
     for x, t0, want in zip(xs, T0, _tight_cdf(spec, xs)):
         tail, bound, rule = law._tails(np.ldexp(t0, rungs), np.full(len(rungs), x))
         bound /= math.pi
-        for m in rungs[(rule == 2) & (bound > 1e-11) & (bound < 1e-2)]:
+        for m in rungs[(rule == 1) & (bound > 1e-11) & (bound < 1e-2)]:
             integral = law._integrals(np.array([t0]), np.array([m]), np.array([x]))
             est = 0.5 - (integral[0] + tail[m - 1]) / math.pi
             assert abs(est - want) <= bound[m - 1] + 1e-10 + 1e-13, (x, m)
@@ -892,25 +936,22 @@ def test_tail_bound_does_not_count_where_monotonicity_is_not_shown():
     assert tail[0] != 0.0 and np.isfinite(bound[0])
 
 
-def test_tail_terms_fall_back_to_two_where_u_is_not_shown_monotone():
-    # the eight weights above at T = 2: S is about 0.86, so
-    # (14 + 3k) S < 2 |x + sum a| = 38 holds and 26 S < 19 does not
+def test_tail_bound_is_inf_at_t_where_u_is_not_shown_monotone():
+    # the eight weights above at T = 2: S is about 0.86, so 26 S < 19 fails
+    # and the rung does not count, although the removed two-term rule
+    # (14 + 3k) S < 2 |x + sum a| = 38 would have shown h monotone there
     alphas = tuple(0.5 + 0.01 * i for i in range(8))
     law, ref = TargetLaw(TargetSpec(alphas)), TwoTermInverter(TargetSpec(alphas))
     x = np.array([-sum(alphas) - 19.0])
-    T = np.array([2.0])
-    tail, bound, rule = law._tails(T, x)
-    two, two_bound, _ = ref._tails(T, x)
-    assert rule[0] == 1
-    assert bound[0] == pytest.approx(abs(_h(alphas, x[0], T)[0]), rel=1e-12)
-    assert bound[0] == pytest.approx(two_bound[0], rel=1e-12)
-    assert tail[0] == pytest.approx(two[0], rel=1e-12)
+    tail, bound, rule = law._tails(np.array([2.0]), x)
+    assert rule[0] == 1 and tail[0] != 0.0 and bound[0] == np.inf
+    assert np.isfinite(ref._tails(np.array([2.0]), x)[1][0])
     # at T = 4 u is shown monotone: the third term is -u(T) cos theta(T)
     T = np.array([4.0])
     tail, bound, rule = law._tails(T, x)
     two, _, _ = ref._tails(T, x)
     u = _u(alphas, x[0], T)
-    assert rule[0] == 2 and bound[0] == pytest.approx(abs(u[0]), rel=1e-11)
+    assert rule[0] == 1 and bound[0] == pytest.approx(abs(u[0]), rel=1e-11)
     third = -u[0] * math.cos(law._theta(T, x)[0])
     assert tail[0] - two[0] == pytest.approx(third, rel=1e-9)
 
