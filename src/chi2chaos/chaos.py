@@ -222,6 +222,30 @@ def _hermite_terms(kern: np.ndarray, q: int, dim: int):
     return weights.astype(float) * coeffs, factors
 
 
+def _hermite_groups(F: ChaosExpansion):
+    """F's order >= 3 terms from :func:`_hermite_terms`, grouped by their
+    leading factors: a list of (lead, (row, coeff), rest), one per distinct
+    tuple ``lead`` of table rows that a term has before its last factor.
+    (row, coeff) is the last factor and coefficient of the group's first
+    term and ``rest`` lists those of its other terms.  Terms of different
+    orders share a group when their leading rows agree.
+
+    So the order >= 3 part of F is, summed over the groups,
+    prod_{j in lead} row j * sum_{(l, c)} c * row l: the Horner form over
+    the last factor.  Groups come in the order of their first terms, orders
+    ascending, and a group's terms in their own order.
+    """
+    groups = {}
+    for q in F.orders():
+        if q < 3:
+            continue
+        coeffs, factors = _hermite_terms(F.kernel(q), q, F.dim)
+        for c, row in zip(coeffs.tolist(), factors.tolist()):
+            *lead, last = row[:q - row.count(-1)]
+            groups.setdefault(tuple(lead), []).append((last, c))
+    return [(lead, pairs[0], pairs[1:]) for lead, pairs in groups.items()]
+
+
 def evaluate(F: ChaosExpansion, x):
     """Pathwise value of F at W(e_i) = x_i.
 
@@ -231,10 +255,13 @@ def evaluate(F: ChaosExpansion, x):
     rows, each evaluated by :func:`_evaluator`, so memory is bounded per
     block.  Orders 0-2 are evaluated on a block's rows at once (order 2 as
     the quadratic form x^T f x - tr f, through BLAS, so a row's last bits
-    can depend on its block's row count).  Orders >= 3 go through products
-    of Hermite polynomials, one term per unordered basis multi-index (see
-    :func:`_hermite_terms`), over a (qmax+1, d, rows) Hermite table, so each
-    factor H_m(x_i) is a contiguous row and a row's order >= 3 part does not
+    can depend on its block's row count).  Orders >= 3 are sums of products
+    of Hermite polynomials over a (qmax+1, d, rows) Hermite table, so each
+    factor H_m(x_i) is a contiguous row: the terms (one per unordered basis
+    multi-index, see :func:`_hermite_terms`) that share every factor but
+    their last are summed over that last factor first and multiplied by
+    the shared factors once (see :func:`_hermite_groups`).  All of it is
+    elementwise on the block's rows, so a row's order >= 3 part does not
     depend on the other rows in the call.  ``sample_chaos`` draws and
     evaluates the same blocks.
     """
@@ -257,14 +284,16 @@ def _evaluator(F: ChaosExpansion):
     float array with 1 <= n: the body of :func:`evaluate` without its shape
     checks and its block loop.
 
-    The term arrays of each order >= 3 are built here, once, however many
-    blocks the function is then called on.  They are not kept on ``F``: at
-    (q, d) = (3, 100) they take 5.2 MB.  Each term starts as
-    H_m(x_i) * coeff, written into one row vector, and is multiplied by its
-    other factors in place.
+    The groups of F's order >= 3 terms (:func:`_hermite_groups`) are built
+    here, once, however many blocks the function is then called on.  They
+    are not kept on ``F``: at (q, d) = (3, 100), 171 700 terms in 5 050
+    groups, they take 15 MB.  Per block, a group's sum c * H_l over its
+    terms is written
+    into one row vector, multiplied in place by the group's leading rows
+    and added to the total: two passes over the rows per term plus one per
+    leading row, where a product per term took one per factor plus one.
     """
-    hermite_orders = [_hermite_terms(F.kernel(q), q, F.dim)
-                      for q in F.orders() if q >= 3]
+    groups = _hermite_groups(F)
 
     def values(xs):
         total = np.zeros(xs.shape[0])
@@ -277,18 +306,17 @@ def _evaluator(F: ChaosExpansion):
             elif q == 2:
                 # I_2(f) = x^T f x - tr f  (quadratic-form fast path)
                 total += np.einsum("ni,ni->n", xs @ kern, xs) - np.trace(kern)
-        if hermite_orders:
+        if groups:
             table = _hermite_table(np.ascontiguousarray(xs.T), F.max_order)
             rows = table.reshape(-1, len(total))
-            term = np.empty(len(total))
-            for coeffs, factors in hermite_orders:
-                for c, (first, *rest) in zip(coeffs.tolist(), factors.tolist()):
-                    np.multiply(rows[first], c, out=term)
-                    for j in rest:
-                        if j < 0:
-                            break
-                        term *= rows[j]
-                    total += term
+            acc, term = np.empty(len(total)), np.empty(len(total))
+            for lead, (j, c), rest in groups:
+                np.multiply(rows[j], c, out=acc)
+                for j, c in rest:
+                    acc += np.multiply(rows[j], c, out=term)
+                for j in lead:
+                    acc *= rows[j]
+                total += acc
         return total
 
     return values

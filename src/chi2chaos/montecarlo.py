@@ -203,9 +203,11 @@ class TargetLaw:
     Points are taken in chunks of at most ``_BLOCK_POINTS`` / 16, so the
     per-point arrays of the stop search and the chunk's panel list (at most
     ``_MAX_DOUBLINGS`` + 1 panels a point) stay bounded.  A chunk's panels
-    form one flat list, cut between panels into blocks of at most
-    ``_BLOCK_POINTS`` quadrature points (a panel that alone needs more is a
-    block of its own), so memory does not grow with the number of points.
+    form one flat list.  Their phase changes are taken in slices of at
+    most ``_BLOCK_POINTS`` / 16 panels, and the list is cut between panels
+    into blocks of at most ``_BLOCK_POINTS`` quadrature points (a panel
+    that alone needs more is a block of its own), so memory does not grow
+    with the number of points.
     Each point's panel integrals are summed in rung order with
     ``np.bincount``, and the tail terms at its last rung are added.  Each
     value depends on its own x alone, not on which other points share the
@@ -288,10 +290,21 @@ class TargetLaw:
         return np.subtract(out, shift, out=out)
 
     def _panels(self, a, b, x):
-        """Integral over [a[i], b[i]] for the point x[i], for every i."""
-        dtheta = np.abs(self._theta(b, x) - self._theta(a, x))
-        nsub = np.where(dtheta <= 4.0 * math.pi, 1,
-                        np.ceil(dtheta / (2.0 * math.pi))).astype(np.int64)
+        """Integral over [a[i], b[i]] for the point x[i], for every i.
+
+        The phase change over each panel, which sets its subpanel count, is
+        taken over near-equal slices of at most ``_BLOCK_POINTS`` / 16
+        panels, so its (k, panels) work arrays stay bounded too.  No slice
+        is a single panel cut off the rest: NumPy sums the k weights of a
+        lone column in another order than those of a wider array."""
+        nsub = np.empty(len(x), dtype=np.int64)
+        slices = max(1, -(-len(x) // (_BLOCK_POINTS // len(_GL_NODES))))
+        cuts = np.arange(slices + 1) * len(x) // slices
+        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            dtheta = np.abs(self._theta(b[lo:hi], x[lo:hi])
+                            - self._theta(a[lo:hi], x[lo:hi]))
+            nsub[lo:hi] = np.where(dtheta <= 4.0 * math.pi, 1,
+                                   np.ceil(dtheta / (2.0 * math.pi)))
         over = np.flatnonzero(nsub > _MAX_SUBPANELS)
         if over.size:
             i = over[0]
@@ -506,10 +519,11 @@ class TargetLaw:
         [0, T0] and [T0 2^{j-1}, T0 2^j] for j = 1 .. m, laid out point by
         point in one flat list and summed in that order."""
         count = rung + 1
+        first = np.cumsum(count) - count  # each point's panel [0, T0]
         owner = np.repeat(np.arange(len(x)), count)
-        j = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
-        b = np.ldexp(T0[owner], j)
-        a = np.where(j > 0, 0.5 * b, 0.0)
+        b = np.ldexp(T0[owner], np.arange(len(owner)) - np.repeat(first, count))
+        a = 0.5 * b
+        a[first] = 0.0
         return np.bincount(owner, weights=self._panels(a, b, x[owner]),
                            minlength=len(x))
 

@@ -232,12 +232,10 @@ def test_evaluate_high_orders_match_dense_reference(q, d):
                        atol=1e-12 * np.max(np.abs(want)))
 
 
-def per_multiset_evaluate(F, x):
-    """The per-multiset loop over whole (n, d) Hermite tables that
-    ``evaluate`` used before it walked rows in blocks, kept as its reference.
-    Orders 1 and 2 go through BLAS on the blocks ``evaluate`` walks, since
-    a row's last bits there can depend on its block's row count."""
-    xs = np.asarray(x, dtype=float)
+def low_orders_evaluate(F, xs):
+    """Orders 0-2 of F at the rows xs as ``evaluate`` computes them: orders
+    1 and 2 through BLAS on the blocks ``evaluate`` walks, since a row's
+    last bits there can depend on its block's row count."""
     n = xs.shape[0]
     total = np.zeros(n)
     block = chaos._block_rows(F.dim)
@@ -251,28 +249,83 @@ def per_multiset_evaluate(F, x):
                 total[lo:lo + block] += (
                     rows @ kern if q == 1 else
                     np.einsum("ni,ni->n", rows @ kern, rows) - np.trace(kern))
-        else:
-            table = np.empty((q + 1,) + xs.shape)
-            table[0] = 1.0
-            table[1] = xs
-            for m in range(1, q):
-                table[m + 1] = xs * table[m] - m * table[m - 1]
-            qfact = math.factorial(q)
-            for idx in combinations_with_replacement(range(F.dim), q):
-                coeff = kern[idx]
-                if coeff == 0.0:
-                    continue
-                mult = {}
-                for i in idx:
-                    mult[i] = mult.get(i, 0) + 1
-                weight = qfact
-                for m in mult.values():
-                    weight //= math.factorial(m)
-                term = np.full(n, float(weight) * coeff)
-                for i, m in mult.items():
-                    term *= table[m, :, i]
-                total += term
     return total
+
+
+def hermite_columns(xs, qmax):
+    """H_m(x_i) over the (n, d) rows xs, as a function of the row m * d + i
+    of a flattened Hermite table, for m = 0..qmax."""
+    table = np.empty((qmax + 1,) + xs.shape)
+    table[0] = 1.0
+    table[1] = xs
+    for m in range(1, qmax):
+        table[m + 1] = xs * table[m] - m * table[m - 1]
+    dim = xs.shape[1]
+    return lambda row: table[row // dim, :, row % dim]
+
+
+def per_multiset_evaluate(F, x):
+    """The per-multiset loop over whole (n, d) Hermite tables that
+    ``evaluate`` used before it walked rows in blocks: one product of
+    Hermite columns per unordered multi-index, each term added to the
+    total on its own."""
+    xs = np.asarray(x, dtype=float)
+    total = low_orders_evaluate(F, xs)
+    column = hermite_columns(xs, max(F.max_order, 1))
+    for q in F.orders():
+        if q < 3:
+            continue
+        for coeff, rows in per_multiset_terms(F.kernel(q), q, F.dim):
+            term = np.full(len(xs), coeff)
+            for row in rows:
+                term *= column(row)
+            total += term
+    return total
+
+
+def per_group_terms(F):
+    """Every order >= 3 term of F from ``per_multiset_terms``, orders
+    ascending, in a dict from the rows of its leading factors to the
+    (last row, coeff) of each term that has them: a plain dict keeps the
+    groups in the order of their first terms."""
+    groups = {}
+    for q in F.orders():
+        if q < 3:
+            continue
+        for coeff, rows in per_multiset_terms(F.kernel(q), q, F.dim):
+            groups.setdefault(rows[:-1], []).append((rows[-1], coeff))
+    return groups
+
+
+def per_group_evaluate(F, x):
+    """``evaluate`` written out on whole (n, d) Hermite tables: per group
+    of ``per_group_terms``, sum coeff * H_last over its terms, multiply the
+    sum by its leading Hermite columns in order and add it to the total."""
+    xs = np.asarray(x, dtype=float)
+    total = low_orders_evaluate(F, xs)
+    column = hermite_columns(xs, max(F.max_order, 1))
+    for lead, pairs in per_group_terms(F).items():
+        acc = column(pairs[0][0]) * pairs[0][1]
+        for row, coeff in pairs[1:]:
+            acc = acc + column(row) * coeff
+        for row in lead:
+            acc = acc * column(row)
+        total = total + acc
+    return total
+
+
+def symmetric_zeros(kern):
+    """A copy of kern with every entry whose index sum is a multiple of 3
+    set to zero, a symmetric set, so some multi-indices have no term."""
+    kern = np.array(kern)
+    kern[np.indices(kern.shape).sum(axis=0) % 3 == 0] = 0.0
+    return kern
+
+
+def with_symmetric_zeros(F):
+    """F with :func:`symmetric_zeros` applied to its kernels of order >= 3."""
+    return ChaosExpansion(F.dim, {q: symmetric_zeros(F.kernel(q)) if q >= 3
+                                  else F.kernel(q) for q in F.orders()})
 
 
 def per_multiset_terms(kern, q, dim):
@@ -299,9 +352,7 @@ def per_multiset_terms(kern, q, dim):
 @pytest.mark.parametrize("q", [3, 4, 5, 6])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_hermite_terms_are_the_per_multiset_loop(q, d):
-    kern = random_kernel(q, d, np.random.default_rng((q, d))).coeffs.copy()
-    # zero every entry whose index sum is a multiple of 3, a symmetric set
-    kern[np.indices(kern.shape).sum(axis=0) % 3 == 0] = 0.0
+    kern = symmetric_zeros(random_kernel(q, d, np.random.default_rng((q, d))).coeffs)
     coeffs, factors = chaos._hermite_terms(kern, q, d)
     assert factors.shape == (len(coeffs), q)
     got = [(c, tuple(j for j in row if j >= 0))
@@ -312,31 +363,69 @@ def test_hermite_terms_are_the_per_multiset_loop(q, d):
     assert np.array_equal(pad, np.sort(pad, axis=1))
 
 
+def test_hermite_groups_are_the_terms_grouped_by_their_leading_rows():
+    rng = np.random.default_rng(18)
+    for dim, orders, sparse in [(3, [3, 4, 5], True), (4, [1, 2, 3, 5], False),
+                                (16, [3], False), (3, [6], True), (1, [3, 4], False)]:
+        F = random_expansion(rng, dim, orders)
+        if sparse:
+            F = with_symmetric_zeros(F)
+        got = [(lead, [first] + rest)
+               for lead, first, rest in chaos._hermite_groups(F)]
+        assert got == list(per_group_terms(F).items())
+    # no term of order >= 3, and an order-3 kernel of zeros
+    assert chaos._hermite_groups(random_expansion(rng, 3, [1, 2])) == []
+    zero = ChaosExpansion(2, {0: np.asarray(1.5), 3: np.zeros((2, 2, 2))})
+    assert chaos._hermite_groups(zero) == []
+    assert np.array_equal(evaluate(zero, np.ones((3, 2))), np.full(3, 1.5))
+
+
 @settings(max_examples=40, deadline=None)
 @given(dim=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
        orders=st.sets(st.integers(1, 5), min_size=1, max_size=4),
-       rows=st.integers(0, 60), block=st.integers(1, 25))
+       sparse=st.booleans(), rows=st.integers(0, 60), block=st.integers(1, 25))
 def test_evaluate_is_bitwise_the_per_multiset_loop_property(dim, seed, orders,
-                                                            rows, block):
-    # small blocks so that calls span several blocks and a partial last one
+                                                            sparse, rows, block):
+    # bitwise the per-group reference, and within 1e-12 of the largest
+    # |value| of the per-multiset loop and of the dense ordered sum; small
+    # blocks so that calls span several blocks and a partial last one
     rng = np.random.default_rng(seed)
     F = random_expansion(rng, dim, sorted(orders))
+    if sparse:
+        F = with_symmetric_zeros(F)
     xs = rng.standard_normal((rows, dim))
     with mock.patch.object(chaos, "_BLOCK_ROWS", block):
-        assert np.array_equal(evaluate(F, xs), per_multiset_evaluate(F, xs))
+        got = evaluate(F, xs)
+        assert np.array_equal(got, per_group_evaluate(F, xs))
+        scale = 1e-12 * np.max(np.abs(got), initial=0.0)
+        for reference in (per_multiset_evaluate, dense_reference):
+            assert np.max(np.abs(got - reference(F, xs)), initial=0.0) <= scale
 
 
 def test_evaluate_row_does_not_depend_on_its_block():
     # orders 0 and >= 3 only: orders 1 and 2 go through BLAS matrix products,
-    # whose last bits may depend on how many rows share the block
-    rng = np.random.default_rng(15)
-    F = random_expansion(rng, 3, [3, 4])
-    xs = rng.standard_normal((40_000, 3))
-    vals = evaluate(F, xs)
+    # whose last bits may depend on how many rows share the block.  (16, [3])
+    # and (3, [6]) are highorder-mc shapes.
     assert chaos._BLOCK_ROWS == 16_384
-    for r in (0, 16_383, 16_384, 39_999):
-        assert evaluate(F, xs[r]) == vals[r]
-        assert evaluate(F, xs[r:r + 1])[0] == vals[r]
+    for seed, (dim, orders) in enumerate([(3, [3, 4]), (16, [3]), (3, [6])], 15):
+        rng = np.random.default_rng(seed)
+        F = random_expansion(rng, dim, orders)
+        xs = rng.standard_normal((40_000, dim))
+        vals = evaluate(F, xs)
+        rows = chaos._block_rows(dim)
+        assert rows == 16_384
+        for r in (0, rows - 1, rows, len(xs) - 1):
+            assert evaluate(F, xs[r]) == vals[r]
+            assert evaluate(F, xs[r:r + 1])[0] == vals[r]
+
+
+def test_evaluate_memory_above_order_2_is_n_values_plus_a_table_plus_8_mb(peak_mb):
+    # at (q, d) = (3, 16) one block's Hermite table is (4, 16, 16 384) values,
+    # 8 MB; 136 groups' sums kept side by side would be 17 MB a block
+    F = ChaosExpansion.from_kernel(random_kernel(3, 16, np.random.default_rng(19)))
+    xs = np.random.default_rng(20).standard_normal((200_000, 16))
+    n, table = len(xs), 4 * 16 * chaos._block_rows(16) * 8
+    assert peak_mb(lambda: evaluate(F, xs)) <= (n * 8 + table + 8 * 2 ** 20) / 2 ** 20
 
 
 def test_evaluate_memory_at_orders_1_and_2_is_n_values_plus_8_mb(peak_mb):

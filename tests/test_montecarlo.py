@@ -164,6 +164,22 @@ def test_sample_chaos_is_prefix_stable_above_order_2_in_short_blocks(dim):
         assert np.array_equal(sample_chaos(F, m, seed).values, whole[:m])
 
 
+@pytest.mark.parametrize("q, dim", [(3, 16), (6, 3)])
+def test_sample_chaos_is_prefix_stable_at_highorder_shapes(q, dim):
+    # dense kernels of highorder-mc shapes: every multi-index has a term,
+    # and the terms share their leading factors in the largest groups
+    F = ChaosExpansion.from_kernel(
+        random_kernel(q, dim, np.random.default_rng((q, dim))))
+    rows = chaos._block_rows(dim)
+    n = 2 * rows + 5
+    seed = 60 + q
+    whole = sample_chaos(F, n, seed).values
+    draw = montecarlo._rng(seed).standard_normal((n, dim))
+    assert np.array_equal(whole, chaos.evaluate(F, draw))
+    for m in (1, rows - 1, rows, rows + 1, 2 * rows):
+        assert np.array_equal(sample_chaos(F, m, seed).values, whole[:m])
+
+
 def test_sample_chaos_builds_each_term_list_once():
     F = expansion(np.random.default_rng(44), 3, [0, 3, 4, 5])
     with mock.patch.object(chaos, "_BLOCK_ROWS", 10), \
@@ -716,11 +732,22 @@ def test_target_cdf_guards_raise_numerical_error():
 
 
 def test_target_cdf_memory_is_flat_in_the_number_of_points(peak_mb):
-    # the stop search runs on chunks of points and the panels go in groups;
-    # one flat list of every point's panels took about 790 MB here
+    # the stop search and the panel list run on chunks of points; one flat
+    # list of every point's panels took about 790 MB here
     spec = TargetSpec((1.0, -0.6, 2.2))
     xs = sample_target(spec, 200_000, 51).values
     assert peak_mb(lambda: TargetLaw(spec).cdf(xs)) < 47.0
+
+
+def test_target_cdf_phase_pass_works_on_slices_of_panels(peak_mb):
+    # points within 1 of -sum a take the most doublings, so a chunk holds
+    # the most panels.  With theta at both ends of every panel of a chunk
+    # taken at once, in (k, panels) work arrays, the peak was 15.8 MB, and
+    # 15.4 MB without an array of each panel's doubling index held
+    # alongside.  In slices of at most 4 096 panels it is 14.8 MB.
+    spec = TargetSpec((1.0, -0.6, 2.2))
+    xs = np.linspace(-3.6, -1.6, 200_000)
+    assert peak_mb(lambda: TargetLaw(spec).cdf(xs)) < 15.1
 
 
 def _product_normal_cdf(x, a):
