@@ -30,10 +30,9 @@ from . import __version__, criteria, montecarlo, sym_tensor
 from .chaos import ChaosExpansion
 from .errors import ConfigError, ConsistencyError, NumericalError, ResourceGuardError
 from .montecarlo import TargetLaw
-from .spectral2 import TargetSpec
+from .spectral2 import TargetSpec, finite_real
 from .sym_tensor import SymmetricKernel
 
-KNOWN_FAMILIES = ("diag", "equal-split", "rank-one-difference")
 KNOWN_OUTPUTS = ("cumulant_gaps", "gamma_stat", "ks", "empirical_cumulants",
                  "q_chaos")
 DEFAULT_MC_SAMPLES = 100_000
@@ -54,30 +53,6 @@ class Scenario:
     outputs: tuple
 
 
-def _family_diagnostics(family) -> list:
-    out = []
-    if not isinstance(family, dict) or "name" not in family:
-        return ["family: must be an object with a 'name' field"]
-    name = family["name"]
-    if name not in KNOWN_FAMILIES:
-        return [f"family.name: unknown family {name!r} "
-                f"(known: {', '.join(KNOWN_FAMILIES)})"]
-    if name == "diag":
-        entries = family.get("entries")
-        if (not isinstance(entries, list) or not entries
-                or not all(isinstance(e, list) and len(e) == 2 for e in entries)):
-            out.append("family.entries: expected a nonempty list of "
-                       "[base, perturbation] pairs")
-    elif name == "equal-split":
-        if family.get("signs", "alternating") not in ("alternating", "positive"):
-            out.append("family.signs: expected 'alternating' or 'positive'")
-    elif name == "rank-one-difference":
-        scale = family.get("scale", 0.5)
-        if not isinstance(scale, (int, float)) or scale == 0:
-            out.append("family.scale: expected a nonzero number")
-    return out
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -87,23 +62,31 @@ def config_diagnostics(doc) -> list:
     out = []
     if not isinstance(doc, dict):
         return ["config: top-level JSON object expected"]
-    if not isinstance(doc.get("id"), str) or not doc.get("id"):
-        out.append("id: nonempty string required")
+    # the id names the output files <id>.csv and <id>_summary.json
+    scenario_id = doc.get("id")
+    if (not isinstance(scenario_id, str) or not scenario_id
+            or "/" in scenario_id or "\0" in scenario_id):
+        out.append(f"id: plain file name required (nonempty, no '/'), "
+                   f"got {scenario_id!r}")
     target = doc.get("target")
-    if not isinstance(target, dict) or "alphas" not in target:
+    if not isinstance(target, dict) or not isinstance(target.get("alphas"), list):
         out.append("target: object with an 'alphas' list required")
     else:
         try:
             TargetSpec(tuple(target["alphas"]))
-        except (ConfigError, TypeError) as exc:
+        except ConfigError as exc:
             out.append(f"target.{exc}")
-    out.extend(_family_diagnostics(doc.get("family")))
+    # family_kernel owns the family rules, and none of them depends on n
+    try:
+        family_kernel(doc.get("family"), 1)
+    except ConfigError as exc:
+        out.append(str(exc))
     indices = doc.get("indices")
     if not isinstance(indices, list) or not indices:
         out.append("indices: nonempty list required")
     else:
         for i, n in enumerate(indices):
-            if not isinstance(n, int) or n < 1:
+            if not _is_int(n) or n < 1:
                 out.append(f"indices[{i}]: positive integer required, got {n!r}")
                 break
             if i > 0 and n <= indices[i - 1]:
@@ -182,26 +165,45 @@ def _scenario(doc) -> Scenario:
 
 
 def family_kernel(family: dict, n: int) -> SymmetricKernel:
-    """Construct the order-2 scenario kernel f_n from its family parameters."""
+    """Construct the order-2 scenario kernel f_n from its family parameters.
+
+    A bad parameter raises ConfigError naming its field, whatever n is.
+    """
+    if not isinstance(family, dict) or "name" not in family:
+        raise ConfigError("family: must be an object with a 'name' field")
     name = family["name"]
     if name == "diag":
-        vals = [base + pert / n for base, pert in family["entries"]]
+        entries = family.get("entries")
+        if (not isinstance(entries, list) or not entries
+                or not all(isinstance(e, list) and len(e) == 2 for e in entries)):
+            raise ConfigError("family.entries: expected a nonempty list of "
+                              "[base, perturbation] pairs")
+        vals = [finite_real(base, f"family.entries[{i}][0]")
+                + finite_real(pert, f"family.entries[{i}][1]") / n
+                for i, (base, pert) in enumerate(entries)]
         return SymmetricKernel(2, len(vals), np.diag(vals))
     if name == "equal-split":
+        signs = family.get("signs", "alternating")
+        if signs not in ("alternating", "positive"):
+            raise ConfigError("family.signs: expected 'alternating' or "
+                              f"'positive', got {signs!r}")
         sym_tensor._check_guard(2, n)  # kernel dimension grows with n
         mag = 1.0 / math.sqrt(2.0 * n)
-        if family.get("signs", "alternating") == "alternating":
+        if signs == "alternating":
             vals = [mag if i % 2 == 0 else -mag for i in range(n)]
         else:
             vals = [mag] * n
         return SymmetricKernel(2, n, np.diag(vals))
     if name == "rank-one-difference":
-        scale = float(family.get("scale", 0.5))
+        scale = finite_real(family.get("scale", 0.5), "family.scale")
+        if scale == 0.0:
+            raise ConfigError("family.scale: nonzero number required")
         c = 1.0 / n
         u = np.array([1.0, 0.0])
         v = np.array([c, math.sqrt(1.0 - c * c)])
         return SymmetricKernel(2, 2, scale * (np.outer(u, u) - np.outer(v, v)))
-    raise ConfigError(f"family.name: unknown family {name!r}")
+    raise ConfigError(f"family.name: unknown family {name!r} "
+                      "(known: diag, equal-split, rank-one-difference)")
 
 
 def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
@@ -222,6 +224,8 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
     out_dir.mkdir(parents=True, exist_ok=True)
 
     law = TargetLaw(scenario.target) if with_mc and "ks" in scenario.outputs else None
+    sampled_for = [name for name in scenario.outputs
+                   if with_mc and name in ("ks", "empirical_cumulants")]
     rows = []
     cdf_work = []
     kappa_se = []
@@ -235,10 +239,13 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
             for (r, _, _, gap) in report.cumulant_gaps:
                 row[f"kappa_gap_{r}"] = gap
             row["gamma_stat"] = report.gamma_stat
-            if with_mc and ("ks" in scenario.outputs
-                            or "empirical_cumulants" in scenario.outputs):
+            if sampled_for:
                 batch = montecarlo.sample_chaos(
                     F, scenario.mc_samples, scenario.mc_seed + position)
+                if not np.isfinite(batch.values).all():
+                    raise NumericalError(
+                        f"Monte Carlo sample for {', '.join(sampled_for)} "
+                        "holds a non-finite value")
                 if "ks" in scenario.outputs:
                     row["ks"] = montecarlo.kolmogorov_distance(
                         batch.values, law.cdf_batch)
@@ -254,8 +261,14 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
                 for key, val in criteria.q_chaos_conditions(
                         kernel, scenario.target).items():
                     row[f"cond_{key}"] = val
+            for column, val in row.items():
+                if column != "n" and not math.isfinite(val):
+                    raise NumericalError(f"{column} = {val} is not finite")
         except (ResourceGuardError, NumericalError, ConsistencyError) as exc:
             raise type(exc)(f"scenario {scenario.id!r} aborted at n={n}: {exc}")
+        except OverflowError as exc:  # a float power beyond the float range
+            raise NumericalError(f"scenario {scenario.id!r} aborted at n={n}: "
+                                 f"overflow: {exc}") from None
         rows.append(row)
 
     columns = list(rows[0])
@@ -381,9 +394,12 @@ def main(argv=None) -> int:
 
     try:
         path = resolve_config(args.config)
-        csv_path, summary_path = run_scenario(
-            path, args.out, mc_samples=args.mc_samples, seed=args.seed,
-            no_mc=args.no_mc)
+        # a non-finite value ends the run with one line (exit 3), so numpy's
+        # floating-point warnings would only repeat it
+        with np.errstate(all="ignore"):
+            csv_path, summary_path = run_scenario(
+                path, args.out, mc_samples=args.mc_samples, seed=args.seed,
+                no_mc=args.no_mc)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2

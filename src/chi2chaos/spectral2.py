@@ -11,6 +11,7 @@ the diagonal kernels built from a list of distinct nonzero weights.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,18 @@ from .errors import ConfigError, ConsistencyError
 from .sym_tensor import SymmetricKernel
 
 
+def finite_real(value, field: str) -> float:
+    """``value`` as a float; ConfigError naming ``field`` unless it is a
+    finite real number (a bool, string, None or list is not)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ConfigError(f"{field}: finite number required, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TargetSpec:
     """Pairwise-distinct nonzero weights (alpha_1, ..., alpha_k) of the target law."""
@@ -28,12 +41,13 @@ class TargetSpec:
     alphas: tuple
 
     def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alphas)
+        alphas = tuple(finite_real(a, f"alphas[{i}]")
+                       for i, a in enumerate(self.alphas))
         if len(alphas) < 1:
             raise ConfigError("alphas: at least one weight is required")
         for i, a in enumerate(alphas):
-            if a == 0.0 or not np.isfinite(a):
-                raise ConfigError(f"alphas[{i}] = {a} (must be a finite nonzero real)")
+            if a == 0.0:
+                raise ConfigError(f"alphas[{i}]: nonzero weight required")
         for i in range(len(alphas)):
             for j in range(i + 1, len(alphas)):
                 if alphas[i] == alphas[j]:

@@ -1,10 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import platform
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chi2chaos
 from chi2chaos import cli, montecarlo
@@ -31,6 +37,9 @@ BASE_CONFIG = {
     "mc": {"samples": 2000, "seed": 321},
     "outputs": ["cumulant_gaps", "gamma_stat", "ks", "empirical_cumulants"],
 }
+
+
+RANK_ONE = {"name": "rank-one-difference", "scale": 0.5}
 
 
 def write_config(tmp_path, **overrides):
@@ -96,11 +105,38 @@ def test_family_kernels():
     assert np.allclose(np.abs(vals), 1.0 / math.sqrt(12.0))
     assert np.sum(vals > 0) == 3
 
-    rank1 = family_kernel({"name": "rank-one-difference", "scale": 0.5}, 4)
+    # the defaults: alternating signs, scale 0.5
+    assert np.array_equal(family_kernel({"name": "equal-split"}, 6).coeffs,
+                          split.coeffs)
+    rank1 = family_kernel({"name": "rank-one-difference"}, 4)
     eig = spectral(rank1).eigenvalues
     c = 0.25
     assert np.allclose(sorted(eig), sorted([0.5 * math.sqrt(1 - c * c),
                                             -0.5 * math.sqrt(1 - c * c)]))
+
+
+@pytest.mark.parametrize("family, field", [
+    (None, "family:"),
+    ({"entries": [[1.0, 0.0]]}, "family:"),
+    ({"name": "nope"}, "family.name"),
+    ({"name": "diag"}, "family.entries:"),
+    ({"name": "diag", "entries": [[1.0, 0.0], [2.0]]}, "family.entries:"),
+    ({"name": "diag", "entries": [[1.0, 0.0], [2.0, None]]}, "family.entries[1][1]"),
+    ({"name": "diag", "entries": [[False, 0.0]]}, "family.entries[0][0]"),
+    ({"name": "equal-split", "signs": "negative"}, "family.signs"),
+    ({**RANK_ONE, "scale": 0}, "family.scale"),
+    ({**RANK_ONE, "scale": "0.5"}, "family.scale"),
+    ({**RANK_ONE, "scale": -math.inf}, "family.scale"),
+])
+def test_family_kernel_owns_the_family_rules(family, field):
+    # a bad parameter fails at every n, and validate reports that same error
+    for n in (1, 2, 7):
+        with pytest.raises(ConfigError) as exc:
+            family_kernel(family, n)
+        assert str(exc.value).startswith(field)
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["family"] = family
+    assert config_diagnostics(doc) == [str(exc.value)]
 
 
 def test_run_scenario_outputs(tmp_path):
@@ -335,3 +371,107 @@ def test_run_rejects_invalid_json_and_non_list_outputs(tmp_path, capsys):
     config = write_config(tmp_path, outputs="ks")
     assert main(["validate", str(config)]) == 2
     assert "outputs: list required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"target": {"alphas": ["x"]}}, "target.alphas[0]"),
+    ({"target": {"alphas": [1.0, None]}}, "target.alphas[1]"),
+    ({"target": {"alphas": "12"}}, "target:"),
+    ({"family": {"name": "diag", "entries": [["x", 0.0]]}},
+     "family.entries[0][0]"),
+    ({"family": {"name": "diag", "entries": [[math.nan, 0.0]]},
+      "outputs": ["ks"]}, "family.entries[0][0]"),
+    ({"family": {**RANK_ONE, "scale": math.inf}}, "family.scale"),
+    ({"family": {**RANK_ONE, "scale": True}}, "family.scale"),
+    ({"indices": [True, 2]}, "indices[0]"),
+    ({"id": "a/b"}, "id"),
+])
+def test_validate_and_run_reject_the_same_bad_fields(tmp_path, capsys,
+                                                     overrides, field):
+    config = write_config(tmp_path, **overrides)
+    for argv in (["validate", str(config)],
+                 ["run", str(config), "--out", str(tmp_path / "out"),
+                  "--mc-samples", "10"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(field), err
+        assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scale, outputs, message", [
+    (1e200, ["cumulant_gaps", "gamma_stat"], "kappa_gap_2 = inf is not finite"),
+    (1e308, ["ks"], "Monte Carlo sample for ks holds a non-finite value"),
+])
+def test_non_finite_values_exit_3_naming_n(tmp_path, capsys, monkeypatch,
+                                           scale, outputs, message):
+    def unreachable(values, cdf):
+        raise AssertionError("kolmogorov_distance got non-finite values")
+
+    monkeypatch.setattr(cli.montecarlo, "kolmogorov_distance", unreachable)
+    config = write_config(tmp_path, target={"alphas": [0.5, -0.5]},
+                          family={**RANK_ONE, "scale": scale}, outputs=outputs)
+    assert main(["validate", str(config)]) == 0
+    capsys.readouterr()
+    code = main(["run", str(config), "--out", str(tmp_path / "out"),
+                 "--mc-samples", "10", "--seed", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"scenario 'tiny' aborted at n=2: {message}"), err
+    assert not (tmp_path / "out" / "tiny.csv").exists()
+
+
+# one odd value goes into one field of BASE_CONFIG
+ODD_VALUES = st.one_of(
+    st.text(max_size=4), st.booleans(), st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e200, 1e308, -1e308]),
+    st.lists(st.floats(-3.0, 3.0), max_size=2),
+    st.integers(-3, 10), st.floats(-10.0, 10.0),
+)
+
+
+def _put(doc, field, value):
+    if field == "target.alphas[0]":
+        doc["target"]["alphas"][0] = value
+    elif field.startswith("family.entries[0]"):
+        doc["family"]["entries"][0][int(field[-2])] = value
+    elif field == "family.scale":
+        doc["family"] = {**RANK_ONE, "scale": value}
+    elif field == "family.signs":
+        doc["family"] = {"name": "equal-split", "signs": value}
+    elif field == "indices[0]":
+        doc["indices"][0] = value
+    else:
+        doc["id"] = value
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue().splitlines(), err.getvalue().splitlines()
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(["target.alphas[0]", "family.entries[0][0]",
+                              "family.entries[0][1]", "family.scale",
+                              "family.signs", "indices[0]", "id"]),
+       value=ODD_VALUES)
+def test_validate_and_run_agree_on_any_field_value_property(field, value):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    _put(doc, field, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))
+        checked, _, check_err = _cli(["validate", str(config)])
+        ran, out, run_err = _cli(["run", str(config), "--out",
+                                  str(Path(tmp) / "out"), "--no-mc"])
+        assert checked in (0, 2) and ran in (0, 2, 3)
+        assert (checked == 2) == (ran == 2), (check_err, run_err)
+        if ran:
+            assert len(run_err) == 1, run_err
+        else:
+            rows = Path(out[0]).read_text().splitlines()[1:]
+            assert all(math.isfinite(float(v))
+                       for row in rows for v in row.split(","))

@@ -29,6 +29,11 @@ def test_target_spec_validation():
         TargetSpec((1.0, 0.0))
     with pytest.raises(ConfigError):
         TargetSpec((1.0, 2.0, 1.0))
+    # a weight that is not a finite real number is a ConfigError naming it
+    for bad in ("x", True, None, [1.0], math.nan, -math.inf, 10 ** 400):
+        with pytest.raises(ConfigError, match=r"^alphas\[1\]"):
+            TargetSpec((1.0, bad))
+    assert TargetSpec((np.float64(1.5), 2)).alphas == (1.5, 2.0)
 
 
 def test_hs_matrix_examples():
