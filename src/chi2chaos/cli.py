@@ -16,8 +16,10 @@ Exit codes: 0 success, 2 configuration error or unusable output path,
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
 import math
+import os
 import platform
 import sys
 from dataclasses import dataclass
@@ -36,6 +38,8 @@ from .sym_tensor import SymmetricKernel
 KNOWN_OUTPUTS = ("cumulant_gaps", "gamma_stat", "ks", "empirical_cumulants",
                  "q_chaos")
 DEFAULT_MC_SAMPLES = 100_000
+# the longest file name most file systems take, in bytes
+NAME_MAX = 255
 METRIC_LABELS = {
     "gamma_stat": "unconditional (sufficient)",
     "distance": "kolmogorov",
@@ -68,6 +72,17 @@ def config_diagnostics(doc) -> list:
             or "/" in scenario_id or "\0" in scenario_id):
         out.append(f"id: plain file name required (nonempty, no '/'), "
                    f"got {scenario_id!r}")
+    else:
+        # the longer name, <id>_summary.json, must fit a file name
+        try:
+            size = len(os.fsencode(scenario_id + "_summary.json"))
+        except UnicodeEncodeError:
+            out.append(f"id: not encodable as a file name, got {scenario_id!r}")
+        else:
+            if size > NAME_MAX:
+                out.append(f"id: {scenario_id[:16]!r}... makes the file name "
+                           f"<id>_summary.json {size} bytes long, over "
+                           f"{NAME_MAX}")
     target = doc.get("target")
     if not isinstance(target, dict) or not isinstance(target.get("alphas"), list):
         out.append("target: object with an 'alphas' list required")
@@ -206,9 +221,84 @@ def family_kernel(family: dict, n: int) -> SymmetricKernel:
                       "(known: diag, equal-split, rank-one-difference)")
 
 
+def _workers(tasks: int) -> int:
+    """Threads for a scenario's indices: one per usable core, at most one
+    per index."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # no affinity masks (macOS, Windows)
+        cores = os.cpu_count() or 1
+    return min(cores, tasks)
+
+
+def _index_row(scenario: Scenario, position: int, with_mc: bool):
+    """(row, cdf_work, kappa_se) of the index at ``position``: its CSV row
+    in column order, its target-CDF work and the standard errors of its
+    emp_kappa_* columns (None where not computed).  It builds its own
+    ``TargetLaw``, which is not safe to share between threads."""
+    n = scenario.indices[position]
+    sampled_for = [name for name in scenario.outputs
+                   if with_mc and name in ("ks", "empirical_cumulants")]
+    work = se = None
+    try:
+        kernel = family_kernel(scenario.family, n)
+        F = ChaosExpansion.from_kernel(kernel)
+        report = criteria.criterion_statistic(F, scenario.target)
+        exact = {}
+        for (r, _, _, gap) in report.cumulant_gaps:
+            exact[f"kappa_gap_{r}"] = gap
+        exact["gamma_stat"] = report.gamma_stat
+        conditions = {}
+        if "q_chaos" in scenario.outputs:
+            for key, val in criteria.q_chaos_conditions(
+                    kernel, scenario.target).items():
+                conditions[f"cond_{key}"] = val
+        # the exact columns are checked before Monte Carlo, which a
+        # non-finite kernel would only make fail less clearly
+        _check_finite(exact | conditions)
+        sampled = {}
+        if sampled_for:
+            batch = montecarlo.sample_chaos(
+                F, scenario.mc_samples, scenario.mc_seed + position)
+            if not np.isfinite(batch.values).all():
+                raise NumericalError(
+                    f"Monte Carlo sample for {', '.join(sampled_for)} "
+                    "holds a non-finite value")
+            if "ks" in scenario.outputs:
+                law = TargetLaw(scenario.target)
+                sampled["ks"] = montecarlo.kolmogorov_distance(
+                    batch.values, law.cdf_batch)
+                work = {"n": n, **law.take_diagnostics()}
+            if "empirical_cumulants" in scenario.outputs:
+                emp = montecarlo.k_statistics(batch, 4)
+                errors = montecarlo.k_statistic_errors(batch, 4)
+                se = {"n": n}
+                for r in (2, 3, 4):
+                    sampled[f"emp_kappa_{r}"] = emp[r - 1]
+                    se[f"emp_kappa_{r}"] = errors[r - 1]
+            _check_finite(sampled)
+    except (ResourceGuardError, NumericalError, ConsistencyError) as exc:
+        raise type(exc)(f"scenario {scenario.id!r} aborted at n={n}: {exc}")
+    except OverflowError as exc:  # a float power beyond the float range
+        raise NumericalError(f"scenario {scenario.id!r} aborted at n={n}: "
+                             f"overflow: {exc}") from None
+    # each row is built in CSV column order
+    return {"n": n, **exact, **sampled, **conditions}, work, se
+
+
+def _check_finite(columns: dict):
+    for column, val in columns.items():
+        if not math.isfinite(val):
+            raise NumericalError(f"{column} = {val} is not finite")
+
+
 def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
                  no_mc: bool = False):
     """Run one scenario end to end; returns (csv_path, summary_path)."""
+    # imported here: concurrent.futures imports logging, about 12 ms of
+    # start-up that validate and list-scenarios do not need
+    from concurrent.futures import ThreadPoolExecutor
+
     doc = _read_config(config_path)
     # the overrides go into the document, so the config rules check them too
     if isinstance(doc, dict) and isinstance(doc.get("mc", {}), dict):
@@ -223,53 +313,23 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    law = TargetLaw(scenario.target) if with_mc and "ks" in scenario.outputs else None
-    sampled_for = [name for name in scenario.outputs
-                   if with_mc and name in ("ks", "empirical_cumulants")]
-    rows = []
-    cdf_work = []
-    kappa_se = []
-    for position, n in enumerate(scenario.indices):
+    positions = range(len(scenario.indices))
+    with ThreadPoolExecutor(_workers(len(positions))) as pool:
+        # the largest n (indices increase) starts first, so it does not run
+        # last; a copy of the caller's context per task carries its
+        # np.errstate.  Results are taken in index order, so the outputs and
+        # the first error raised are those of a serial run.
+        tasks = [pool.submit(contextvars.copy_context().run,
+                             _index_row, scenario, position, with_mc)
+                 for position in reversed(positions)][::-1]
         try:
-            kernel = family_kernel(scenario.family, n)
-            F = ChaosExpansion.from_kernel(kernel)
-            report = criteria.criterion_statistic(F, scenario.target)
-            # each row is built in CSV column order
-            row = {"n": n}
-            for (r, _, _, gap) in report.cumulant_gaps:
-                row[f"kappa_gap_{r}"] = gap
-            row["gamma_stat"] = report.gamma_stat
-            if sampled_for:
-                batch = montecarlo.sample_chaos(
-                    F, scenario.mc_samples, scenario.mc_seed + position)
-                if not np.isfinite(batch.values).all():
-                    raise NumericalError(
-                        f"Monte Carlo sample for {', '.join(sampled_for)} "
-                        "holds a non-finite value")
-                if "ks" in scenario.outputs:
-                    row["ks"] = montecarlo.kolmogorov_distance(
-                        batch.values, law.cdf_batch)
-                    cdf_work.append({"n": n, **law.take_diagnostics()})
-                if "empirical_cumulants" in scenario.outputs:
-                    emp = montecarlo.k_statistics(batch, 4)
-                    se = montecarlo.k_statistic_errors(batch, 4)
-                    kappa_se.append({"n": n})
-                    for r in (2, 3, 4):
-                        row[f"emp_kappa_{r}"] = emp[r - 1]
-                        kappa_se[-1][f"emp_kappa_{r}"] = se[r - 1]
-            if "q_chaos" in scenario.outputs:
-                for key, val in criteria.q_chaos_conditions(
-                        kernel, scenario.target).items():
-                    row[f"cond_{key}"] = val
-            for column, val in row.items():
-                if column != "n" and not math.isfinite(val):
-                    raise NumericalError(f"{column} = {val} is not finite")
-        except (ResourceGuardError, NumericalError, ConsistencyError) as exc:
-            raise type(exc)(f"scenario {scenario.id!r} aborted at n={n}: {exc}")
-        except OverflowError as exc:  # a float power beyond the float range
-            raise NumericalError(f"scenario {scenario.id!r} aborted at n={n}: "
-                                 f"overflow: {exc}") from None
-        rows.append(row)
+            results = [task.result() for task in tasks]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    rows = [row for row, _, _ in results]
+    cdf_work = [work for _, work, _ in results if work is not None]
+    kappa_se = [se for _, _, se in results if se is not None]
 
     columns = list(rows[0])
     csv_path = out_dir / f"{scenario.id}.csv"
@@ -295,7 +355,7 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
     if kappa_se:
         # standard errors of the emp_kappa_* columns, from 10 sub-batches
         summary["emp_kappa_se"] = kappa_se
-    if law is not None:
+    if cdf_work:
         # the 95% quantile of the Kolmogorov statistic of N draws against
         # their own law, 1.36 / sqrt(N) (Marsaglia, Tsang and Wang 2003):
         # a ks near it is Monte Carlo noise

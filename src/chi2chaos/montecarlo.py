@@ -84,10 +84,10 @@ def sample_chaos(F: ChaosExpansion, n: int, seed: int) -> SampleBatch:
     so memory is the n values plus a few blocks, however large n * d is.
     The Philox draws of consecutive blocks are bitwise the rows of one
     (n, d) draw, so the values are bitwise those of ``evaluate`` on that
-    whole draw.  At orders 0 and >= 3, whose rows do not depend on each
-    other, a sample of n rows is also bitwise the first n values of a
-    longer one with the same seed; at orders 1 and 2 the last block's row
-    count can move its rows' last bits.
+    whole draw.  A sample of n rows is also bitwise the first n values of
+    a longer one with the same seed, except where F has an off-diagonal
+    order-2 part: there the last block's row count can move its rows'
+    last bits.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -62,11 +62,15 @@ class TargetSpec:
         return len(self.alphas)
 
     def cumulant(self, r: int) -> float:
-        """kappa_r of the target: 2^{r-1} (r-1)! sum_i alpha_i^r, for r >= 2."""
+        """kappa_r of the target: 2^{r-1} (r-1)! sum_i alpha_i^r, for r >= 2.
+
+        A power beyond the float range is inf (a NumPy power, where a
+        Python float power raises OverflowError), so the column it feeds
+        is the one named non-finite."""
         if r < 2:
             return 0.0
         return (2.0 ** (r - 1)) * math.factorial(r - 1) * sum(
-            a ** r for a in self.alphas)
+            float(np.float64(a) ** r) for a in self.alphas)
 
     def cumulants(self, rmax: int):
         """[kappa_1, ..., kappa_rmax]; kappa_1 = 0 (the target is centered)."""

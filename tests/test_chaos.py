@@ -233,9 +233,11 @@ def test_evaluate_high_orders_match_dense_reference(q, d):
 
 
 def low_orders_evaluate(F, xs):
-    """Orders 0-2 of F at the rows xs as ``evaluate`` computes them: orders
-    1 and 2 through BLAS on the blocks ``evaluate`` walks, since a row's
-    last bits there can depend on its block's row count."""
+    """Orders 0-2 of F at the rows xs as ``evaluate`` computes them: order 1
+    and the diagonal of order 2 by einsum over all rows at once, since their
+    rows do not depend on each other, and the off-diagonal part of order 2,
+    on the inputs it reads, through BLAS on the blocks ``evaluate`` walks,
+    since a row's last bits there can depend on its block's row count."""
     n = xs.shape[0]
     total = np.zeros(n)
     block = chaos._block_rows(F.dim)
@@ -243,12 +245,19 @@ def low_orders_evaluate(F, xs):
         kern = F.kernel(q)
         if q == 0:
             total += float(kern)
-        elif q in (1, 2):
-            for lo in range(0, n, block):
-                rows = xs[lo:lo + block]
-                total[lo:lo + block] += (
-                    rows @ kern if q == 1 else
-                    np.einsum("ni,ni->n", rows @ kern, rows) - np.trace(kern))
+        elif q == 1:
+            total += np.einsum("ni,i->n", xs, kern)
+        elif q == 2:
+            diag = np.diag(kern)
+            total += np.einsum("ni,ni,i->n", xs, xs, diag) - np.trace(kern)
+            off = kern - np.diag(diag)
+            on = np.flatnonzero(off.any(axis=0))
+            if len(on) == F.dim:
+                on = slice(None)
+            off = off[on][:, on]
+            for lo in range(0, n, block) if off.size else ():
+                rows = xs[lo:lo + block][:, on]
+                total[lo:lo + block] += np.einsum("ni,ni->n", rows @ off, rows)
     return total
 
 
@@ -403,13 +412,18 @@ def test_evaluate_is_bitwise_the_per_multiset_loop_property(dim, seed, orders,
 
 
 def test_evaluate_row_does_not_depend_on_its_block():
-    # orders 0 and >= 3 only: orders 1 and 2 go through BLAS matrix products,
-    # whose last bits may depend on how many rows share the block.  (16, [3])
-    # and (3, [6]) are highorder-mc shapes.
+    # every order but an off-diagonal order-2 part, a BLAS matrix product
+    # whose last bits may depend on how many rows share the block: order 2
+    # comes here with a diagonal kernel.  (16, [3]) and (3, [6]) are
+    # highorder-mc shapes.
     assert chaos._BLOCK_ROWS == 16_384
-    for seed, (dim, orders) in enumerate([(3, [3, 4]), (16, [3]), (3, [6])], 15):
+    for seed, (dim, orders) in enumerate([(3, [3, 4]), (16, [3]), (3, [6]),
+                                          (16, [1, 2, 3])], 15):
         rng = np.random.default_rng(seed)
         F = random_expansion(rng, dim, orders)
+        if 2 in orders:
+            F = ChaosExpansion(dim, {**{q: F.kernel(q) for q in F.orders()},
+                                     2: np.diag(np.diag(F.kernel(2)))})
         xs = rng.standard_normal((40_000, dim))
         vals = evaluate(F, xs)
         rows = chaos._block_rows(dim)
@@ -417,6 +431,24 @@ def test_evaluate_row_does_not_depend_on_its_block():
         for r in (0, rows - 1, rows, len(xs) - 1):
             assert evaluate(F, xs[r]) == vals[r]
             assert evaluate(F, xs[r:r + 1])[0] == vals[r]
+
+
+@pytest.mark.parametrize("support", [(), (4,), (1, 4), (0, 2, 5, 6),
+                                     tuple(range(7))])
+def test_evaluate_order_2_reads_the_off_diagonal_part_on_its_support(support):
+    # off-diagonal entries only between the inputs in support; a lone index
+    # has none, so its kernel is diagonal
+    rng = np.random.default_rng(len(support))
+    kern = np.diag(rng.uniform(-1, 1, 7))
+    for i, j in combinations_with_replacement(support, 2):
+        if i != j:
+            kern[i, j] = kern[j, i] = rng.uniform(-1, 1)
+    F = ChaosExpansion(7, {2: kern})
+    xs = rng.standard_normal((300, 7))
+    want = np.einsum("ni,ij,nj->n", xs, kern, xs) - np.trace(kern)
+    got = evaluate(F, xs)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(got, low_orders_evaluate(F, xs))
 
 
 def test_evaluate_memory_above_order_2_is_n_values_plus_a_table_plus_8_mb(peak_mb):

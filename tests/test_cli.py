@@ -3,7 +3,10 @@ import csv
 import io
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -401,13 +404,15 @@ def test_validate_and_run_reject_the_same_bad_fields(tmp_path, capsys,
 
 @pytest.mark.parametrize("scale, outputs, message", [
     (1e200, ["cumulant_gaps", "gamma_stat"], "kappa_gap_2 = inf is not finite"),
-    (1e308, ["ks"], "Monte Carlo sample for ks holds a non-finite value"),
+    # the exact columns are checked before any sampling
+    (1e308, ["ks"], "kappa_gap_2 = inf is not finite"),
 ])
 def test_non_finite_values_exit_3_naming_n(tmp_path, capsys, monkeypatch,
                                            scale, outputs, message):
-    def unreachable(values, cdf):
-        raise AssertionError("kolmogorov_distance got non-finite values")
+    def unreachable(*args):
+        raise AssertionError("Monte Carlo ran after a non-finite exact column")
 
+    monkeypatch.setattr(cli.montecarlo, "sample_chaos", unreachable)
     monkeypatch.setattr(cli.montecarlo, "kolmogorov_distance", unreachable)
     config = write_config(tmp_path, target={"alphas": [0.5, -0.5]},
                           family={**RANK_ONE, "scale": scale}, outputs=outputs)
@@ -420,6 +425,132 @@ def test_non_finite_values_exit_3_naming_n(tmp_path, capsys, monkeypatch,
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"scenario 'tiny' aborted at n=2: {message}"), err
     assert not (tmp_path / "out" / "tiny.csv").exists()
+
+
+def test_an_infinite_exact_column_is_named_before_the_target_cdf_runs(
+        tmp_path, capsys, monkeypatch):
+    # with ks on, the target CDF at x = 1.6e198 found no remainder bound
+    # and its message named no column
+    def unreachable(spec):
+        raise AssertionError("TargetLaw built after a non-finite exact column")
+
+    monkeypatch.setattr(cli, "TargetLaw", unreachable)
+    entries = [[1e200, 0.0], [2.0, -1.0], [0.0, 1.0]]
+    config = write_config(tmp_path, family={"name": "diag", "entries": entries},
+                          mc={"samples": 200, "seed": 1},
+                          outputs=["cumulant_gaps", "gamma_stat", "ks"])
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == "scenario 'tiny' aborted at n=2: kappa_gap_2 = inf is not finite\n"
+
+
+def test_a_target_weight_beyond_the_float_range_names_its_column(tmp_path,
+                                                                 capsys):
+    # a Python float power raised OverflowError here, naming no column
+    config = write_config(tmp_path, target={"alphas": [1e200]})
+    assert main(["validate", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(config), "--out", str(tmp_path / "out"),
+                 "--no-mc"]) == 3
+    err = capsys.readouterr().err
+    assert err == "scenario 'tiny' aborted at n=2: kappa_gap_2 = inf is not finite\n"
+
+
+@pytest.mark.parametrize("scenario_id, ok", [
+    ("x" * 242, True),           # <id>_summary.json is 255 bytes
+    ("x" * 243, False),
+    ("\u00e9" * 121, True),      # two bytes a character: 255 bytes
+    ("\u00e9" * 122, False),
+    ("a\ud800b", False),         # a lone surrogate has no file-name bytes
+])
+def test_the_id_must_make_file_names_the_system_takes(tmp_path, capsys,
+                                                      scenario_id, ok):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**BASE_CONFIG, "id": scenario_id}))
+    out = tmp_path / "out"
+    argvs = (["validate", str(config)],
+             ["run", str(config), "--out", str(out), "--no-mc"])
+    codes = [main(argv) for argv in argvs]
+    err = capsys.readouterr().err
+    if ok:
+        assert codes == [0, 0] and err == ""
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"{scenario_id}.csv", f"{scenario_id}_summary.json"]
+    else:
+        assert codes == [2, 2]
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[0] == lines[1]
+        assert lines[0].startswith("id: ")
+        assert not out.exists()
+
+
+def test_the_output_does_not_depend_on_the_number_of_workers(tmp_path,
+                                                             monkeypatch):
+    # the shipped scenarios, fewer samples: d reaches 256, every output kind
+    # is on somewhere, and each index has its own seed and TargetLaw.  Three
+    # workers, switching threads often, run indices side by side even on a
+    # one-core host.
+    default = cli._workers
+    assert default(8) == min(8, len(os.sched_getaffinity(0)))
+    assert default(1) == 1
+    runs = {}
+    interval = sys.getswitchinterval()
+    for label, workers in (("default", default), ("one", lambda n: 1),
+                           ("three", lambda n: min(3, n))):
+        monkeypatch.setattr(cli, "_workers", workers)
+        if label == "three":
+            sys.setswitchinterval(1e-5)
+        try:
+            for name, path in shipped_scenarios().items():
+                csv_path, summary_path = run_scenario(
+                    path, tmp_path / label / name, mc_samples=3000)
+                runs[label, name] = (csv_path.read_bytes(),
+                                     summary_path.read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+    for name in shipped_scenarios():
+        assert runs["one", name] == runs["default", name], name
+        assert runs["one", name] == runs["three", name], name
+
+
+def test_the_first_failing_index_is_the_one_reported(tmp_path, capsys,
+                                                    monkeypatch):
+    # indices 4 and 16 fail: a serial run reports n = 4, though n = 16, the
+    # first to start, fails first
+    ran = []
+    kernel_of = cli.family_kernel
+
+    def family_kernel(family, n):
+        ran.append(n)
+        if n in (4, 16):
+            raise cli.ResourceGuardError(f"kernel {n} is too large")
+        return kernel_of(family, n)
+
+    monkeypatch.setattr(cli, "family_kernel", family_kernel)
+    monkeypatch.setattr(cli, "_workers", lambda n: 1)
+    config = write_config(tmp_path, indices=[2, 4, 8, 16])
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == "scenario 'tiny' aborted at n=4: kernel 4 is too large\n"
+    # validate's check at n = 1, then the largest n first
+    assert ran == [1, 16, 8, 4, 2]
+    assert not (tmp_path / "out" / "tiny.csv").exists()
+
+
+def test_a_non_finite_run_prints_only_its_one_line(tmp_path):
+    # NumPy's overflow warnings in the worker threads would come first
+    # unless the CLI's np.errstate reaches them
+    config = write_config(tmp_path, target={"alphas": [0.5, -0.5]},
+                          family={**RANK_ONE, "scale": 1e308},
+                          outputs=["cumulant_gaps", "gamma_stat", "ks"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "chi2chaos", "run", str(config),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(chi2chaos.__file__).parents[1])})
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "scenario 'tiny' aborted at n=2: kappa_gap_2 = inf is not finite"]
 
 
 # one odd value goes into one field of BASE_CONFIG

@@ -89,7 +89,7 @@ def test_sample_chaos_is_the_whole_draw_evaluated_property(dim, seed, orders,
                                                            n, block):
     F = expansion(np.random.default_rng(seed), dim, sorted(orders))
     # evaluate walks the whole draw in the blocks sample_chaos draws, so
-    # even the BLAS products of orders 1 and 2 agree bit for bit
+    # even the BLAS product of an off-diagonal order-2 part agrees bit for bit
     with mock.patch.object(chaos, "_BLOCK_ROWS", block):
         assert np.array_equal(sample_chaos(F, n, seed).values,
                               whole_draw_sample(F, n, seed))
@@ -161,6 +161,26 @@ def test_sample_chaos_is_prefix_stable_above_order_2_in_short_blocks(dim):
     draw = montecarlo._rng(seed).standard_normal((n, dim))
     assert np.array_equal(whole, chaos.evaluate(F, draw))
     for m in (1, rows - 1, rows, rows + 1, 2 * rows):
+        assert np.array_equal(sample_chaos(F, m, seed).values, whole[:m])
+
+
+@pytest.mark.parametrize("dim", [17, 256])
+@pytest.mark.parametrize("orders", [[1], [0, 2], [0, 1, 2]])
+def test_sample_chaos_is_prefix_stable_at_order_1_and_diagonal_order_2(dim,
+                                                                       orders):
+    # einsum, not BLAS: a row's value does not depend on its block's row
+    # count.  d = 256 is gaussian-counterexample's largest kernel.
+    rng = np.random.default_rng((dim, len(orders)))
+    kernels = {0: np.asarray(0.5), 1: rng.uniform(-1, 1, dim),
+               2: np.diag(rng.uniform(-1, 1, dim))}
+    F = ChaosExpansion(dim, {q: kernels[q] for q in orders})
+    rows = chaos._block_rows(dim)
+    n = 2 * rows + 5
+    seed = 70 + dim
+    whole = sample_chaos(F, n, seed).values
+    draw = montecarlo._rng(seed).standard_normal((n, dim))
+    assert np.array_equal(whole, chaos.evaluate(F, draw))
+    for m in (1, 2, rows - 1, rows, rows + 1, 2 * rows):
         assert np.array_equal(sample_chaos(F, m, seed).values, whole[:m])
 
 

@@ -36,6 +36,18 @@ def test_target_spec_validation():
     assert TargetSpec((np.float64(1.5), 2)).alphas == (1.5, 2.0)
 
 
+def test_target_cumulant_beyond_the_float_range_is_inf():
+    # a Python float power raises OverflowError instead
+    with np.errstate(over="ignore"):
+        assert TargetSpec((1e200,)).cumulant(2) == math.inf
+        assert TargetSpec((-1e200,)).cumulant(3) == -math.inf
+        assert math.isnan(TargetSpec((1e200, -1e200)).cumulant(3))
+    spec = TargetSpec((0.5, -1.5, 3.0))
+    for r in range(2, 8):
+        assert spec.cumulant(r) == (2.0 ** (r - 1) * math.factorial(r - 1)
+                                    * sum(a ** r for a in spec.alphas))
+
+
 def test_hs_matrix_examples():
     f = SymmetricKernel(2, 2, np.diag([2.0, 5.0]))
     assert np.allclose(hs_matrix(f), np.diag([2.0, 5.0]))
