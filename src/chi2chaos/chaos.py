@@ -255,9 +255,9 @@ def evaluate(F: ChaosExpansion, x):
     rows, each evaluated by :func:`_evaluator`, so memory is bounded per
     block.  Orders 0-2 are evaluated on a block's rows at once: order 1 and
     the diagonal of order 2, sum_i f_ii (x_i^2 - 1), by einsum, and the
-    off-diagonal part of order 2 as the quadratic form x^T f x on the
-    inputs it reads, through BLAS, so there alone a row's last bits can
-    depend on its block's row count.  Orders >= 3 are sums of products
+    off-diagonal part of order 2, if any, as the quadratic form x^T f x
+    through BLAS, so there alone a row's last bits can depend on its
+    block's row count.  Orders >= 3 are sums of products
     of Hermite polynomials over a (qmax+1, d, rows) Hermite table, so each
     factor H_m(x_i) is a contiguous row: the terms (one per unordered basis
     multi-index, see :func:`_hermite_terms`) that share every factor but
@@ -295,22 +295,18 @@ def _evaluator(F: ChaosExpansion):
     and added to the total: two passes over the rows per term plus one per
     leading row, where a product per term took one per factor plus one.
 
-    The support of the off-diagonal order-2 part, the inputs with a nonzero
-    off-diagonal entry, is found here too.  A diagonal kernel (every
-    shipped family but rank-one-difference) has none, so its blocks need
-    no BLAS call, whose worker threads would spin between calls and slow
-    other threads; a dense kernel keeps the BLAS speed.
+    Whether order 2 has an off-diagonal part is found here too.  A
+    diagonal kernel (every shipped family but rank-one-difference) has
+    none, so its blocks need no BLAS call, whose worker threads would spin
+    between calls and slow other threads; any other kernel keeps the BLAS
+    speed.
     """
     groups = _hermite_groups(F)
     if 2 in F.orders():
         kern = F.kernel(2)
         diag, trace = np.diag(kern), np.trace(kern)
         off = kern - np.diag(diag)
-        # the support of the off-diagonal part: the inputs it reads
-        support = np.flatnonzero(off.any(axis=0))
-        if len(support) == F.dim:
-            support = slice(None)  # a view of each block, not a copy
-        off = off[support][:, support]
+        has_off = off.any()
 
     def values(xs):
         # einsum's summation order follows the memory layout
@@ -325,9 +321,8 @@ def _evaluator(F: ChaosExpansion):
             elif q == 2:
                 # I_2(f) = sum_i f_ii x_i^2 - tr f + x^T f_off x
                 total += np.einsum("ni,ni,i->n", xs, xs, diag) - trace
-                if off.size:
-                    xo = xs[:, support]
-                    total += np.einsum("ni,ni->n", xo @ off, xo)
+                if has_off:
+                    total += np.einsum("ni,ni->n", xs @ off, xs)
         if groups:
             table = _hermite_table(np.ascontiguousarray(xs.T), F.max_order)
             rows = table.reshape(-1, len(total))

@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 configuration error or unusable output path,
 from __future__ import annotations
 
 import argparse
-import contextvars
 import json
 import math
 import os
@@ -314,13 +313,19 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
     out_dir.mkdir(parents=True, exist_ok=True)
 
     positions = range(len(scenario.indices))
+    # the caller's floating-point error handling (the CLI's np.errstate),
+    # which NumPy < 2 keeps per thread, is set again in each task
+    err = np.geterr()
+
+    def row_at(position):
+        with np.errstate(**err):
+            return _index_row(scenario, position, with_mc)
+
     with ThreadPoolExecutor(_workers(len(positions))) as pool:
         # the largest n (indices increase) starts first, so it does not run
-        # last; a copy of the caller's context per task carries its
-        # np.errstate.  Results are taken in index order, so the outputs and
-        # the first error raised are those of a serial run.
-        tasks = [pool.submit(contextvars.copy_context().run,
-                             _index_row, scenario, position, with_mc)
+        # last.  Results are taken in index order, so the outputs and the
+        # first error raised are those of a serial run.
+        tasks = [pool.submit(row_at, position)
                  for position in reversed(positions)][::-1]
         try:
             results = [task.result() for task in tasks]

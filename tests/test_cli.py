@@ -427,6 +427,30 @@ def test_non_finite_values_exit_3_naming_n(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out" / "tiny.csv").exists()
 
 
+def test_a_non_finite_sample_exits_3_before_the_distance_runs(
+        tmp_path, capsys, monkeypatch):
+    # finite exact columns, one infinite Monte Carlo value
+    def sample(F, n, seed):
+        values = np.zeros(n)
+        values[n // 2] = math.inf
+        return montecarlo.SampleBatch(values, seed)
+
+    def unreachable(*args):
+        raise AssertionError("the Kolmogorov distance ran on a non-finite sample")
+
+    monkeypatch.setattr(cli.montecarlo, "sample_chaos", sample)
+    monkeypatch.setattr(cli.montecarlo, "kolmogorov_distance", unreachable)
+    monkeypatch.setattr(cli, "TargetLaw", unreachable)
+    config = write_config(tmp_path, target={"alphas": [0.5, -0.5]},
+                          family=RANK_ONE, outputs=["ks"])
+    assert main(["run", str(config), "--out", str(tmp_path / "out"),
+                 "--mc-samples", "10", "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("scenario 'tiny' aborted at n=2: Monte Carlo sample for ks "
+                   "holds a non-finite value\n")
+    assert not (tmp_path / "out" / "tiny.csv").exists()
+
+
 def test_an_infinite_exact_column_is_named_before_the_target_cdf_runs(
         tmp_path, capsys, monkeypatch):
     # with ks on, the target CDF at x = 1.6e198 found no remainder bound
@@ -551,6 +575,27 @@ def test_a_non_finite_run_prints_only_its_one_line(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.splitlines() == [
         "scenario 'tiny' aborted at n=2: kappa_gap_2 = inf is not finite"]
+
+
+def test_each_index_runs_under_the_callers_error_handling(tmp_path,
+                                                         monkeypatch):
+    # NumPy < 2 keeps np.errstate per thread, NumPy >= 2 per context, and
+    # neither reaches a pool's worker threads by itself
+    seen = []
+    index_row = cli._index_row
+
+    def recording(scenario, position, with_mc):
+        seen.append(np.geterr())
+        return index_row(scenario, position, with_mc)
+
+    monkeypatch.setattr(cli, "_index_row", recording)
+    monkeypatch.setattr(cli, "_workers", lambda n: 2)
+    config = write_config(tmp_path, outputs=["cumulant_gaps", "gamma_stat"])
+    with np.errstate(over="ignore", invalid="raise", divide="warn"):
+        want = np.geterr()
+        run_scenario(config, tmp_path / "out", no_mc=True)
+    assert want != np.geterr()
+    assert seen == [want] * 3
 
 
 # one odd value goes into one field of BASE_CONFIG
