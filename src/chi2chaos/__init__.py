@@ -5,7 +5,6 @@ from .chaos import (
     apply_L,
     apply_L_inverse,
     evaluate,
-    exact_cumulant,
     exact_cumulants,
     gamma_explicit,
     gamma_sequence,
@@ -33,7 +32,6 @@ from .montecarlo import (
     kolmogorov_distance,
     sample_chaos,
     sample_target,
-    target_cdf,
     target_cf,
 )
 from .spectral2 import (
@@ -41,11 +39,10 @@ from .spectral2 import (
     TargetSpec,
     cumulant_spectral,
     gamma_identity_defect,
-    hs_matrix,
     iterated_contraction,
     spectral,
     target_kernel,
 )
-from .sym_tensor import SymmetricKernel, contract, inner, norm, sym_contract, symmetrize
+from .sym_tensor import SymmetricKernel, contract, inner, sym_contract, symmetrize
 
 __version__ = "0.1.0"

@@ -25,7 +25,6 @@ Conventions that matter:
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -178,34 +177,24 @@ def hermite(q: int, x):
     return h if h.ndim else float(h)
 
 
-def _multisets(q: int, dim: int) -> np.ndarray:
-    """Every non-decreasing q-tuple over range(dim), one per row, in
-    ``combinations_with_replacement`` order: each tuple of length m is
-    followed by itself extended by every i from its last entry to dim - 1."""
-    idx = np.arange(dim)[:, None]
-    for _ in range(1, q):
-        count = dim - idx[:, -1]
-        ends = np.cumsum(count)
-        last = np.arange(ends[-1]) - np.repeat(ends - count - idx[:, -1], count)
-        idx = np.column_stack([np.repeat(idx, count, axis=0), last])
-    return idx
-
-
 def _hermite_terms(kern: np.ndarray, q: int, dim: int):
     """(coeffs, factors) for the nonzero unordered basis multi-indices of
-    order q, in ``combinations_with_replacement`` order: term t is
-    coeffs[t] * prod_j row factors[t, j] of a Hermite table flattened to
-    ((qmax+1) * dim, rows), over the entries before the first -1.
+    order q, as sorted tuples i_1 <= ... <= i_q in lexicographic order:
+    term t is coeffs[t] * prod_j row factors[t, j] of a Hermite table
+    flattened to ((qmax+1) * dim, rows), over the entries before the
+    first -1.
 
     The multi-index with multiplicities m_i evaluates to prod_i H_{m_i}(x_i),
     whose factors are rows m_i * dim + i in increasing i, and its
     q!/prod(m_i!) ordered positions all carry the same stored coefficient,
     which supplies the multinomial weight: coeffs[t] is float(weight) * coeff.
     """
-    idx = _multisets(q, dim)
+    grid = np.ogrid[(slice(dim),) * q]
+    sorted_nonzero = kern != 0.0
+    for i, j in zip(grid, grid[1:]):
+        sorted_nonzero &= i <= j
+    idx = np.argwhere(sorted_nonzero)
     coeffs = kern[tuple(idx.T)]
-    keep = coeffs != 0.0
-    idx, coeffs = idx[keep], coeffs[keep]
     # each run of equal entries i is one factor H_m(x_i); its first column
     # carries the multiplicity m
     first = np.ones(idx.shape, dtype=bool)
@@ -427,20 +416,6 @@ def l2_norm(F: ChaosExpansion) -> float:
     return math.sqrt(max(l2_inner(F, F), 0.0))
 
 
-def second_moment(F: ChaosExpansion) -> float:
-    return l2_inner(F, F)
-
-
-def exact_cumulant(F: ChaosExpansion, j: int, max_order=None) -> float:
-    """j-th cumulant of F, exactly.
-
-    kappa_1 is the mean; for j >= 2 the variable is recentered (cumulants of
-    order >= 2 are translation invariant) and kappa_j is (j-1)! times the
-    order-0 coefficient of Gamma_{j-1}(F - E F).
-    """
-    return exact_cumulants(F, j, max_order=max_order)[j - 1]
-
-
 def exact_cumulants(F: ChaosExpansion, jmax: int, max_order=None):
     """[kappa_1, ..., kappa_jmax] computed from one gamma sequence."""
     if jmax < 1:
@@ -478,27 +453,3 @@ def chaos_polynomial(F: ChaosExpansion, coeffs, max_order=None) -> ChaosExpansio
         if c != 0.0:
             result = result + float(c) * power
     return result
-
-
-def save_expansion(F: ChaosExpansion, path):
-    """Write {"dim": d, "kernels": [{"order", "coeffs"}...]}; mean at order 0."""
-    doc = {"dim": F.dim,
-           "kernels": [{"order": q,
-                        "coeffs": [float(v) for v in F.kernel(q).reshape(-1)]}
-                       for q in F.orders()]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_expansion(path, max_order=None) -> ChaosExpansion:
-    with open(path) as fh:
-        doc = json.load(fh)
-    dim = int(doc["dim"])
-    kernels = {}
-    for entry in doc["kernels"]:
-        kdoc = {"order": entry["order"], "dim": dim, "coeffs": entry["coeffs"]}
-        kern = sym_tensor.kernel_from_dict(kdoc, max_order=max_order)
-        if kern.order in kernels:
-            raise ValueError(f"{path}: order {kern.order} is listed twice")
-        kernels[kern.order] = kern.coeffs
-    return ChaosExpansion(dim, kernels)

@@ -222,7 +222,8 @@ def family_kernel(family: dict, n: int) -> SymmetricKernel:
 
 def _workers(tasks: int) -> int:
     """Threads for a scenario's indices: one per usable core, at most one
-    per index."""
+    per index.  Each worker holds its own index's sample and CDF buffers,
+    so peak memory grows with the number of workers."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:  # no affinity masks (macOS, Windows)
@@ -281,6 +282,10 @@ def _index_row(scenario: Scenario, position: int, with_mc: bool):
     except OverflowError as exc:  # a float power beyond the float range
         raise NumericalError(f"scenario {scenario.id!r} aborted at n={n}: "
                              f"overflow: {exc}") from None
+    except MemoryError:  # e.g. an mc.samples too large for the machine
+        raise ResourceGuardError(
+            f"scenario {scenario.id!r} aborted at n={n}: out of memory "
+            f"with mc.samples = {scenario.mc_samples}") from None
     # each row is built in CSV column order
     return {"n": n, **exact, **sampled, **conditions}, work, se
 

@@ -9,14 +9,13 @@ montecarlo module as validation.
 
 The conditional-expectation refinement of the criterion is deliberately not
 estimated: the unconditional second moment is its upper bound and is what the
-report carries, labelled "unconditional (sufficient)".
+report carries; the run summary labels it "unconditional (sufficient)".
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +23,6 @@ from . import chaos, sym_tensor
 from .chaos import ChaosExpansion
 from .spectral2 import TargetSpec
 from .sym_tensor import SymmetricKernel
-
-UNCONDITIONAL_LABEL = "gamma_stat is the unconditional (sufficient) statistic"
 
 
 def _poly_mul(a, b):
@@ -126,7 +123,7 @@ def gamma_combination(F: ChaosExpansion, spec: TargetSpec,
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Cumulant gaps, the gamma statistic, and any contraction-condition values.
+    """Cumulant gaps and the gamma statistic.
 
     ``gamma_stat`` is the half second moment (1/2) E[(gamma combination)^2] of
     the centered weighted gamma combination: the normalization under which it
@@ -136,24 +133,6 @@ class CriterionReport:
 
     cumulant_gaps: tuple  # of (r, kappa_r(F), kappa_r(target), |gap|)
     gamma_stat: float
-    contraction_norms: dict = field(default_factory=dict)
-    notes: str = UNCONDITIONAL_LABEL
-
-    def to_json(self) -> str:
-        doc = {
-            "cumulant_gaps": [[int(r), kn, kt, gap]
-                              for (r, kn, kt, gap) in self.cumulant_gaps],
-            "gamma_stat": self.gamma_stat,
-            "contraction_norms": dict(self.contraction_norms),
-            "notes": self.notes,
-        }
-        return json.dumps(doc)
-
-
-def gamma_statistic(F: ChaosExpansion, spec: TargetSpec, max_order=None) -> float:
-    """(1/2) E[(gamma combination)^2], exactly via the chaos isometry."""
-    comb = gamma_combination(F, spec, max_order=max_order)
-    return 0.5 * chaos.l2_inner(comb, comb)
 
 
 def criterion_statistic(F: ChaosExpansion, spec: TargetSpec,

@@ -106,10 +106,15 @@ def sample_chaos(F: ChaosExpansion, n: int, seed: int) -> SampleBatch:
     return SampleBatch(values, seed)
 
 
+def _values(batch) -> np.ndarray:
+    """The sample values of a ``SampleBatch`` or of an array-like."""
+    return batch.values if isinstance(batch, SampleBatch) else np.asarray(batch, float)
+
+
 def k_statistics(batch, rmax: int = 6):
     """Cumulant estimates [k_1 .. k_rmax]: unbiased k-statistics for r <= 4,
     central-moment plug-in (bias O(1/n)) for r in {5, 6}."""
-    values = batch.values if isinstance(batch, SampleBatch) else np.asarray(batch, float)
+    values = _values(batch)
     n = len(values)
     if not 1 <= rmax <= 6:
         raise ValueError(f"rmax must be in 1..6, got {rmax}")
@@ -144,7 +149,7 @@ def k_statistic_errors(batch, rmax: int = 6):
     """Standard errors of :func:`k_statistics` from 10 contiguous sub-batches,
     or None for each below 10 (rmax + 1) values, where some sub-batch would
     hold rmax values or fewer."""
-    values = batch.values if isinstance(batch, SampleBatch) else np.asarray(batch, float)
+    values = _values(batch)
     if not 1 <= rmax <= 6:
         raise ValueError(f"rmax must be in 1..6, got {rmax}")
     if len(values) < 10 * (rmax + 1):
@@ -548,18 +553,12 @@ class TargetLaw:
         return np.interp(xs, grid, self.cdf(grid))
 
 
-def target_cdf(spec: TargetSpec, x):
-    """P(target <= x) by characteristic-function inversion (x scalar or array)."""
-    return TargetLaw(spec).cdf(x)
-
-
 def kolmogorov_distance(batch, cdf) -> float:
     """One-sample Kolmogorov statistic: sup over the sample of |ECDF - cdf|.
 
     ``cdf`` is called once with the sorted sample and must return an array
     of the same shape."""
-    values = batch.values if isinstance(batch, SampleBatch) else np.asarray(batch, float)
-    v = np.sort(values)
+    v = np.sort(_values(batch))
     n = len(v)
     if n < 1:
         raise ValueError("need at least one sample")
@@ -569,12 +568,3 @@ def kolmogorov_distance(batch, cdf) -> float:
                          f"shape {v.shape}")
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
-
-
-def export_csv(batch: SampleBatch, path):
-    """Single-column CSV; the header comment carries seed and generator id."""
-    with open(path, "w") as fh:
-        fh.write(f"# seed={batch.seed} generator_id={batch.generator_id}\n")
-        fh.write("value\n")
-        for v in batch.values:
-            fh.write(f"{float(v)!r}\n")

@@ -85,21 +85,15 @@ class SpectralForm:
     eigenvectors: np.ndarray  # columns
 
 
-def hs_matrix(f: SymmetricKernel) -> np.ndarray:
-    """The d x d matrix representing g -> f contracted once with g."""
-    if f.order != 2:
-        raise ValueError(f"kernel order must be 2, got {f.order}")
-    return np.array(f.coeffs)
-
-
 def spectral(f: SymmetricKernel) -> SpectralForm:
     """Symmetric eigendecomposition, deterministically ordered.
 
     Eigenvalues descend; each eigenvector's first component of magnitude above
     1e-12 of its sup-norm is made positive to pin the sign.
     """
-    a = hs_matrix(f)
-    vals, vecs = np.linalg.eigh(a)
+    if f.order != 2:
+        raise ValueError(f"kernel order must be 2, got {f.order}")
+    vals, vecs = np.linalg.eigh(f.coeffs)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
@@ -160,13 +154,6 @@ def target_kernel(spec: TargetSpec, d: int) -> SymmetricKernel:
     for i, a in enumerate(spec.alphas):
         m[i, i] = a
     return SymmetricKernel(2, d, m)
-
-
-def target_expansion(spec: TargetSpec, d: int = None) -> ChaosExpansion:
-    """The target variable itself, I_2 of the target kernel."""
-    if d is None:
-        d = spec.k
-    return ChaosExpansion.from_kernel(target_kernel(spec, d))
 
 
 def gamma_identity_defect(f: SymmetricKernel, r: int, max_order=None) -> float:

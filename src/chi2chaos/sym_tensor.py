@@ -11,7 +11,6 @@ per call; the element limit is fixed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,8 +20,6 @@ from .errors import ResourceGuardError
 
 MAX_ORDER = 8
 MAX_ELEMENTS = 10_000_000
-
-SYMMETRY_RTOL = 1e-12  # load-time symmetry tolerance, relative to the norm
 
 
 def _check_guard(order, dim, max_order=None):
@@ -55,7 +52,7 @@ class SymmetricKernel:
 
     ``coeffs`` has shape ``(dim,) * order`` and is invariant under every
     permutation of its indices.  Instances built by library operations are
-    symmetric by construction; data loaded from files is checked.
+    symmetric by construction.
 
     ``coeffs`` is held read-only.  An array passed in that already is a
     read-only float64 array owning its data is kept as it is; anything else
@@ -84,7 +81,7 @@ class SymmetricKernel:
         return float(np.sqrt(np.sum(self.coeffs ** 2)))
 
 
-# kept only for perfbench/test_bench.py, until ROADMAP item 7 retires it
+# kept only for perfbench/test_bench.py, until ROADMAP item 1 retires it
 def _arrangement_count(blocks):
     q = sum(blocks)
     n = math.factorial(q)
@@ -168,10 +165,6 @@ def inner(f: SymmetricKernel, g: SymmetricKernel) -> float:
     return float(np.sum(f.coeffs * g.coeffs))
 
 
-def norm(f: SymmetricKernel) -> float:
-    return f.norm
-
-
 def basis_kernel(dim: int, index: tuple) -> SymmetricKernel:
     """Symmetrized elementary tensor e_{i1} o ... o e_{iq} (0-based indices)."""
     q = len(index)
@@ -187,38 +180,3 @@ def random_kernel(order: int, dim: int, rng, scale=1.0,
     _check_guard(order, dim, max_order)
     raw = rng.uniform(-scale, scale, size=(dim,) * order)
     return SymmetricKernel(order, dim, symmetrize(raw, max_order=max_order))
-
-
-def save_kernel(f: SymmetricKernel, path):
-    """Write the kernel file format: {"order", "dim", "coeffs" row-major}."""
-    doc = {"order": f.order, "dim": f.dim,
-           "coeffs": [float(v) for v in f.coeffs.reshape(-1)]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_kernel(path, max_order=None) -> SymmetricKernel:
-    """Load and validate a kernel file (length and symmetry checks)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    return kernel_from_dict(doc, max_order=max_order)
-
-
-def kernel_from_dict(doc, max_order=None) -> SymmetricKernel:
-    order = int(doc["order"])
-    dim = int(doc["dim"])
-    _check_guard(order, dim, max_order)
-    coeffs = np.asarray(doc["coeffs"], dtype=float)
-    if coeffs.size != dim ** order:
-        raise ValueError(
-            f"coeffs has {coeffs.size} entries, expected dim^order = {dim ** order}"
-        )
-    arr = coeffs.reshape((dim,) * order)
-    sym = symmetrize(arr, max_order=max_order)
-    scale = np.sqrt(np.sum(arr ** 2))
-    if np.max(np.abs(arr - sym), initial=0.0) > SYMMETRY_RTOL * max(scale, 1e-300):
-        raise ValueError(
-            f"coefficients are not symmetric to relative tolerance {SYMMETRY_RTOL}"
-        )
-    # store the exactly symmetric representative
-    return SymmetricKernel(order, dim, sym)

@@ -24,7 +24,7 @@ from chi2chaos.chaos import (
 )
 from chi2chaos.criteria import (
     build_polynomials,
-    gamma_statistic,
+    criterion_statistic,
     power_sum_match,
     psi_functional,
     q_chaos_conditions,
@@ -41,7 +41,6 @@ from chi2chaos.montecarlo import (
 from chi2chaos.spectral2 import (
     TargetSpec,
     cumulant_spectral_forms,
-    hs_matrix,
     spectral,
     target_kernel,
 )
@@ -63,10 +62,10 @@ def four_way_quantities(f, spec):
     e2 = weighted_cumulant_sum(kappas, polys)
     eigen = spectral(f).eigenvalues
     q_sum = float(np.sum(np.polynomial.polynomial.polyval(eigen, polys.q)))
-    m = sum(polys.p[r] * np.linalg.matrix_power(hs_matrix(f), r)
+    m = sum(polys.p[r] * np.linalg.matrix_power(f.coeffs, r)
             for r in range(1, polys.deg_p + 1))
     e3 = float(np.sum(m ** 2))
-    e4 = gamma_statistic(F, spec)
+    e4 = criterion_statistic(F, spec).gamma_stat
     return e2, q_sum, e3, e4
 
 

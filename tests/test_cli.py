@@ -480,6 +480,23 @@ def test_a_target_weight_beyond_the_float_range_names_its_column(tmp_path,
     assert err == "scenario 'tiny' aborted at n=2: kappa_gap_2 = inf is not finite\n"
 
 
+def test_a_sample_count_the_machine_cannot_hold_exits_3(tmp_path, capsys,
+                                                        monkeypatch):
+    # the sampler's np.empty(n) raised MemoryError, a traceback and exit 1;
+    # it is replaced here, so nothing is allocated
+    def sample(F, n, seed):
+        raise MemoryError(f"Unable to allocate {8 * n} bytes")
+
+    monkeypatch.setattr(cli.montecarlo, "sample_chaos", sample)
+    config = write_config(tmp_path)
+    assert main(["run", str(config), "--out", str(tmp_path / "out"),
+                 "--mc-samples", "1000000000000"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("scenario 'tiny' aborted at n=2: out of memory with "
+                   "mc.samples = 1000000000000\n")
+    assert not (tmp_path / "out" / "tiny.csv").exists()
+
+
 @pytest.mark.parametrize("scenario_id, ok", [
     ("x" * 242, True),           # <id>_summary.json is 255 bytes
     ("x" * 243, False),

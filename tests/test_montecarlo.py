@@ -17,13 +17,11 @@ from chi2chaos.montecarlo import (
     GENERATOR_ID,
     SampleBatch,
     TargetLaw,
-    export_csv,
     k_statistic_errors,
     k_statistics,
     kolmogorov_distance,
     sample_chaos,
     sample_target,
-    target_cdf,
     target_cf,
 )
 from chi2chaos.spectral2 import TargetSpec
@@ -330,7 +328,7 @@ def test_target_cdf_chi2_oracle():
 
 
 def test_target_cdf_product_normal_median():
-    assert abs(target_cdf(TargetSpec((0.5, -0.5)), 0.0) - 0.5) < 1e-9
+    assert abs(TargetLaw(TargetSpec((0.5, -0.5))).cdf(0.0) - 0.5) < 1e-9
 
 
 def test_target_cdf_limits_and_monotone():
@@ -1041,16 +1039,6 @@ def test_sampling_isometry():
     k = k_statistics(batch, 2)
     se = k_statistic_errors(batch, 2)
     assert abs(k[1] - truth) < 4 * se[1]
-
-
-def test_export_csv(tmp_path):
-    batch = sample_target(TargetSpec((1.0,)), 5, 123)
-    path = tmp_path / "batch.csv"
-    export_csv(batch, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == f"# seed=123 generator_id={GENERATOR_ID}"
-    assert lines[1] == "value"
-    assert [float(v) for v in lines[2:]] == list(batch.values)
 
 
 def test_batch_immutable():

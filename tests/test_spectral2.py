@@ -12,10 +12,8 @@ from chi2chaos.spectral2 import (
     cumulant_spectral,
     cumulant_spectral_forms,
     gamma_identity_defect,
-    hs_matrix,
     iterated_contraction,
     spectral,
-    target_expansion,
     target_kernel,
 )
 from chi2chaos.sym_tensor import SymmetricKernel, basis_kernel, contract, random_kernel
@@ -49,19 +47,20 @@ def test_target_cumulant_beyond_the_float_range_is_inf():
 
 
 def test_hs_matrix_examples():
+    # an order-2 kernel's Hilbert-Schmidt matrix is its coefficient array
     f = SymmetricKernel(2, 2, np.diag([2.0, 5.0]))
-    assert np.allclose(hs_matrix(f), np.diag([2.0, 5.0]))
+    assert np.allclose(f.coeffs, np.diag([2.0, 5.0]))
     g = basis_kernel(2, (0, 1))
-    assert np.allclose(hs_matrix(g), [[0.0, 0.5], [0.5, 0.0]])
-    with pytest.raises(ValueError):
-        hs_matrix(basis_kernel(2, (0, 0, 1)))
+    assert np.allclose(g.coeffs, [[0.0, 0.5], [0.5, 0.0]])
+    with pytest.raises(ValueError, match="order must be 2"):
+        spectral(basis_kernel(2, (0, 0, 1)))
 
 
 def test_hs_matrix_acts_as_contraction():
     rng = np.random.default_rng(0)
     f = random_kernel(2, 4, rng)
     g = random_kernel(1, 4, rng)
-    assert np.allclose(hs_matrix(f) @ g.coeffs, contract(f, g, 1))
+    assert np.allclose(f.coeffs @ g.coeffs, contract(f, g, 1))
 
 
 def test_spectral_examples():
@@ -104,7 +103,7 @@ def test_iterated_contraction_matches_matrix_power():
     rng = np.random.default_rng(2)
     f = random_kernel(2, 4, rng)
     for p in (2, 3, 4):
-        want = np.linalg.matrix_power(hs_matrix(f), p)
+        want = np.linalg.matrix_power(f.coeffs, p)
         assert np.max(np.abs(iterated_contraction(f, p).coeffs - want)) < 1e-12
 
 
@@ -175,10 +174,10 @@ def test_four_way_equality_random():
             e2 = criteria.weighted_cumulant_sum(kappas, polys)
             eig = spectral(f).eigenvalues
             q_sum = float(np.sum(np.polynomial.polynomial.polyval(eig, polys.q)))
-            m = sum(polys.p[r] * np.linalg.matrix_power(hs_matrix(f), r)
+            m = sum(polys.p[r] * np.linalg.matrix_power(f.coeffs, r)
                     for r in range(1, polys.deg_p + 1))
             e3 = float(np.sum(m ** 2))
-            e4 = criteria.gamma_statistic(F, spec)
+            e4 = criteria.criterion_statistic(F, spec).gamma_stat
             ref = 1e-9 * (1 + abs(e2))
             assert abs(e2 - q_sum) < ref and abs(e2 - e3) < ref and abs(e2 - e4) < ref
 
@@ -192,7 +191,7 @@ def test_four_way_vanishes_at_target():
         scale = 1e-10 * (1 + f.norm ** (2 * (spec.k + 1)))
         kappas = exact_cumulants(F, polys.deg_q)
         assert abs(criteria.weighted_cumulant_sum(kappas, polys)) < scale
-        assert criteria.gamma_statistic(F, spec) < scale
+        assert criteria.criterion_statistic(F, spec).gamma_stat < scale
 
 
 def test_moment_determinacy_hook_montecarlo():
