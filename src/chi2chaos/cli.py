@@ -10,7 +10,9 @@ the seed, which is offset by the index position to give each n its own
 substream.
 
 Exit codes: 0 success, 2 configuration error or unusable output path,
-3 numerical-guard abort or internal consistency failure.
+3 numerical-guard abort or internal consistency failure (with q_chaos on,
+gamma_stat from gamma_sequence disagreeing with (1/2) sum_m m! b_m over the
+conditions from gamma_explicit).
 """
 
 from __future__ import annotations
@@ -67,10 +69,11 @@ def config_diagnostics(doc) -> list:
         return ["config: top-level JSON object expected"]
     # the id names the output files <id>.csv and <id>_summary.json
     scenario_id = doc.get("id")
+    # printable: no NUL, and no line break or escape in a printed path
     if (not isinstance(scenario_id, str) or not scenario_id
-            or "/" in scenario_id or "\0" in scenario_id):
-        out.append(f"id: plain file name required (nonempty, no '/'), "
-                   f"got {scenario_id!r}")
+            or "/" in scenario_id or not scenario_id.isprintable()):
+        out.append(f"id: plain file name required (nonempty, printable, "
+                   f"no '/'), got {scenario_id!r}")
     else:
         # the longer name, <id>_summary.json, must fit a file name
         try:
@@ -256,6 +259,17 @@ def _index_row(scenario: Scenario, position: int, with_mc: bool):
         # the exact columns are checked before Monte Carlo, which a
         # non-finite kernel would only make fail less clearly
         _check_finite(exact | conditions)
+        if conditions:
+            # gamma_stat comes from gamma_sequence and the b-keys from
+            # gamma_explicit: (1/2) sum_m m! b_m over them is gamma_stat
+            total = 0.5 * sum(
+                math.factorial(kernel.order if key == "cond_b1"
+                               else int(key.split("_k")[1])) * val
+                for key, val in conditions.items() if key != "cond_a")
+            if abs(total - report.gamma_stat) > 1e-9 * abs(report.gamma_stat):
+                raise ConsistencyError(
+                    f"gamma_stat {report.gamma_stat!r} from gamma_sequence, "
+                    f"but (1/2) sum m! b_m = {total!r} from gamma_explicit")
         sampled = {}
         if sampled_for:
             batch = montecarlo.sample_chaos(

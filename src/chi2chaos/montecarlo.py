@@ -205,18 +205,15 @@ class TargetLaw:
     rounding, not the rule, sets the quadrature error, and the remainder
     bound sets the accuracy.
 
-    Points are taken in chunks of at most ``_BLOCK_POINTS`` / 16, so the
-    per-point arrays of the stop search and the chunk's panel list (at most
-    ``_MAX_DOUBLINGS`` + 1 panels a point) stay bounded.  A chunk's panels
-    form one flat list.  Their phase changes are taken in slices of at
-    most ``_BLOCK_POINTS`` / 16 panels, and the list is cut between panels
-    into blocks of at most ``_BLOCK_POINTS`` quadrature points (a panel
-    that alone needs more is a block of its own), so memory does not grow
-    with the number of points.
-    Each point's panel integrals are summed in rung order with
-    ``np.bincount``, and the tail terms at its last rung are added.  Each
-    value depends on its own x alone, not on which other points share the
-    call.
+    Points are taken in chunks of ``_BLOCK_POINTS`` // (``_MAX_DOUBLINGS``
+    + 1), so a chunk's flat panel list is never longer than one block's
+    quadrature points, and its phase changes are taken in one pass.  The
+    list is cut between panels into blocks of at most ``_BLOCK_POINTS``
+    quadrature points (a panel that alone needs more is a block of its
+    own), so memory does not grow with the number of points.  Each point's
+    panel integrals are summed in rung order with ``np.bincount``, and the
+    tail terms at its last rung are added.  Each value depends on its own
+    x alone, not on which other points share the call.
 
     A block's per-quadrature-point arrays (nodes, weights, owners, the
     (k, points) work array for rho and theta, and the integrand) are
@@ -298,18 +295,12 @@ class TargetLaw:
         """Integral over [a[i], b[i]] for the point x[i], for every i.
 
         The phase change over each panel, which sets its subpanel count, is
-        taken over near-equal slices of at most ``_BLOCK_POINTS`` / 16
-        panels, so its (k, panels) work arrays stay bounded too.  No slice
-        is a single panel cut off the rest: NumPy sums the k weights of a
-        lone column in another order than those of a wider array."""
-        nsub = np.empty(len(x), dtype=np.int64)
-        slices = max(1, -(-len(x) // (_BLOCK_POINTS // len(_GL_NODES))))
-        cuts = np.arange(slices + 1) * len(x) // slices
-        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-            dtheta = np.abs(self._theta(b[lo:hi], x[lo:hi])
-                            - self._theta(a[lo:hi], x[lo:hi]))
-            nsub[lo:hi] = np.where(dtheta <= 4.0 * math.pi, 1,
-                                   np.ceil(dtheta / (2.0 * math.pi)))
+        taken over all the panels at once: ``_invert`` passes at most
+        ``_BLOCK_POINTS`` of them, so its (k, panels) work arrays are no
+        larger than a block's."""
+        dtheta = np.abs(self._theta(b, x) - self._theta(a, x))
+        nsub = np.where(dtheta <= 4.0 * math.pi, 1,
+                        np.ceil(dtheta / (2.0 * math.pi))).astype(np.int64)
         over = np.flatnonzero(nsub > _MAX_SUBPANELS)
         if over.size:
             i = over[0]
@@ -453,11 +444,13 @@ class TargetLaw:
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
     def _invert(self, x):
-        """CDF values at the finite points x, taken in chunks of at most
-        ``_BLOCK_POINTS`` / 16 points, so the per-point arrays of the stop
-        search stay bounded too."""
+        """CDF values at the finite points x, in chunks of ``_BLOCK_POINTS``
+        // (``_MAX_DOUBLINGS`` + 1) points.  A point stopping at rung m has
+        the panels [0, T0] and [T0 2^{j-1}, T0 2^j], j = 1 .. m, so a
+        chunk's panel list, laid out point by point and summed in that
+        order, is never longer than ``_BLOCK_POINTS``."""
         out = np.empty(len(x))
-        most = _BLOCK_POINTS // len(_GL_NODES)
+        most = _BLOCK_POINTS // (_MAX_DOUBLINGS + 1)
         diagnostics = self._diagnostics
         for lo in range(0, len(x), most):
             chunk = x[lo:lo + most]
@@ -473,7 +466,15 @@ class TargetLaw:
                                                int(np.max(rung)))
             diagnostics["max_bound"] = max(diagnostics["max_bound"],
                                            float(np.max(bound)))
-            est = 0.5 - (self._integrals(T0, rung, chunk) + tail) / math.pi
+            count = rung + 1
+            first = np.cumsum(count) - count  # each point's panel [0, T0]
+            owner = np.repeat(np.arange(len(chunk)), count)
+            b = np.ldexp(T0[owner], np.arange(len(owner)) - np.repeat(first, count))
+            a = 0.5 * b
+            a[first] = 0.0
+            integral = np.bincount(owner, weights=self._panels(a, b, chunk[owner]),
+                                   minlength=len(chunk))
+            est = 0.5 - (integral + tail) / math.pi
             out[lo:lo + most] = np.clip(est, 0.0, 1.0)
         return out
 
@@ -518,19 +519,6 @@ class TargetLaw:
                     f"unresolved)"
                 )
         return rung, tail, bound, rule
-
-    def _integrals(self, T0, rung, x):
-        """Each point's integral over [0, T0 2^m], m its stop rung: panels
-        [0, T0] and [T0 2^{j-1}, T0 2^j] for j = 1 .. m, laid out point by
-        point in one flat list and summed in that order."""
-        count = rung + 1
-        first = np.cumsum(count) - count  # each point's panel [0, T0]
-        owner = np.repeat(np.arange(len(x)), count)
-        b = np.ldexp(T0[owner], np.arange(len(owner)) - np.repeat(first, count))
-        a = 0.5 * b
-        a[first] = 0.0
-        return np.bincount(owner, weights=self._panels(a, b, x[owner]),
-                           minlength=len(x))
 
     def cdf_batch(self, xs) -> np.ndarray:
         """CDF at many points: exact inversion on a quantile grid of the n

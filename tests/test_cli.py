@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chi2chaos
@@ -323,6 +323,28 @@ def test_consistency_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
         "scenario 'gamma-nu1' aborted at n=2: cumulant order 3: two forms disagree"]
 
 
+def test_gamma_stat_and_the_conditions_disagreeing_exits_3(tmp_path, capsys,
+                                                           monkeypatch):
+    # gamma_stat and the q_chaos b-keys come from two computations of the
+    # gamma combination; run compares them at every index
+    conditions = cli.criteria.q_chaos_conditions
+
+    def off(kernel, spec):
+        found = conditions(kernel, spec)
+        return {**found, "b1": 1.01 * found["b1"]}
+
+    monkeypatch.setattr(cli.criteria, "q_chaos_conditions", off)
+    code = main(["run", "two-eigenvalue-q2-example", "--out",
+                 str(tmp_path / "out"), "--no-mc"])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "scenario 'two-eigenvalue-q2-example' aborted at n=")
+    assert "from gamma_sequence" in lines[0] and "from gamma_explicit" in lines[0]
+    assert not (tmp_path / "out" / "two-eigenvalue-q2-example.csv").exists()
+
+
 @pytest.mark.parametrize("flags, field", [
     (["--mc-samples", "0"], "mc.samples"),
     (["--mc-samples", "-5"], "mc.samples"),
@@ -503,6 +525,11 @@ def test_a_sample_count_the_machine_cannot_hold_exits_3(tmp_path, capsys,
     ("\u00e9" * 121, True),      # two bytes a character: 255 bytes
     ("\u00e9" * 122, False),
     ("a\ud800b", False),         # a lone surrogate has no file-name bytes
+    ("with space", True),
+    ("a\nb", False),             # a line break would split a printed path
+    ("a\rb", False),
+    ("a\u2028b", False),
+    ("\x1b[0m", False),          # a terminal escape
 ])
 def test_the_id_must_make_file_names_the_system_takes(tmp_path, capsys,
                                                       scenario_id, ok):
@@ -647,6 +674,7 @@ def _cli(argv):
 
 
 @settings(max_examples=60, deadline=None)
+@example(field="id", value="\r")
 @given(field=st.sampled_from(["target.alphas[0]", "family.entries[0][0]",
                               "family.entries[0][1]", "family.scale",
                               "family.signs", "indices[0]", "id"]),

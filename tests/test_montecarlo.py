@@ -751,21 +751,22 @@ def test_target_cdf_guards_raise_numerical_error():
 
 def test_target_cdf_memory_is_flat_in_the_number_of_points(peak_mb):
     # the stop search and the panel list run on chunks of points; one flat
-    # list of every point's panels took about 790 MB here
+    # list of every point's panels took about 790 MB here, chunks of 4 096
+    # points 13.5 MB, and chunks whose panels fit one block 11.7 MB
     spec = TargetSpec((1.0, -0.6, 2.2))
     xs = sample_target(spec, 200_000, 51).values
-    assert peak_mb(lambda: TargetLaw(spec).cdf(xs)) < 47.0
+    assert peak_mb(lambda: TargetLaw(spec).cdf(xs)) < 12.5
 
 
-def test_target_cdf_phase_pass_works_on_slices_of_panels(peak_mb):
+def test_target_cdf_phase_pass_is_bounded_by_the_chunk(peak_mb):
     # points within 1 of -sum a take the most doublings, so a chunk holds
-    # the most panels.  With theta at both ends of every panel of a chunk
-    # taken at once, in (k, panels) work arrays, the peak was 15.8 MB, and
-    # 15.4 MB without an array of each panel's doubling index held
-    # alongside.  In slices of at most 4 096 panels it is 14.8 MB.
+    # the most panels, and the phase pass takes theta at both ends of all
+    # of them in (k, panels) work arrays.  Chunks of 4 096 points, whose
+    # panels went through that pass in slices of 4 096, peaked at 14.8 MB;
+    # chunks of 1 008 points, at most 65 520 panels, peak at 12.0 MB.
     spec = TargetSpec((1.0, -0.6, 2.2))
     xs = np.linspace(-3.6, -1.6, 200_000)
-    assert peak_mb(lambda: TargetLaw(spec).cdf(xs)) < 15.1
+    assert peak_mb(lambda: TargetLaw(spec).cdf(xs)) < 13.0
 
 
 def _product_normal_cdf(x, a):
@@ -917,8 +918,11 @@ def test_three_term_estimate_is_within_its_bound_at_every_rung_property(quarters
         tail, bound, rule = law._tails(np.ldexp(t0, rungs), np.full(len(rungs), x))
         bound /= math.pi
         for m in rungs[(rule == 1) & (bound > 1e-11) & (bound < 1e-2)]:
-            integral = law._integrals(np.array([t0]), np.array([m]), np.array([x]))
-            est = 0.5 - (integral[0] + tail[m - 1]) / math.pi
+            # the panels [0, T0], [T0, 2 T0], ..., [T0 2^{m-1}, T0 2^m]
+            b = np.ldexp(t0, np.arange(m + 1))
+            a = np.concatenate([[0.0], b[:-1]])
+            integral = np.sum(law._panels(a, b, np.full(m + 1, x)))
+            est = 0.5 - (integral + tail[m - 1]) / math.pi
             assert abs(est - want) <= bound[m - 1] + 1e-10 + 1e-13, (x, m)
             checked += 1
     assert checked > 0
