@@ -177,61 +177,44 @@ def hermite(q: int, x):
     return h if h.ndim else float(h)
 
 
-def _hermite_terms(kern: np.ndarray, q: int, dim: int):
-    """(coeffs, factors) for the nonzero unordered basis multi-indices of
-    order q, as sorted tuples i_1 <= ... <= i_q in lexicographic order:
-    term t is coeffs[t] * prod_j row factors[t, j] of a Hermite table
-    flattened to ((qmax+1) * dim, rows), over the entries before the
-    first -1.
-
-    The multi-index with multiplicities m_i evaluates to prod_i H_{m_i}(x_i),
-    whose factors are rows m_i * dim + i in increasing i, and its
-    q!/prod(m_i!) ordered positions all carry the same stored coefficient,
-    which supplies the multinomial weight: coeffs[t] is float(weight) * coeff.
-    """
-    grid = np.ogrid[(slice(dim),) * q]
-    sorted_nonzero = kern != 0.0
-    for i, j in zip(grid, grid[1:]):
-        sorted_nonzero &= i <= j
-    idx = np.argwhere(sorted_nonzero)
-    coeffs = kern[tuple(idx.T)]
-    # each run of equal entries i is one factor H_m(x_i); its first column
-    # carries the multiplicity m
-    first = np.ones(idx.shape, dtype=bool)
-    first[:, 1:] = idx[:, 1:] != idx[:, :-1]
-    mult = np.where(first, (idx[:, :, None] == idx[:, None, :]).sum(axis=2), 0)
-    # q!/prod(m_i!) is the product over runs of C(end of run, its length),
-    # exact in int64: it is at most the d**q entries of the kernel
-    binom = np.array([[math.comb(n, k) for k in range(q + 1)]
-                      for n in range(q + 1)])
-    weights = np.prod(binom[np.arange(q) + mult, mult], axis=1)
-    factors = np.where(first, mult * dim + idx, -1)
-    factors = np.take_along_axis(
-        factors, np.argsort(~first, axis=1, kind="stable"), axis=1)
-    return weights.astype(float) * coeffs, factors
-
-
 def _hermite_groups(F: ChaosExpansion):
-    """F's order >= 3 terms from :func:`_hermite_terms`, grouped by their
-    leading factors: a list of (lead, (row, coeff), rest), one per distinct
-    tuple ``lead`` of table rows that a term has before its last factor.
-    (row, coeff) is the last factor and coefficient of the group's first
-    term and ``rest`` lists those of its other terms.  Terms of different
-    orders share a group when their leading rows agree.
-
-    So the order >= 3 part of F is, summed over the groups,
+    """F's order >= 3 terms grouped by their leading factors: a list of
+    (lead, (row, coeff), rest), one per distinct tuple ``lead`` of table
+    rows that a term has before its last factor, with the last factor and
+    coefficient of the group's first term and, in ``rest``, those of its
+    other terms.  So the order >= 3 part of F is, summed over the groups,
     prod_{j in lead} row j * sum_{(l, c)} c * row l: the Horner form over
-    the last factor.  Groups come in the order of their first terms, orders
-    ascending, and a group's terms in their own order.
+    the last factor.
+
+    A term is a nonzero multi-index i_1 <= ... <= i_q (lexicographic order,
+    orders ascending).  Its runs of m_i equal entries i are its factors
+    H_{m_i}(x_i), rows m_i * d + i of a Hermite table flattened to
+    ((qmax+1) * d, rows), and its coefficient is float(q!/prod(m_i!)) *
+    coeff, over the ordered positions that hold coeff.  Groups come in the
+    order of their first terms, a group's terms in their own order.
     """
-    groups = {}
+    groups, dim = {}, F.dim
     for q in F.orders():
         if q < 3:
             continue
-        coeffs, factors = _hermite_terms(F.kernel(q), q, F.dim)
-        for c, row in zip(coeffs.tolist(), factors.tolist()):
-            *lead, last = row[:q - row.count(-1)]
-            groups.setdefault(tuple(lead), []).append((last, c))
+        kern, qfact = F.kernel(q), math.factorial(q)
+        grid = np.ogrid[(slice(dim),) * q]
+        sorted_nonzero = kern != 0.0
+        for i, j in zip(grid, grid[1:]):
+            sorted_nonzero &= i <= j
+        for idx, coeff in zip(np.argwhere(sorted_nonzero).tolist(),
+                              kern[sorted_nonzero].tolist()):
+            # one pass over the runs: m entries equal to ``last`` so far
+            lead, weight, m, last = [], qfact, 0, idx[0]
+            for i in idx:
+                if i != last:
+                    lead.append(m * dim + last)
+                    weight //= math.factorial(m)
+                    m, last = 0, i
+                m += 1
+            weight //= math.factorial(m)
+            groups.setdefault(tuple(lead), []).append(
+                (m * dim + last, float(weight) * coeff))
     return [(lead, pairs[0], pairs[1:]) for lead, pairs in groups.items()]
 
 
@@ -242,19 +225,9 @@ def evaluate(F: ChaosExpansion, x):
     sample rows (a length-n array comes back); any other shape raises
     ``ValueError``.  The rows are walked in blocks of :func:`_block_rows`
     rows, each evaluated by :func:`_evaluator`, so memory is bounded per
-    block.  Orders 0-2 are evaluated on a block's rows at once: order 1 and
-    the diagonal of order 2, sum_i f_ii (x_i^2 - 1), by einsum, and the
-    off-diagonal part of order 2, if any, as the quadratic form x^T f x
-    through BLAS, so there alone a row's last bits can depend on its
-    block's row count.  Orders >= 3 are sums of products
-    of Hermite polynomials over a (qmax+1, d, rows) Hermite table, so each
-    factor H_m(x_i) is a contiguous row: the terms (one per unordered basis
-    multi-index, see :func:`_hermite_terms`) that share every factor but
-    their last are summed over that last factor first and multiplied by
-    the shared factors once (see :func:`_hermite_groups`).  All of it is
-    elementwise on the block's rows, so a row's value, but for an
-    off-diagonal order-2 part, does not depend on the other rows in the
-    call.  ``sample_chaos`` draws and evaluates the same blocks.
+    block.  Every order is evaluated row by row, so a row's value depends
+    neither on the other rows in the call nor on how they are cut into
+    blocks.
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim not in (1, 2) or xs.shape[-1] != F.dim:
@@ -275,20 +248,18 @@ def _evaluator(F: ChaosExpansion):
     float array with 1 <= n: the body of :func:`evaluate` without its shape
     checks and its block loop.
 
-    The groups of F's order >= 3 terms (:func:`_hermite_groups`) are built
-    here, once, however many blocks the function is then called on.  They
-    are not kept on ``F``: at (q, d) = (3, 100), 171 700 terms in 5 050
-    groups, they take 15 MB.  Per block, a group's sum c * H_l over its
-    terms is written
-    into one row vector, multiplied in place by the group's leading rows
-    and added to the total: two passes over the rows per term plus one per
-    leading row, where a product per term took one per factor plus one.
-
-    Whether order 2 has an off-diagonal part is found here too.  A
-    diagonal kernel (every shipped family but rank-one-difference) has
-    none, so its blocks need no BLAS call, whose worker threads would spin
-    between calls and slow other threads; any other kernel keeps the BLAS
-    speed.
+    Orders 0-2 are einsums over the block's rows (not BLAS products, whose
+    sums can depend on the row count): order 1, the diagonal of order 2,
+    sum_i f_ii (x_i^2 - 1), and its off-diagonal part x^T f x, if it has
+    one; a diagonal kernel (every shipped family but rank-one-difference)
+    skips that d^2 pass.  Orders >= 3 are sums of products of Hermite
+    polynomials over a (qmax+1, d, rows) Hermite table, so each factor
+    H_m(x_i) is a contiguous row.  Their groups (:func:`_hermite_groups`)
+    are built here, once, however many blocks the function is then called
+    on, and not kept on ``F``: at (q, d) = (3, 100), 171 700 terms in
+    5 050 groups, they take 15 MB.  Per block, a group's sum c * H_l over
+    its terms is written into one row vector, multiplied in place by the
+    group's leading rows and added to the total.
     """
     groups = _hermite_groups(F)
     if 2 in F.orders():
@@ -311,7 +282,8 @@ def _evaluator(F: ChaosExpansion):
                 # I_2(f) = sum_i f_ii x_i^2 - tr f + x^T f_off x
                 total += np.einsum("ni,ni,i->n", xs, xs, diag) - trace
                 if has_off:
-                    total += np.einsum("ni,ni->n", xs @ off, xs)
+                    xf = np.einsum("ni,ij->nj", xs, off)
+                    total += np.einsum("ni,ni->n", xf, xs)
         if groups:
             table = _hermite_table(np.ascontiguousarray(xs.T), F.max_order)
             rows = table.reshape(-1, len(total))

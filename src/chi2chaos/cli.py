@@ -18,6 +18,7 @@ conditions from gamma_explicit).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -357,7 +358,7 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
 
     columns = list(rows[0])
     csv_path = out_dir / f"{scenario.id}.csv"
-    with open(csv_path, "w") as fh:
+    with _output(csv_path) as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_format(row.get(c)) for c in columns) + "\n")
@@ -401,10 +402,22 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
             "monotone_decreasing": all(decreased),
         }
     summary_path = out_dir / f"{scenario.id}_summary.json"
-    with open(summary_path, "w") as fh:
+    with _output(summary_path) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return csv_path, summary_path
+
+
+@contextlib.contextmanager
+def _output(path):
+    """``open(path, "w")``, but an OSError that names no file, such as a
+    full disk in a write or the closing flush, is raised naming path."""
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        exc.filename = exc.filename or str(path)
+        raise
 
 
 def _format(value):

@@ -79,15 +79,13 @@ def sample_target(spec: TargetSpec, n: int, seed: int) -> SampleBatch:
 def sample_chaos(F: ChaosExpansion, n: int, seed: int) -> SampleBatch:
     """n pathwise evaluations of F at i.i.d. standard normal inputs.
 
-    The inputs are drawn and evaluated in the blocks ``evaluate`` walks,
-    ``chaos._block_rows(d)`` rows of at most 2^18 normals (2 MB) at any d,
-    so memory is the n values plus a few blocks, however large n * d is.
-    The Philox draws of consecutive blocks are bitwise the rows of one
-    (n, d) draw, so the values are bitwise those of ``evaluate`` on that
-    whole draw.  A sample of n rows is also bitwise the first n values of
-    a longer one with the same seed, except where F has an off-diagonal
-    order-2 part: there the last block's row count can move its rows'
-    last bits.
+    The inputs are drawn and evaluated in blocks of ``chaos._block_rows(d)``
+    rows, at most 2^18 normals (2 MB) at any d, so memory is the n values
+    plus a few blocks, however large n * d is.  The Philox draws of
+    consecutive blocks are bitwise the rows of one (n, d) draw, and
+    ``evaluate`` takes every row on its own, so the values are bitwise
+    those of ``evaluate`` on that whole draw, and a sample of n rows is
+    bitwise the first n values of a longer one with the same seed.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -111,13 +109,13 @@ def _values(batch) -> np.ndarray:
     return batch.values if isinstance(batch, SampleBatch) else np.asarray(batch, float)
 
 
-def k_statistics(batch, rmax: int = 6):
-    """Cumulant estimates [k_1 .. k_rmax]: unbiased k-statistics for r <= 4,
-    central-moment plug-in (bias O(1/n)) for r in {5, 6}."""
+def k_statistics(batch, rmax: int = 4):
+    """Cumulant estimates [k_1 .. k_rmax], rmax <= 4: the unbiased
+    k-statistics."""
     values = _values(batch)
     n = len(values)
-    if not 1 <= rmax <= 6:
-        raise ValueError(f"rmax must be in 1..6, got {rmax}")
+    if not 1 <= rmax <= 4:
+        raise ValueError(f"rmax must be in 1..4, got {rmax}")
     if n <= rmax:
         raise ValueError(f"need more than rmax={rmax} samples, got {n}")
     mean = float(np.mean(values))
@@ -137,21 +135,16 @@ def k_statistics(batch, rmax: int = 6):
     if rmax >= 4:
         out.append(n ** 2 * ((n + 1) * m[4] - 3 * (n - 1) * m[2] ** 2)
                    / ((n - 1) * (n - 2) * (n - 3)))
-    if rmax >= 5:
-        out.append(m[5] - 10.0 * m[2] * m[3])
-    if rmax >= 6:
-        out.append(m[6] - 15.0 * m[2] * m[4] - 10.0 * m[3] ** 2
-                   + 30.0 * m[2] ** 3)
     return out
 
 
-def k_statistic_errors(batch, rmax: int = 6):
+def k_statistic_errors(batch, rmax: int = 4):
     """Standard errors of :func:`k_statistics` from 10 contiguous sub-batches,
     or None for each below 10 (rmax + 1) values, where some sub-batch would
     hold rmax values or fewer."""
     values = _values(batch)
-    if not 1 <= rmax <= 6:
-        raise ValueError(f"rmax must be in 1..6, got {rmax}")
+    if not 1 <= rmax <= 4:
+        raise ValueError(f"rmax must be in 1..4, got {rmax}")
     if len(values) < 10 * (rmax + 1):
         return [None] * rmax
     chunks = np.array_split(values, 10)

@@ -230,14 +230,11 @@ def test_evaluate_high_orders_match_dense_reference(q, d):
 
 
 def low_orders_evaluate(F, xs):
-    """Orders 0-2 of F at the rows xs as ``evaluate`` computes them: order 1
-    and the diagonal of order 2 by einsum over all rows at once, since their
-    rows do not depend on each other, and the off-diagonal part of order 2,
-    if any, through BLAS on the blocks ``evaluate`` walks, since a row's
-    last bits there can depend on its block's row count."""
-    n = xs.shape[0]
-    total = np.zeros(n)
-    block = chaos._block_rows(F.dim)
+    """Orders 0-2 of F at the rows xs as ``evaluate`` computes them, by
+    einsum over all rows at once, since no row's value depends on the
+    others: order 1, the diagonal of order 2 and its off-diagonal part, if
+    any."""
+    total = np.zeros(xs.shape[0])
     for q in F.orders():
         kern = F.kernel(q)
         if q == 0:
@@ -248,9 +245,9 @@ def low_orders_evaluate(F, xs):
             diag = np.diag(kern)
             total += np.einsum("ni,ni,i->n", xs, xs, diag) - np.trace(kern)
             off = kern - np.diag(diag)
-            for lo in range(0, n, block) if off.any() else ():
-                rows = xs[lo:lo + block]
-                total[lo:lo + block] += np.einsum("ni,ni->n", rows @ off, rows)
+            if off.any():
+                total += np.einsum("ni,ni->n",
+                                   np.einsum("ni,ij->nj", xs, off), xs)
     return total
 
 
@@ -331,9 +328,9 @@ def with_symmetric_zeros(F):
 
 
 def per_multiset_terms(kern, q, dim):
-    """The Python walk over every multiset that built ``_hermite_terms``
-    before it was vectorised, kept as its reference: (weight * coeff, factor
-    rows) per nonzero multiset, in ``combinations_with_replacement`` order."""
+    """The Python walk over every multiset, the reference for the terms of
+    ``_hermite_groups``: (weight * coeff, factor rows) per nonzero
+    multiset, in ``combinations_with_replacement`` order."""
     qfact = math.factorial(q)
     terms = []
     for idx in combinations_with_replacement(range(dim), q):
@@ -355,14 +352,14 @@ def per_multiset_terms(kern, q, dim):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_hermite_terms_are_the_per_multiset_loop(q, d):
     kern = symmetric_zeros(random_kernel(q, d, np.random.default_rng((q, d))).coeffs)
-    coeffs, factors = chaos._hermite_terms(kern, q, d)
-    assert factors.shape == (len(coeffs), q)
-    got = [(c, tuple(j for j in row if j >= 0))
-           for c, row in zip(coeffs.tolist(), factors.tolist())]
-    assert got == per_multiset_terms(kern, q, d)
-    # the factors fill each row from the front; -1 only pads its end
-    pad = factors < 0
-    assert np.array_equal(pad, np.sort(pad, axis=1))
+    F = ChaosExpansion(d, {q: kern})
+    groups = chaos._hermite_groups(F)
+    got = [(lead, [first] + rest) for lead, first, rest in groups]
+    assert got == list(per_group_terms(F).items())
+    # every term once, with the reference's weight * coeff, bitwise
+    terms = [(c, lead + (row,)) for lead, first, rest in groups
+             for row, c in [first] + rest]
+    assert sorted(terms) == sorted(per_multiset_terms(kern, q, d))
 
 
 def test_hermite_groups_are_the_terms_grouped_by_their_leading_rows():
@@ -405,18 +402,13 @@ def test_evaluate_is_bitwise_the_per_multiset_loop_property(dim, seed, orders,
 
 
 def test_evaluate_row_does_not_depend_on_its_block():
-    # every order but an off-diagonal order-2 part, a BLAS matrix product
-    # whose last bits may depend on how many rows share the block: order 2
-    # comes here with a diagonal kernel.  (16, [3]) and (3, [6]) are
+    # every order, order 2 with a dense kernel.  (16, [3]) and (3, [6]) are
     # highorder-mc shapes.
     assert chaos._BLOCK_ROWS == 16_384
     for seed, (dim, orders) in enumerate([(3, [3, 4]), (16, [3]), (3, [6]),
                                           (16, [1, 2, 3])], 15):
         rng = np.random.default_rng(seed)
         F = random_expansion(rng, dim, orders)
-        if 2 in orders:
-            F = ChaosExpansion(dim, {**{q: F.kernel(q) for q in F.orders()},
-                                     2: np.diag(np.diag(F.kernel(2)))})
         xs = rng.standard_normal((40_000, dim))
         vals = evaluate(F, xs)
         rows = chaos._block_rows(dim)
@@ -451,7 +443,7 @@ def test_evaluate_memory_above_order_2_is_n_values_plus_a_table_plus_8_mb(peak_m
 
 
 def test_evaluate_memory_at_orders_1_and_2_is_n_values_plus_8_mb(peak_mb):
-    # one (200 000, 64) BLAS product x @ f alone is 102 MB; a block's is 2 MB
+    # one (200 000, 64) product x f alone is 102 MB; a block's is 2 MB
     rng = np.random.default_rng(17)
     F = random_expansion(rng, 64, [1, 2])
     xs = rng.standard_normal((200_000, 64))

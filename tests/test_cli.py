@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -311,6 +312,19 @@ def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
     assert "Not a directory" in capsys.readouterr().err
 
 
+def test_a_failed_output_write_names_its_file(tmp_path, capsys, monkeypatch):
+    # a full disk raises from the write, with no file name of its own
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli.json, "dump", no_space)
+    out = tmp_path / "out"
+    assert main(["run", "gamma-nu1", "--out", str(out), "--no-mc"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"{out / 'gamma-nu1_summary.json'}: {os.strerror(errno.ENOSPC)}"]
+
+
 def test_consistency_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     def disagree(F, spec):
         raise ConsistencyError("cumulant order 3: two forms disagree")
@@ -579,6 +593,15 @@ def test_the_output_does_not_depend_on_the_number_of_workers(tmp_path,
     for name in shipped_scenarios():
         assert runs["one", name] == runs["default", name], name
         assert runs["one", name] == runs["three", name], name
+
+
+def test_workers_without_affinity_masks_are_the_cpu_count(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert [cli._workers(n) for n in (1, 4, 6, 9)] == [1, 4, 6, 6]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert [cli._workers(n) for n in (1, 9)] == [1, 1]
 
 
 def test_the_first_failing_index_is_the_one_reported(tmp_path, capsys,

@@ -9,7 +9,7 @@ from scipy import integrate, special
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from chi2chaos import chaos, montecarlo
+from chi2chaos import chaos, montecarlo, sym_tensor
 from chi2chaos.chaos import ChaosExpansion
 from chi2chaos.cli import load_config, shipped_scenarios
 from chi2chaos.errors import NumericalError
@@ -86,19 +86,11 @@ def expansion(rng, dim, orders):
 def test_sample_chaos_is_the_whole_draw_evaluated_property(dim, seed, orders,
                                                            n, block):
     F = expansion(np.random.default_rng(seed), dim, sorted(orders))
-    # evaluate walks the whole draw in the blocks sample_chaos draws, so
-    # even the BLAS product of an off-diagonal order-2 part agrees bit for bit
+    # no row's value depends on the rows that share its block, so the
+    # blocks sample_chaos draws give the values of one whole draw
     with mock.patch.object(chaos, "_BLOCK_ROWS", block):
         assert np.array_equal(sample_chaos(F, n, seed).values,
                               whole_draw_sample(F, n, seed))
-
-
-def test_sample_chaos_is_prefix_stable_at_orders_0_and_above_2():
-    F = expansion(np.random.default_rng(40), 3, [0, 3, 4])
-    with mock.patch.object(chaos, "_BLOCK_ROWS", 7):
-        whole = sample_chaos(F, 50, 41).values
-        for n in (1, 6, 7, 8, 14, 15, 21, 49):
-            assert np.array_equal(sample_chaos(F, n, 41).values, whole[:n])
 
 
 def test_sample_chaos_memory_does_not_grow_with_n_times_d(peak_mb):
@@ -144,56 +136,38 @@ def test_sample_chaos_blocks_hold_at_most_2_18_normals(dim, rows):
     assert np.array_equal(sample_chaos(coordinate, n, seed).values, whole[:, -1])
 
 
-@pytest.mark.parametrize("dim", [17, 64])
-def test_sample_chaos_is_prefix_stable_above_order_2_in_short_blocks(dim):
-    # d = 256 is left out: an order-3 kernel there has 1.7e7 entries, over
-    # the 1e7-element guard.  A sparse kernel keeps the term loop short.
-    rows = chaos._block_rows(dim)
+@pytest.mark.parametrize("dim", [2, 3, 16, 17, 64, 256])
+def test_sample_chaos_is_prefix_stable_at_every_order(dim):
+    # orders 0-5, order 2 dense, orders >= 3 only where the element guard
+    # allows: dense up to 4 096 entries, so the terms share their leading
+    # factors in the largest groups ((3, 16) is a highorder-mc shape), and
+    # a few basis multi-indices above, which keeps the term loop short.
+    # d = 256 is gaussian-counterexample's largest kernel.  Every order is
+    # evaluated row by row, so a row's value moves neither with the slice
+    # it is evaluated in nor with the rows after it.
     rng = np.random.default_rng(dim)
-    f = sum(rng.uniform(-1, 1) * basis_kernel(dim, idx).coeffs
-            for idx in [(0, 0, 0), (0, 1, dim - 1), (2, 5, 5), (dim - 1,) * 3])
-    F = ChaosExpansion(dim, {0: np.asarray(0.5), 3: f})
-    n = 2 * rows + 5
-    seed = 50 + dim
-    whole = sample_chaos(F, n, seed).values
-    draw = montecarlo._rng(seed).standard_normal((n, dim))
-    assert np.array_equal(whole, chaos.evaluate(F, draw))
-    for m in (1, rows - 1, rows, rows + 1, 2 * rows):
-        assert np.array_equal(sample_chaos(F, m, seed).values, whole[:m])
-
-
-@pytest.mark.parametrize("dim", [17, 256])
-@pytest.mark.parametrize("orders", [[1], [0, 2], [0, 1, 2]])
-def test_sample_chaos_is_prefix_stable_at_order_1_and_diagonal_order_2(dim,
-                                                                       orders):
-    # einsum, not BLAS: a row's value does not depend on its block's row
-    # count.  d = 256 is gaussian-counterexample's largest kernel.
-    rng = np.random.default_rng((dim, len(orders)))
     kernels = {0: np.asarray(0.5), 1: rng.uniform(-1, 1, dim),
-               2: np.diag(rng.uniform(-1, 1, dim))}
-    F = ChaosExpansion(dim, {q: kernels[q] for q in orders})
+               2: random_kernel(2, dim, rng).coeffs}
+    for q in range(3, 6):
+        if dim ** q > sym_tensor.MAX_ELEMENTS:
+            break
+        if dim ** q <= 4096:
+            kernels[q] = random_kernel(q, dim, rng, scale=0.6).coeffs
+        else:
+            kernels[q] = sum(
+                rng.uniform(-1, 1) * basis_kernel(dim, idx).coeffs
+                for idx in [(0,) * q, (0, 1) + (dim - 1,) * (q - 2),
+                            (2,) + (5,) * (q - 1), (dim - 1,) * q])
+    F = ChaosExpansion(dim, kernels)
     rows = chaos._block_rows(dim)
     n = 2 * rows + 5
     seed = 70 + dim
     whole = sample_chaos(F, n, seed).values
     draw = montecarlo._rng(seed).standard_normal((n, dim))
     assert np.array_equal(whole, chaos.evaluate(F, draw))
-    for m in (1, 2, rows - 1, rows, rows + 1, 2 * rows):
-        assert np.array_equal(sample_chaos(F, m, seed).values, whole[:m])
-
-
-@pytest.mark.parametrize("q, dim", [(3, 16), (6, 3)])
-def test_sample_chaos_is_prefix_stable_at_highorder_shapes(q, dim):
-    # dense kernels of highorder-mc shapes: every multi-index has a term,
-    # and the terms share their leading factors in the largest groups
-    F = ChaosExpansion.from_kernel(
-        random_kernel(q, dim, np.random.default_rng((q, dim))))
-    rows = chaos._block_rows(dim)
-    n = 2 * rows + 5
-    seed = 60 + q
-    whole = sample_chaos(F, n, seed).values
-    draw = montecarlo._rng(seed).standard_normal((n, dim))
-    assert np.array_equal(whole, chaos.evaluate(F, draw))
+    for lo, hi in [(0, 1), (1, 3), (rows - 1, rows + 2), (rows, n),
+                   (3, 2 * rows), (n - 1, n)]:
+        assert np.array_equal(chaos.evaluate(F, draw[lo:hi]), whole[lo:hi])
     for m in (1, rows - 1, rows, rows + 1, 2 * rows):
         assert np.array_equal(sample_chaos(F, m, seed).values, whole[:m])
 
@@ -201,10 +175,10 @@ def test_sample_chaos_is_prefix_stable_at_highorder_shapes(q, dim):
 def test_sample_chaos_builds_each_term_list_once():
     F = expansion(np.random.default_rng(44), 3, [0, 3, 4, 5])
     with mock.patch.object(chaos, "_BLOCK_ROWS", 10), \
-            mock.patch.object(chaos, "_hermite_terms",
-                              wraps=chaos._hermite_terms) as terms:
+            mock.patch.object(chaos, "_hermite_groups",
+                              wraps=chaos._hermite_groups) as groups:
         sample_chaos(F, 47, 45)
-    assert [c.args[1] for c in terms.call_args_list] == [3, 4, 5]
+    assert groups.call_count == 1
 
 
 def test_sample_batch_keeps_sealed_values_and_copies_writable_ones(peak_mb):
@@ -256,7 +230,7 @@ def test_k_statistic_errors_are_none_below_ten_sub_batches_of_rmax_plus_1():
     assert all(se > 0.0 for se in k_statistic_errors(values, 4))
     assert k_statistic_errors(values[:19], 1) == [None]
     with pytest.raises(ValueError, match="rmax"):
-        k_statistic_errors(values[:5], 7)
+        k_statistic_errors(values[:5], 5)
 
 
 def test_k_statistics_constant_batch():
@@ -286,8 +260,8 @@ def test_k_statistics_match_scipy_kstat():
 
 def test_k_statistics_lower_rmax_is_bitwise_a_prefix():
     values = np.random.Generator(np.random.Philox(key=13)).standard_normal(3000) ** 3
-    full = k_statistics(values, 6)
-    for rmax in range(1, 6):
+    full = k_statistics(values, 4)
+    for rmax in range(1, 4):
         assert k_statistics(values, rmax) == full[:rmax], rmax
 
 
@@ -305,10 +279,11 @@ def test_k_statistics_third_and_fourth_match_fsum_moments():
 
 
 def test_k_statistics_argument_errors():
-    with pytest.raises(ValueError):
-        k_statistics(np.zeros(5), 6)
-    with pytest.raises(ValueError):
-        k_statistics(np.zeros(10), 7)
+    with pytest.raises(ValueError, match="need more than rmax=4"):
+        k_statistics(np.zeros(4), 4)
+    for rmax in (0, 5):
+        with pytest.raises(ValueError, match="rmax must be in 1..4"):
+            k_statistics(np.zeros(10), rmax)
 
 
 def test_target_cf_sanity():
