@@ -93,6 +93,14 @@ def test_sample_chaos_is_the_whole_draw_evaluated_property(dim, seed, orders,
                               whole_draw_sample(F, n, seed))
 
 
+def test_sample_chaos_is_prefix_stable_at_orders_0_and_above_2():
+    F = expansion(np.random.default_rng(40), 3, [0, 3, 4])
+    with mock.patch.object(chaos, "_BLOCK_ROWS", 7):
+        whole = sample_chaos(F, 50, 41).values
+        for n in (1, 6, 7, 8, 14, 15, 21, 49):
+            assert np.array_equal(sample_chaos(F, n, 41).values, whole[:n])
+
+
 def test_sample_chaos_memory_does_not_grow_with_n_times_d(peak_mb):
     # one (400 000, 16) draw alone is 51 MB
     F = ChaosExpansion.from_kernel(
@@ -134,6 +142,60 @@ def test_sample_chaos_blocks_hold_at_most_2_18_normals(dim, rows):
     # the blocks are the rows of the whole draw: x @ e_i is exactly x_i
     coordinate = ChaosExpansion.from_kernel(basis_kernel(dim, (dim - 1,)))
     assert np.array_equal(sample_chaos(coordinate, n, seed).values, whole[:, -1])
+
+
+@pytest.mark.parametrize("dim", [17, 64])
+def test_sample_chaos_is_prefix_stable_above_order_2_in_short_blocks(dim):
+    # d = 256 is left out: an order-3 kernel there has 1.7e7 entries, over
+    # the 1e7-element guard.  A sparse kernel keeps the term loop short.
+    rows = chaos._block_rows(dim)
+    rng = np.random.default_rng(dim)
+    f = sum(rng.uniform(-1, 1) * basis_kernel(dim, idx).coeffs
+            for idx in [(0, 0, 0), (0, 1, dim - 1), (2, 5, 5), (dim - 1,) * 3])
+    F = ChaosExpansion(dim, {0: np.asarray(0.5), 3: f})
+    n = 2 * rows + 5
+    seed = 50 + dim
+    whole = sample_chaos(F, n, seed).values
+    draw = montecarlo._rng(seed).standard_normal((n, dim))
+    assert np.array_equal(whole, chaos.evaluate(F, draw))
+    for m in (1, rows - 1, rows, rows + 1, 2 * rows):
+        assert np.array_equal(sample_chaos(F, m, seed).values, whole[:m])
+
+
+@pytest.mark.parametrize("dim", [17, 256])
+@pytest.mark.parametrize("orders", [[1], [0, 2], [0, 1, 2]])
+def test_sample_chaos_is_prefix_stable_at_order_1_and_diagonal_order_2(dim,
+                                                                       orders):
+    # einsum, not BLAS: a row's value does not depend on its block's row
+    # count.  d = 256 is gaussian-counterexample's largest kernel.
+    rng = np.random.default_rng((dim, len(orders)))
+    kernels = {0: np.asarray(0.5), 1: rng.uniform(-1, 1, dim),
+               2: np.diag(rng.uniform(-1, 1, dim))}
+    F = ChaosExpansion(dim, {q: kernels[q] for q in orders})
+    rows = chaos._block_rows(dim)
+    n = 2 * rows + 5
+    seed = 70 + dim
+    whole = sample_chaos(F, n, seed).values
+    draw = montecarlo._rng(seed).standard_normal((n, dim))
+    assert np.array_equal(whole, chaos.evaluate(F, draw))
+    for m in (1, 2, rows - 1, rows, rows + 1, 2 * rows):
+        assert np.array_equal(sample_chaos(F, m, seed).values, whole[:m])
+
+
+@pytest.mark.parametrize("q, dim", [(3, 16), (6, 3)])
+def test_sample_chaos_is_prefix_stable_at_highorder_shapes(q, dim):
+    # dense kernels of highorder-mc shapes: every multi-index has a term,
+    # and the terms share their leading factors in the largest groups
+    F = ChaosExpansion.from_kernel(
+        random_kernel(q, dim, np.random.default_rng((q, dim))))
+    rows = chaos._block_rows(dim)
+    n = 2 * rows + 5
+    seed = 60 + q
+    whole = sample_chaos(F, n, seed).values
+    draw = montecarlo._rng(seed).standard_normal((n, dim))
+    assert np.array_equal(whole, chaos.evaluate(F, draw))
+    for m in (1, rows - 1, rows, rows + 1, 2 * rows):
+        assert np.array_equal(sample_chaos(F, m, seed).values, whole[:m])
 
 
 @pytest.mark.parametrize("dim", [2, 3, 16, 17, 64, 256])
