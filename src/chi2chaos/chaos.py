@@ -146,25 +146,42 @@ def multiply(F: ChaosExpansion, G: ChaosExpansion, max_order=None) -> ChaosExpan
 
 
 # Most rows, and most inputs (2 MB), in one block of pathwise evaluation: the
-# block's (qmax+1, d, rows) Hermite table, its order-2 product x f and one
-# term's row vector stay small however many rows a call has.
+# block's Hermite table, its order-2 product x f and one term's row vector
+# stay small however many rows a call has.
 _BLOCK_ROWS = 1 << 14
 _BLOCK_VALUES = 1 << 18
 
 
-def _block_rows(d: int) -> int:
-    """Rows per block of d inputs: 16 384 up to d = 16, fewer above."""
-    return min(_BLOCK_ROWS, max(1, _BLOCK_VALUES // d))
+def _block_rows(d: int, table: bool = False) -> int:
+    """Rows per block of d inputs: 16 384 up to d = 16, fewer above, and
+    half that when the blocks have a Hermite table, so the two tables in
+    flight in :func:`_walk` take the memory of one full block's."""
+    rows = min(_BLOCK_ROWS, max(1, _BLOCK_VALUES // d))
+    return max(1, rows // 2) if table else rows
 
 
-def _hermite_table(x: np.ndarray, qmax: int) -> np.ndarray:
-    """H_m(x) for m = 0..qmax, stacked along the first axis."""
-    table = np.empty((qmax + 1,) + x.shape)
+def _hermite_table(x: np.ndarray, qmax: int, out=None, work=None) -> np.ndarray:
+    """H_m(x) for m = 0..qmax, stacked along the first axis.
+
+    ``out``, if given, is a C-contiguous float array of shape (qmax+1,) +
+    x.shape and ``work`` one of x.size floats for the products
+    m H_{m-1}, so a caller that keeps both allocates nothing per table.
+    Row 1 is one copy of x (so a transposed view of a block is transposed
+    in that copy), and each row after it is x H_m - m H_{m-1} written in
+    place: the same operations in the same order as the plain recurrence,
+    so bitwise its values.
+    """
+    table = np.empty((qmax + 1,) + np.shape(x)) if out is None else out
     table[0] = 1.0
     if qmax >= 1:
         table[1] = x
+    h = table.reshape(qmax + 1, -1)
+    if qmax >= 2 and work is None:
+        work = np.empty(h.shape[1])
     for m in range(1, qmax):
-        table[m + 1] = x * table[m] - m * table[m - 1]
+        np.multiply(h[1], h[m], out=h[m + 1])
+        np.multiply(h[m - 1], m, out=work)
+        np.subtract(h[m + 1], work, out=h[m + 1])
     return table
 
 
@@ -223,55 +240,133 @@ def evaluate(F: ChaosExpansion, x):
 
     ``x`` is a vector of length d (a float comes back) or an (n, d) array of
     sample rows (a length-n array comes back); any other shape raises
-    ``ValueError``.  The rows are walked in blocks of :func:`_block_rows`
-    rows, each evaluated by :func:`_evaluator`, so memory is bounded per
-    block.  Every order is evaluated row by row, so a row's value depends
-    neither on the other rows in the call nor on how they are cut into
-    blocks.
+    ``ValueError``.  The rows are copied block by block into the buffers of
+    :func:`_walk`, which evaluates each block in the two stages of
+    :func:`_evaluator`, so memory is bounded per block.  Every order is
+    evaluated row by row, so a row's value depends neither on the other rows
+    in the call nor on how they are cut into blocks.
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim not in (1, 2) or xs.shape[-1] != F.dim:
         raise ValueError(
             f"x must have shape (d,) or (n, d) with d = {F.dim}, got {xs.shape}")
-    values_of = _evaluator(F)
-    if xs.ndim == 1:
-        return float(values_of(xs[None, :])[0])
-    rows = _block_rows(F.dim)
-    out = np.empty(len(xs))
-    for lo in range(0, len(xs), rows):
-        out[lo:lo + rows] = values_of(xs[lo:lo + rows])
-    return out
+    rows = xs.reshape(-1, F.dim)
+    values = _walk(F, len(rows),
+                   lambda lo, block: np.copyto(block, rows[lo:lo + len(block)]))
+    return float(values[0]) if xs.ndim == 1 else values
+
+
+def _walk(F: ChaosExpansion, n: int, fill) -> np.ndarray:
+    """F's values at n rows, which ``fill(lo, block)`` writes, block after
+    block, into the (rows, d) buffer ``block`` for rows lo..lo+len(block):
+    the block walk of :func:`evaluate` and ``montecarlo.sample_chaos``.
+
+    A block goes through the two stages of :func:`_evaluator`: (1) fill its
+    rows and write its Hermite table, (2) sum its terms into the values.
+    When the blocks have a Hermite table (F has a term of order >= 3) and
+    there is more than one block, stage 1 of block k+1 runs on one helper
+    thread while the caller runs stage 2 of block k, on two sets of buffers
+    that the blocks take in turn.  So ``fill`` is called only from the
+    helper, in block order, and the helper runs under the caller's
+    ``np.geterr()``.  A stage's exception is raised in the caller, and the
+    helper is joined before the walk returns or raises.  Otherwise both
+    stages run in turn on the caller: at order <= 2 a block's sums are a
+    few einsums, too little work to overlap, and a helper there made the
+    shipped scenarios slower in ``cli.run_scenario``, whose workers already
+    fill the cores.
+
+    Blocks with a table hold ``_block_rows(d, table=True)`` rows, 8 192 at
+    d = 16, so the two tables in flight, (qmax+1, d, rows) floats each plus
+    a row of work, take about the memory of one 16 384-row table.
+    """
+    tabulate, add = _evaluator(F)
+    dim = F.dim
+    rows = max(1, min(n, _block_rows(dim, tabulate is not None)))
+    starts = range(0, n, rows)
+    pipelined = tabulate is not None and len(starts) > 1
+    # one set of buffers per block in flight: with fresh arrays per block
+    # the allocator returns the freed memory and faults it in again
+    buffers = [(np.empty((rows, dim)),
+                None if tabulate is None
+                else np.empty((F.max_order + 2) * dim * rows))
+               for _ in range(1 + pipelined)]
+    values = np.empty(n)
+
+    def stage_1(k):
+        block, table_buffer = buffers[k % len(buffers)]
+        xs = block[:min(rows, n - starts[k])]
+        fill(starts[k], xs)
+        return xs, None if tabulate is None else tabulate(xs, table_buffer)
+
+    def stage_2(k, xs, table):
+        add(xs, table, values[starts[k]:starts[k] + len(xs)])
+
+    if not pipelined:
+        for k in range(len(starts)):
+            stage_2(k, *stage_1(k))
+        return values
+    # imported here, as in cli.run_scenario: concurrent.futures imports
+    # logging, which a run without a table never needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    # NumPy < 2 keeps np.errstate per thread, NumPy >= 2 per context, and
+    # neither reaches a new thread by itself
+    err = np.geterr()
+
+    def ahead(k):
+        with np.errstate(**err):
+            return stage_1(k)
+
+    with ThreadPoolExecutor(1) as helper:
+        next_block = helper.submit(ahead, 0)
+        for k in range(len(starts)):
+            xs, table = next_block.result()
+            if k + 1 < len(starts):
+                next_block = helper.submit(ahead, k + 1)
+            stage_2(k, xs, table)
+    return values
 
 
 def _evaluator(F: ChaosExpansion):
-    """F's pathwise values as a function of one block of rows, an (n, d)
-    float array with 1 <= n: the body of :func:`evaluate` without its shape
-    checks and its block loop.
+    """F's pathwise evaluation of one block of rows, in two stages:
+    ``(tabulate, add)``.
+
+    ``tabulate(xs, buffer)`` is stage 1's table: it writes the block's
+    (qmax+1, d, rows) Hermite table into the flat float array ``buffer``
+    of (qmax+2) * d * rows or more floats (the last d * rows are the
+    recurrence's work row) and returns it, so each factor H_m(x_i) is a
+    contiguous row.  It is None when F has no term of order >= 3.
+    ``add(xs, table, out)`` is stage 2: it writes the block's values into
+    ``out``.  ``xs`` is a C-contiguous (rows, d) float array with 1 <= rows
+    (einsum's summation order follows the memory layout).
 
     Orders 0-2 are einsums over the block's rows (not BLAS products, whose
     sums can depend on the row count): order 1, the diagonal of order 2,
     sum_i f_ii (x_i^2 - 1), and its off-diagonal part x^T f x, if it has
     one; a diagonal kernel (every shipped family but rank-one-difference)
     skips that d^2 pass.  Orders >= 3 are sums of products of Hermite
-    polynomials over a (qmax+1, d, rows) Hermite table, so each factor
-    H_m(x_i) is a contiguous row.  Their groups (:func:`_hermite_groups`)
-    are built here, once, however many blocks the function is then called
+    polynomials over the table.  Their groups (:func:`_hermite_groups`)
+    are built here, once, however many blocks the stages are then called
     on, and not kept on ``F``: at (q, d) = (3, 100), 171 700 terms in
     5 050 groups, they take 15 MB.  Per block, a group's sum c * H_l over
     its terms is written into one row vector, multiplied in place by the
     group's leading rows and added to the total.
     """
-    groups = _hermite_groups(F)
+    groups, dim, qmax = _hermite_groups(F), F.dim, F.max_order
     if 2 in F.orders():
         kern = F.kernel(2)
         diag, trace = np.diag(kern), np.trace(kern)
         off = kern - np.diag(diag)
         has_off = off.any()
 
-    def values(xs):
-        # einsum's summation order follows the memory layout
-        xs = np.ascontiguousarray(xs)
-        total = np.zeros(xs.shape[0])
+    def tabulate(xs, buffer):
+        size = dim * len(xs)
+        table = buffer[:(qmax + 1) * size].reshape(qmax + 1, dim, len(xs))
+        return _hermite_table(xs.T, qmax, table,
+                              buffer[(qmax + 1) * size:(qmax + 2) * size])
+
+    def add(xs, table, total):
+        total[...] = 0.0
         for q in F.orders():
             kern = F.kernel(q)
             if q == 0:
@@ -285,7 +380,6 @@ def _evaluator(F: ChaosExpansion):
                     xf = np.einsum("ni,ij->nj", xs, off)
                     total += np.einsum("ni,ni->n", xf, xs)
         if groups:
-            table = _hermite_table(np.ascontiguousarray(xs.T), F.max_order)
             rows = table.reshape(-1, len(total))
             acc, term = np.empty(len(total)), np.empty(len(total))
             for lead, (j, c), rest in groups:
@@ -295,9 +389,8 @@ def _evaluator(F: ChaosExpansion):
                 for j in lead:
                     acc *= rows[j]
                 total += acc
-        return total
 
-    return values
+    return (tabulate if groups else None), add
 
 
 def apply_L(F: ChaosExpansion) -> ChaosExpansion:

@@ -79,27 +79,23 @@ def sample_target(spec: TargetSpec, n: int, seed: int) -> SampleBatch:
 def sample_chaos(F: ChaosExpansion, n: int, seed: int) -> SampleBatch:
     """n pathwise evaluations of F at i.i.d. standard normal inputs.
 
-    The inputs are drawn and evaluated in blocks of ``chaos._block_rows(d)``
-    rows, at most 2^18 normals (2 MB) at any d, so memory is the n values
-    plus a few blocks, however large n * d is.  The Philox draws of
-    consecutive blocks are bitwise the rows of one (n, d) draw, and
-    ``evaluate`` takes every row on its own, so the values are bitwise
-    those of ``evaluate`` on that whole draw, and a sample of n rows is
-    bitwise the first n values of a longer one with the same seed.
+    The inputs are drawn block by block into the buffers of
+    ``chaos._walk``, the block walk of ``evaluate``: ``chaos._block_rows(d)``
+    rows a block, at most 2^18 normals (2 MB) at any d, and half that when
+    F has a term of order >= 3, whose blocks also hold a Hermite table.  So
+    memory is the n values plus a few blocks, however large n * d is.  At
+    order >= 3 the next block is drawn and tabulated on a helper thread
+    while the caller sums the terms of the one before; the draws still come
+    from one Philox stream in block order, which only that thread touches.
+    The Philox draws of consecutive blocks are bitwise the rows of one
+    (n, d) draw, and ``evaluate`` takes every row on its own, so the values
+    are bitwise those of ``evaluate`` on that whole draw, and a sample of n
+    rows is bitwise the first n values of a longer one with the same seed.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = _rng(seed)
-    values_of = chaos._evaluator(F)
-    values = np.empty(n)
-    rows = chaos._block_rows(F.dim)
-    # one buffer for every block's draw: with a fresh array per block the
-    # allocator returns the freed memory and faults it in again each block
-    x = np.empty((min(n, rows), F.dim))
-    for lo in range(0, n, rows):
-        xs = x[:min(rows, n - lo)]
-        rng.standard_normal(out=xs)
-        values[lo:lo + len(xs)] = values_of(xs)
+    values = chaos._walk(F, n, lambda lo, block: rng.standard_normal(out=block))
     values.flags.writeable = False
     return SampleBatch(values, seed)
 
@@ -122,10 +118,10 @@ def k_statistics(batch, rmax: int = 4):
     d = values - mean
     # central moments m_2 .. m_rmax only: k_r needs none of higher order.
     # A running product, since d ** r calls pow for r >= 3 and is ~10x slower.
+    # Taken in place after d * d, so two n-arrays are live, not three.
     m = {}
-    p = d
     for r in range(2, rmax + 1):
-        p = p * d
+        p = d * d if r == 2 else np.multiply(p, d, out=p)
         m[r] = float(np.mean(p))
     out = [mean]
     if rmax >= 2:

@@ -77,6 +77,14 @@ def test_hermite_is_bitwise_a_row_of_the_hermite_table():
         h = hermite(q, -2.7)
         assert isinstance(h, float) and h == scalar_table[q]
         assert h == _hermite_running_pair(q, np.float64(-2.7))
+    # written in place from a transposed block into a buffer that holds an
+    # earlier table, as pathwise evaluation writes it: the same values
+    block = np.random.default_rng(9).standard_normal((11, 3))
+    out, work = np.full((9, 3, 11), np.nan), np.full(33, np.nan)
+    for xs in (block[::-1], block):
+        got = chaos._hermite_table(xs.T, 8, out, work)
+        assert got is out
+        assert np.array_equal(got, chaos._hermite_table(np.array(xs.T), 8))
 
 
 def test_hermite_orthogonality_montecarlo():

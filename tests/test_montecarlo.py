@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -126,12 +128,12 @@ def test_sample_chaos_blocks_hold_at_most_2_18_normals(dim, rows):
     evaluator = chaos._evaluator
 
     def recording(F):
-        values = evaluator(F)
+        tabulate, add = evaluator(F)
 
-        def record(xs):
+        def record(xs, table, out):
             seen.append(len(xs))
-            return values(xs)
-        return record
+            add(xs, table, out)
+        return tabulate, record
 
     F = expansion(np.random.default_rng(dim), dim, [1, 2])
     with mock.patch.object(chaos, "_evaluator", recording):
@@ -243,6 +245,128 @@ def test_sample_chaos_builds_each_term_list_once():
     assert groups.call_count == 1
 
 
+def recording_table_stage(seen, fail_at=None):
+    """A stand-in for chaos._evaluator whose table stage appends
+    (np.geterr(), the thread it runs on) to ``seen`` for each block and
+    raises MemoryError on block ``fail_at``."""
+    evaluator = chaos._evaluator
+
+    def recording(F):
+        tabulate, add = evaluator(F)
+
+        def record(xs, buffer):
+            seen.append((np.geterr(), threading.get_ident()))
+            if len(seen) == fail_at:
+                raise MemoryError("table stage")
+            return tabulate(xs, buffer)
+        return tabulate and record, add
+    return recording
+
+
+def test_the_helper_runs_under_the_callers_error_handling():
+    # NumPy < 2 keeps np.errstate per thread, NumPy >= 2 per context, and
+    # neither reaches the helper thread by itself
+    F = expansion(np.random.default_rng(80), 3, [1, 3])
+    rows = chaos._block_rows(3, table=True)
+    seen = []
+    with mock.patch.object(chaos, "_evaluator", recording_table_stage(seen)):
+        with np.errstate(over="ignore", invalid="raise", divide="warn"):
+            want = np.geterr()
+            got = sample_chaos(F, 2 * rows + 5, 81).values
+    assert want != np.geterr()
+    assert [err for err, _ in seen] == [want] * 3
+    # every table is written on one helper thread, not the caller's
+    assert len({thread for _, thread in seen}) == 1
+    assert seen[0][1] != threading.get_ident()
+    assert np.array_equal(got, whole_draw_sample(F, 2 * rows + 5, 81))
+
+
+@pytest.mark.parametrize("orders, n", [([1, 3], 100), ([1, 2], 3 * 16_384)])
+def test_one_block_or_no_table_runs_on_the_caller(orders, n):
+    # one block has nothing to overlap; order <= 2 has no table stage
+    F = expansion(np.random.default_rng(82), 3, orders)
+    seen, called = [], []
+    evaluator = recording_table_stage(seen)
+
+    def recording(F):
+        tabulate, add = evaluator(F)
+
+        def record(xs, table, out):
+            called.append(threading.get_ident())
+            add(xs, table, out)
+        return tabulate, record
+
+    before = threading.active_count()
+    with mock.patch.object(chaos, "_evaluator", recording):
+        got = sample_chaos(F, n, 83).values
+    assert threading.active_count() == before
+    assert {thread for _, thread in seen} <= {threading.get_ident()}
+    assert set(called) == {threading.get_ident()}
+    assert len(seen) == (1 if 3 in orders else 0)
+    assert np.array_equal(got, whole_draw_sample(F, n, 83))
+
+
+def test_a_failing_table_stage_leaves_no_thread_behind():
+    F = expansion(np.random.default_rng(84), 3, [0, 3])
+    n = 5 * chaos._block_rows(3, table=True)
+    before = threading.active_count()
+    seen = []
+    with mock.patch.object(chaos, "_evaluator",
+                           recording_table_stage(seen, fail_at=2)):
+        with pytest.raises(MemoryError, match="table stage"):
+            sample_chaos(F, n, 85)
+    assert len(seen) == 2
+    assert threading.active_count() == before
+    assert np.array_equal(sample_chaos(F, n, 85).values,
+                          whole_draw_sample(F, n, 85))
+    assert threading.active_count() == before
+
+
+def test_a_failing_sum_stage_leaves_no_thread_behind():
+    F = expansion(np.random.default_rng(86), 3, [3])
+    n = 5 * chaos._block_rows(3, table=True)
+    evaluator = chaos._evaluator
+    calls = []
+
+    def failing(F):
+        tabulate, add = evaluator(F)
+
+        def fail_second(xs, table, out):
+            calls.append(len(xs))
+            if len(calls) == 2:
+                raise MemoryError("sum stage")
+            add(xs, table, out)
+        return tabulate, fail_second
+
+    before = threading.active_count()
+    with mock.patch.object(chaos, "_evaluator", failing):
+        with pytest.raises(MemoryError, match="sum stage"):
+            sample_chaos(F, n, 87)
+    assert threading.active_count() == before
+
+
+def test_helpers_hand_blocks_over_without_a_race():
+    # four sampling calls at once, each with its helper, on two cores,
+    # thread switches every microsecond and 8-row table blocks: a block's
+    # buffers taken again before the caller has summed them would move
+    # values
+    from concurrent.futures import ThreadPoolExecutor
+
+    F = expansion(np.random.default_rng(89), 3, [1, 2, 3, 4])
+    seeds, n = range(90, 94), 403
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(chaos, "_BLOCK_ROWS", 16), \
+                ThreadPoolExecutor(len(seeds)) as pool:
+            calls = [pool.submit(sample_chaos, F, n, s) for s in seeds]
+            got = [call.result(timeout=60).values for call in calls]
+    finally:
+        sys.setswitchinterval(interval)
+    for s, values in zip(seeds, got):
+        assert np.array_equal(values, whole_draw_sample(F, n, s))
+
+
 def test_sample_batch_keeps_sealed_values_and_copies_writable_ones(peak_mb):
     sealed = np.arange(500_000, dtype=float)  # 4 MB
     sealed.flags.writeable = False
@@ -338,6 +462,13 @@ def test_k_statistics_third_and_fourth_match_fsum_moments():
     got = k_statistics(values, 4)
     assert abs(got[2] - k3) <= 1e-13 * abs(k3)
     assert abs(got[3] - k4) <= 1e-13 * abs(k4)
+
+
+def test_k_statistics_memory_is_two_value_arrays_plus_1_mb(peak_mb):
+    # the deviations and one running product, taken in place
+    values = np.random.default_rng(88).standard_normal(500_000)
+    n_mb = values.nbytes / 2 ** 20
+    assert peak_mb(lambda: k_statistics(values, 4)) <= 2 * n_mb + 1.0
 
 
 def test_k_statistics_argument_errors():
