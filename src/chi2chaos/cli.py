@@ -226,8 +226,10 @@ def family_kernel(family: dict, n: int) -> SymmetricKernel:
 
 def _workers(tasks: int) -> int:
     """Threads for a scenario's indices: one per usable core, at most one
-    per index.  Each worker holds its own index's sample and CDF buffers,
-    so peak memory grows with the number of workers."""
+    per index.  No step of an index calls BLAS (the exact engine contracts
+    by einsum), so these workers never share the cores with BLAS threads.
+    Each worker holds its own index's sample and CDF buffers, so peak
+    memory grows with the number of workers."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:  # no affinity masks (macOS, Windows)

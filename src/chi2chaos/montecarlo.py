@@ -71,7 +71,7 @@ def sample_target(spec: TargetSpec, n: int, seed: int) -> SampleBatch:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     z = _rng(seed).standard_normal((n, spec.k))
-    values = (z ** 2 - 1.0) @ np.asarray(spec.alphas)
+    values = np.einsum("nk,k->n", z * z - 1.0, np.asarray(spec.alphas))
     values.flags.writeable = False
     return SampleBatch(values, seed)
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import errno
@@ -593,6 +594,51 @@ def test_the_output_does_not_depend_on_the_number_of_workers(tmp_path,
     for name in shipped_scenarios():
         assert runs["one", name] == runs["default", name], name
         assert runs["one", name] == runs["three", name], name
+
+
+BLAS_PRODUCTS = ("tensordot", "dot", "matmul", "inner", "vdot")
+
+
+def test_the_shipped_scenarios_run_without_a_blas_product(tmp_path,
+                                                          monkeypatch):
+    # BLAS threads would compete with run's index workers for the cores,
+    # so each shipped scenario must run with NumPy's BLAS products raising
+    def blas(*args, **kwargs):
+        raise AssertionError("a BLAS product was called")
+
+    for name in BLAS_PRODUCTS:
+        monkeypatch.setattr(np, name, blas)
+    for name, path in shipped_scenarios().items():
+        run_scenario(path, tmp_path / name, mc_samples=2000)
+
+
+def test_the_package_source_has_no_blas_product():
+    # the guard above cannot see the @ operator, a method call or einsum's
+    # optimize path (which calls tensordot), so read the source: none of
+    # them, no BLAS product by name and no np.linalg call but the eigh of
+    # spectral2.spectral, which only the cross-checks use
+    found = []
+    for path in sorted(Path(chi2chaos.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                    node.op, ast.MatMult):
+                found.append(f"{where} @")
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "einsum"
+                  and any(k.arg == "optimize" for k in node.keywords)):
+                found.append(f"{where} einsum optimize")
+            elif isinstance(node, ast.Attribute):
+                on_numpy = (isinstance(node.value, ast.Name)
+                            and node.value.id in ("np", "numpy"))
+                # sym_tensor.inner is no BLAS product
+                if node.attr in BLAS_PRODUCTS and (on_numpy
+                                                   or node.attr != "inner"):
+                    found.append(f"{where} {node.attr}")
+                elif (isinstance(node.value, ast.Attribute)
+                      and node.value.attr == "linalg" and node.attr != "eigh"):
+                    found.append(f"{where} linalg.{node.attr}")
+    assert found == []
 
 
 def test_workers_without_affinity_masks_are_the_cpu_count(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 
 from chi2chaos import sym_tensor
 from chi2chaos.chaos import ChaosExpansion
+from chi2chaos.cli import family_kernel
 from chi2chaos.errors import ResourceGuardError
 from chi2chaos.sym_tensor import (
     SymmetricKernel,
@@ -139,6 +140,46 @@ def test_contract_matches_matricization_oracle():
             want = matricized_contract(f, g, r)
             scale = max(np.max(np.abs(want)), 1.0)
             assert np.max(np.abs(got - want)) < 1e-12 * scale
+
+
+def tensordot_contract(f, g, r):
+    """The reference: contract as one np.tensordot over the last r axes."""
+    p, q = f.order, g.order
+    return np.tensordot(f.coeffs, g.coeffs,
+                        axes=(list(range(p - r, p)), list(range(q - r, q))))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_contract_matches_the_tensordot_formula(d):
+    # every (p, q, r) with p, q <= 4, order-0 operands and r = 0 among them.
+    # The two sum in different orders, so they agree to a few ulp of
+    # sum |f||g|, the contraction of the absolute values
+    rng = np.random.default_rng(d)
+    eps = np.finfo(float).eps
+    for p, q in itertools.product(range(5), repeat=2):
+        f, g = random_kernel(p, d, rng), random_kernel(q, d, rng)
+        abs_f = SymmetricKernel(p, d, np.abs(f.coeffs))
+        abs_g = SymmetricKernel(q, d, np.abs(g.coeffs))
+        for r in range(min(p, q) + 1):
+            got, want = contract(f, g, r), tensordot_contract(f, g, r)
+            assert isinstance(got, np.ndarray)
+            assert got.shape == want.shape == (d,) * (p + q - 2 * r)
+            bound = 4 * eps * tensordot_contract(abs_f, abs_g, r)
+            assert np.all(np.abs(got - want) <= bound), (p, q, r)
+
+
+def test_contract_of_a_diagonal_kernel_is_bitwise_the_tensordot_formula():
+    # gaussian-counterexample's kernel at n = 256, and a random diagonal:
+    # one product per entry at r = 1, so no summation order shows
+    kernels = [family_kernel({"name": "equal-split"}, 256),
+               SymmetricKernel(2, 256, np.diag(
+                   np.random.default_rng(6).standard_normal(256)))]
+    for f in kernels:
+        got = contract(f, f, 1)
+        assert got.tobytes() == tensordot_contract(f, f, 1).tobytes()
+    f = kernels[0]
+    got = contract(f, f, 2)
+    assert got.tobytes() == tensordot_contract(f, f, 2).tobytes()
 
 
 def test_contract_argument_errors():
