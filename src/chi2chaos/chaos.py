@@ -235,6 +235,26 @@ def _hermite_groups(F: ChaosExpansion):
     return [(lead, pairs[0], pairs[1:]) for lead, pairs in groups.items()]
 
 
+def _sum_plan(F: ChaosExpansion):
+    """The groups of :func:`_hermite_groups` as stage 2 of
+    :func:`_evaluator` sums them: a list of (lead, (row, coeff), rest, run),
+    where ``run`` is (slice of table rows, float array of coefficients) when
+    the group's last rows, in term order, are one contiguous run of at least
+    three rows, and None otherwise.  A dense kernel's groups are such runs;
+    a sparse kernel's, or terms of different orders that share a lead, are
+    not.
+    """
+    plan = []
+    for lead, (j, c), rest in _hermite_groups(F):
+        run = None
+        if len(rest) >= 2 and all(row == j + k for k, (row, _) in
+                                  enumerate(rest, 1)):
+            run = (slice(j, j + 1 + len(rest)),
+                   np.array([c] + [coeff for _, coeff in rest]))
+        plan.append((lead, (j, c), rest, run))
+    return plan
+
+
 def evaluate(F: ChaosExpansion, x):
     """Pathwise value of F at W(e_i) = x_i.
 
@@ -345,14 +365,27 @@ def _evaluator(F: ChaosExpansion):
     sum_i f_ii (x_i^2 - 1), and its off-diagonal part x^T f x, if it has
     one; a diagonal kernel (every shipped family but rank-one-difference)
     skips that d^2 pass.  Orders >= 3 are sums of products of Hermite
-    polynomials over the table.  Their groups (:func:`_hermite_groups`)
+    polynomials over the table.  Their groups, planned by :func:`_sum_plan`,
     are built here, once, however many blocks the stages are then called
     on, and not kept on ``F``: at (q, d) = (3, 100), 171 700 terms in
-    5 050 groups, they take 15 MB.  Per block, a group's sum c * H_l over
+    5 050 groups, they take 18 MB, 2.6 MB of it the slices and coefficient
+    arrays of the 4 851 groups that are runs.  Per block, a group's sum c * H_l over
     its terms is written into one row vector, multiplied in place by the
     group's leading rows and added to the total.
+
+    A group whose last rows are one run is summed in one pass,
+    ``einsum("j,jn->n", coeffs, rows[run], out=acc)`` (m + 1 row passes
+    for m terms, against 2m for a multiply and an add per term).  Its
+    stride-0 inner loop multiplies and then adds, term by term in order,
+    so the sum is bitwise the per-term one where einsum does not fuse the
+    multiply-add into one instruction (the x86-64 wheels; a NumPy build
+    that does, for example on aarch64, would move last bits).  Two cases
+    keep the per-term loop: a one-row block, where einsum drops the
+    length-1 axis and sums in a reduction kernel's order, and a group
+    whose last rows are not one run (terms of different orders under one
+    lead, or a sparse kernel), which no slice of the table holds.
     """
-    groups, dim, qmax = _hermite_groups(F), F.dim, F.max_order
+    plan, dim, qmax = _sum_plan(F), F.dim, F.max_order
     if 2 in F.orders():
         kern = F.kernel(2)
         diag, trace = np.diag(kern), np.trace(kern)
@@ -379,18 +412,23 @@ def _evaluator(F: ChaosExpansion):
                 if has_off:
                     xf = np.einsum("ni,ij->nj", xs, off)
                     total += np.einsum("ni,ni->n", xf, xs)
-        if groups:
+        if plan:
             rows = table.reshape(-1, len(total))
             acc, term = np.empty(len(total)), np.empty(len(total))
-            for lead, (j, c), rest in groups:
-                np.multiply(rows[j], c, out=acc)
-                for j, c in rest:
-                    acc += np.multiply(rows[j], c, out=term)
+            # einsum sums a one-row block in a reduction kernel's order
+            fuse = len(total) > 1
+            for lead, (j, c), rest, run in plan:
+                if fuse and run is not None:
+                    np.einsum("j,jn->n", run[1], rows[run[0]], out=acc)
+                else:
+                    np.multiply(rows[j], c, out=acc)
+                    for j, c in rest:
+                        acc += np.multiply(rows[j], c, out=term)
                 for j in lead:
                     acc *= rows[j]
                 total += acc
 
-    return (tabulate if groups else None), add
+    return (tabulate if plan else None), add
 
 
 def apply_L(F: ChaosExpansion) -> ChaosExpansion:

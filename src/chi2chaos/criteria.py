@@ -26,7 +26,14 @@ from .sym_tensor import SymmetricKernel
 
 
 def _poly_mul(a, b):
-    return np.convolve(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    """Coefficients of the product of two polynomials, by shifting and
+    adding b times each coefficient of a (``np.convolve`` takes its dot
+    products through BLAS)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.zeros(len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        out[i:i + len(b)] += c * b
+    return out
 
 
 def _poly_deriv(coeffs, times=1):

@@ -441,6 +441,58 @@ def test_evaluate_order_2_adds_an_off_diagonal_part_only_if_there_is_one(dense):
     assert np.array_equal(got, low_orders_evaluate(F, xs))
 
 
+def test_fused_group_sums_are_bitwise_the_per_term_sums():
+    # the four highorder-mc kernels at seed 0 (dense, so most groups are
+    # one run of rows), a sparse order-3 kernel (no run of three rows) and
+    # orders 3 + 5, whose groups with terms of both orders are not one run.
+    # A one-row block takes the per-term loop, the others einsum's.
+    def order(lead, row, dim):
+        return sum(r // dim for r in lead + (row,))
+
+    cases = [(ChaosExpansion.from_kernel(
+        random_kernel(q, d, np.random.default_rng((0, q, d)))), fused)
+        for (q, d), fused in [((3, 16), 105), ((4, 8), 56), ((5, 4), 5),
+                              ((6, 3), 1)]]
+    rng = np.random.default_rng(23)
+    cases.append((ChaosExpansion(16, {3: symmetric_zeros(
+        random_kernel(3, 16, rng).coeffs)}), 0))
+    cases.append((ChaosExpansion(4, {q: random_kernel(q, 4, rng, 0.6).coeffs
+                                     for q in (3, 5)}), 2))
+    for F, fused in cases:
+        dim, plan = F.dim, chaos._sum_plan(F)
+        assert [(lead, first, rest) for lead, first, rest, _ in plan] \
+            == chaos._hermite_groups(F)
+        assert sum(run is not None for *_, run in plan) == fused
+        shared = 0
+        for lead, (j, c), rest, run in plan:
+            rows = [j] + [row for row, _ in rest]
+            one_run = len(rows) >= 3 and rows == list(range(j, j + len(rows)))
+            assert (run is not None) == one_run
+            if one_run:
+                assert run[0] == slice(j, j + len(rows))
+                assert run[1].tolist() == [c] + [coeff for _, coeff in rest]
+            if len({order(lead, row, dim) for row in rows}) > 1:
+                assert run is None
+                shared += 1
+        assert (shared > 0) == (F.orders() == [3, 5])
+        tabulate, add = chaos._evaluator(F)
+        for n in (1, 2, 3, 17, chaos._block_rows(dim, table=True)):
+            xs = rng.standard_normal((n, dim))
+            table = tabulate(xs, np.empty((F.max_order + 2) * dim * n))
+            got = np.empty(n)
+            add(xs, table, got)
+            # the per-term loop on the same table
+            rows, want = table.reshape(-1, n), np.zeros(n)
+            for lead, (j, c), rest in chaos._hermite_groups(F):
+                acc = rows[j] * c
+                for j, c in rest:
+                    acc = acc + rows[j] * c
+                for j in lead:
+                    acc = acc * rows[j]
+                want = want + acc
+            assert got.tobytes() == want.tobytes(), (dim, F.max_order, n)
+
+
 def test_evaluate_memory_above_order_2_is_n_values_plus_a_table_plus_8_mb(peak_mb):
     # at (q, d) = (3, 16) one block's Hermite table is (4, 16, 16 384) values,
     # 8 MB; 136 groups' sums kept side by side would be 17 MB a block

@@ -184,10 +184,12 @@ def test_sample_chaos_is_prefix_stable_at_order_1_and_diagonal_order_2(dim,
         assert np.array_equal(sample_chaos(F, m, seed).values, whole[:m])
 
 
-@pytest.mark.parametrize("q, dim", [(3, 16), (6, 3)])
+@pytest.mark.parametrize("q, dim", [(3, 16), (4, 8), (5, 4), (6, 3)])
 def test_sample_chaos_is_prefix_stable_at_highorder_shapes(q, dim):
-    # dense kernels of highorder-mc shapes: every multi-index has a term,
-    # and the terms share their leading factors in the largest groups
+    # dense kernels of every highorder-mc shape: every multi-index has a
+    # term, the terms share their leading factors in the largest groups,
+    # and the groups that are runs of rows are summed in one einsum pass,
+    # except in a one-row block
     F = ChaosExpansion.from_kernel(
         random_kernel(q, dim, np.random.default_rng((q, dim))))
     rows = chaos._block_rows(dim)
