@@ -26,7 +26,7 @@ GENERATOR_ID = "philox4x64-normals-v1"
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # Most quadrature points the CDF inverter holds in one flat array.
-_BLOCK_POINTS = 1 << 16
+_BLOCK_POINTS = 1 << 15
 # Most subpanels one quadrature panel of one point may need: a phase change
 # of up to 2e5 pi rad, at one subpanel per 2 pi.
 _MAX_SUBPANELS = 100_000
@@ -195,11 +195,12 @@ class TargetLaw:
     bound sets the accuracy.
 
     Points are taken in chunks of ``_BLOCK_POINTS`` // (``_MAX_DOUBLINGS``
-    + 1), so a chunk's flat panel list is never longer than one block's
-    quadrature points, and its phase changes are taken in one pass.  The
-    list is cut between panels into blocks of at most ``_BLOCK_POINTS``
-    quadrature points (a panel that alone needs more is a block of its
-    own), so memory does not grow with the number of points.  Each point's
+    + 1) = 504, so a chunk's flat panel list is never longer than one
+    block's quadrature points, and its phase changes are taken in one
+    pass.  The list is cut between panels into blocks of at most
+    ``_BLOCK_POINTS`` quadrature points (a panel that alone needs more is
+    a block of its own), so memory does not grow with the number of
+    points.  Each point's
     panel integrals are summed in rung order with ``np.bincount``, and the
     tail terms at its last rung are added.  Each value depends on its own
     x alone, not on which other points share the call.
@@ -208,12 +209,13 @@ class TargetLaw:
     (k, points) work array for rho and theta, and the integrand) are
     written with ``out=`` into scratch buffers that the law holds and
     reuses across blocks and calls; a shorter block uses the
-    leading part of each.  They have room for ``_BLOCK_POINTS`` points and
-    grow only for a panel that alone needs more, so the law then keeps
-    that larger size.  Without them every block would allocate about
-    fifteen half-megabyte arrays, each mapped, unmapped and page-faulted
-    again.  The operations run in the allocating order, so the values are
-    bitwise the same.  The law also counts its work for
+    leading part of each.  They have room for ``_BLOCK_POINTS`` = 2^15
+    points, 256 KB an array and (6 + k) × 256 KB in all (2 MB for k = 2
+    weights), and grow only for a panel that alone needs more, so the law
+    then keeps that larger size.  Without them every block would allocate
+    about fifteen quarter-megabyte arrays, each mapped, unmapped and
+    page-faulted again.  The operations run in the allocating order, so
+    the values are bitwise the same.  The law also counts its work for
     :meth:`take_diagnostics`.  A law is therefore not safe to share
     between threads.
     """
@@ -524,7 +526,9 @@ class TargetLaw:
         nodes = int(np.clip(n // 64, 256, 1600))
         if n <= nodes:
             return self.cdf(xs)
-        order = np.sort(xs)
+        # kolmogorov_distance passes a sorted sample: then it is its own
+        # quantile order, and no second copy is sorted
+        order = xs if np.all(xs[:-1] <= xs[1:]) else np.sort(xs)
         idx = np.unique(np.round(np.linspace(0, n - 1, nodes)).astype(int))
         grid = np.unique(order[idx])
         return np.interp(xs, grid, self.cdf(grid))
@@ -533,8 +537,10 @@ class TargetLaw:
 def kolmogorov_distance(batch, cdf) -> float:
     """One-sample Kolmogorov statistic: sup over the sample of |ECDF - cdf|.
 
-    ``cdf`` is called once with the sorted sample and must return an array
-    of the same shape."""
+    ``cdf`` is called once with a sorted copy of the sample and must return
+    an array of the same shape.  Once it has returned, that copy is work
+    space for both one-sided maxima (a new array only when the returned
+    array shares its memory), so no other sample-length array is made."""
     v = np.sort(_values(batch))
     n = len(v)
     if n < 1:
@@ -543,5 +549,15 @@ def kolmogorov_distance(batch, cdf) -> float:
     if F.shape != v.shape:
         raise ValueError(f"cdf returned shape {F.shape} for sample points of "
                          f"shape {v.shape}")
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
+    # a running sum of ones from 0 or from 1 gives i - 1 or i exactly below
+    # 2^53, so this is bitwise
+    # max(np.max(i / n - F), np.max(F - (i - 1) / n)) for i = 1 .. n
+    work = np.empty(n) if np.may_share_memory(F, v) else v
+    work.fill(1.0)
+    work[0] = 0.0
+    np.cumsum(work, out=work)
+    lower = np.max(np.subtract(F, np.divide(work, n, out=work), out=work))
+    work.fill(1.0)
+    np.cumsum(work, out=work)
+    upper = np.max(np.subtract(np.divide(work, n, out=work), F, out=work))
+    return float(max(upper, lower))

@@ -604,6 +604,60 @@ def test_kolmogorov_distance_rejects_a_cdf_of_the_wrong_shape():
         kolmogorov_distance(np.arange(5.0), scalar_only)
 
 
+def _ks_one_line(values, cdf):
+    """The Kolmogorov statistic as one line of sample-length temporaries."""
+    v = np.sort(values)
+    n = len(v)
+    F = np.asarray(cdf(v), dtype=float)
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 25_600])
+def test_kolmogorov_distance_is_bitwise_the_one_line_formula(n):
+    # rounded normals tie often; the cdf is exactly 0 below -3 and 1 above 3,
+    # and the ends are in the sample from n = 2 on
+    rng = np.random.default_rng(n)
+    values = np.round(rng.standard_normal(n), 1)
+    values[:2] = (-5.0, 5.0)[:n]
+
+    def ramp(x):
+        return np.clip(0.5 + x / 6.0, 0.0, 1.0)
+
+    law = TargetLaw(TargetSpec((1.0, 2.0)))
+    unit = (values - values.min()) / max(np.ptp(values), 1.0)
+    # the identity returns the sorted copy itself, so the work array is new
+    for sample, cdf in [(values, ramp), (values, law.cdf_batch),
+                        (unit, lambda x: x)]:
+        got = kolmogorov_distance(sample, cdf)
+        assert np.float64(got).tobytes() == np.float64(
+            _ks_one_line(sample, cdf)).tobytes()
+
+
+def test_cdf_batch_on_a_sorted_sample_matches_it_shuffled():
+    # a sorted input is its own quantile order; a shuffled one is sorted
+    law = TargetLaw(TargetSpec((1.0, 2.0)))
+    values = np.sort(sample_target(law.spec, 25_600, 71).values)
+    perm = np.random.default_rng(71).permutation(len(values))
+    shuffled = np.empty(len(values))
+    shuffled[perm] = law.cdf_batch(values[perm])
+    assert law.cdf_batch(values).tobytes() == shuffled.tobytes()
+
+
+def test_kolmogorov_distance_memory_is_two_sample_arrays_plus_scratch_plus_1_mb(
+        peak_mb):
+    # the sorted copy and the cdf values; the sorted copy is the quantile
+    # order of cdf_batch and then the work array of both maxima.  One-line
+    # temporaries, a second sorted copy and 4 MB of scratch traced 7.9 MB.
+    spec = TargetSpec((1.0, 2.0))
+    TargetLaw(spec).cdf_batch(sample_target(spec, 1000, 72).values)  # imports
+    values = sample_target(spec, 100_000, 73).values
+    law = TargetLaw(spec)
+    peak = peak_mb(lambda: kolmogorov_distance(values, law.cdf_batch))
+    scratch_mb = sum(buf.nbytes for buf in law._buffers.values()) / 2 ** 20
+    assert peak <= 2 * values.nbytes / 2 ** 20 + scratch_mb + 1.0
+
+
 def _chi2_cdf(x):
     """P(N^2 - 1 <= x) in closed form."""
     return np.array([math.erf(math.sqrt((v + 1.0) / 2.0)) if v > -1.0 else 0.0
@@ -922,10 +976,11 @@ def test_target_cdf_guards_raise_numerical_error():
 def test_target_cdf_memory_is_flat_in_the_number_of_points(peak_mb):
     # the stop search and the panel list run on chunks of points; one flat
     # list of every point's panels took about 790 MB here, chunks of 4 096
-    # points 13.5 MB, and chunks whose panels fit one block 11.7 MB
+    # points 13.5 MB, chunks whose panels fit one block of 2^16 points
+    # 11.7 MB, and with blocks of 2^15 points 9.0 MB
     spec = TargetSpec((1.0, -0.6, 2.2))
     xs = sample_target(spec, 200_000, 51).values
-    assert peak_mb(lambda: TargetLaw(spec).cdf(xs)) < 12.5
+    assert peak_mb(lambda: TargetLaw(spec).cdf(xs)) < 10.0
 
 
 def test_target_cdf_phase_pass_is_bounded_by_the_chunk(peak_mb):
@@ -933,10 +988,11 @@ def test_target_cdf_phase_pass_is_bounded_by_the_chunk(peak_mb):
     # the most panels, and the phase pass takes theta at both ends of all
     # of them in (k, panels) work arrays.  Chunks of 4 096 points, whose
     # panels went through that pass in slices of 4 096, peaked at 14.8 MB;
-    # chunks of 1 008 points, at most 65 520 panels, peak at 12.0 MB.
+    # chunks of 1 008 points, at most 65 520 panels, at 12.0 MB, and chunks
+    # of 504 points, at most 32 760 panels, peak at 9.1 MB.
     spec = TargetSpec((1.0, -0.6, 2.2))
     xs = np.linspace(-3.6, -1.6, 200_000)
-    assert peak_mb(lambda: TargetLaw(spec).cdf(xs)) < 13.0
+    assert peak_mb(lambda: TargetLaw(spec).cdf(xs)) < 10.0
 
 
 def _product_normal_cdf(x, a):
