@@ -229,10 +229,10 @@ def _workers(tasks: int) -> int:
     per index.  No step of an index calls BLAS (the exact engine contracts
     by einsum), so these workers never share the cores with BLAS threads.
     Each worker holds its own index's sample, its sorted copy and CDF
-    values (0.8 MB each at 1e5 samples), a sample block of at most 2 MB and
-    the target law's 2 MB of CDF scratch, so peak memory grows with the
-    number of workers: at 1e5 samples second-chaos-converging peaks at
-    about 45, 50, 59 and 76 MB with 1, 2, 4 and 8 workers."""
+    values (0.8 MB each at 1e5 samples) and a sample block of at most
+    2 MB, so peak memory grows with the number of workers: at 1e5 samples
+    second-chaos-converging peaks at about 44, 48, 56 and 68 MB with 1, 2,
+    4 and 8 workers."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:  # no affinity masks (macOS, Windows)

@@ -205,19 +205,9 @@ class TargetLaw:
     tail terms at its last rung are added.  Each value depends on its own
     x alone, not on which other points share the call.
 
-    A block's per-quadrature-point arrays (nodes, weights, owners, the
-    (k, points) work array for rho and theta, and the integrand) are
-    written with ``out=`` into scratch buffers that the law holds and
-    reuses across blocks and calls; a shorter block uses the
-    leading part of each.  They have room for ``_BLOCK_POINTS`` = 2^15
-    points, 256 KB an array and (6 + k) × 256 KB in all (2 MB for k = 2
-    weights), and grow only for a panel that alone needs more, so the law
-    then keeps that larger size.  Without them every block would allocate
-    about fifteen quarter-megabyte arrays, each mapped, unmapped and
-    page-faulted again.  The operations run in the allocating order, so
-    the values are bitwise the same.  The law also counts its work for
-    :meth:`take_diagnostics`.  A law is therefore not safe to share
-    between threads.
+    A block's arrays are allocated for that block alone.  The law keeps
+    only its work counts for :meth:`take_diagnostics`, so a law is not
+    safe to share between threads.
     """
 
     def __init__(self, spec: TargetSpec):
@@ -229,7 +219,6 @@ class TargetLaw:
         # prod (2 |a|)^{-1/2} / (k/2): the envelope bound is this times T^{-k/2}
         self._envelope = float(np.prod(2.0 * np.abs(self.alphas)) ** -0.5
                                / (0.5 * len(self.alphas)))
-        self._buffers = {}
         self._diagnostics = None
         self.take_diagnostics()
 
@@ -247,35 +236,21 @@ class TargetLaw:
             "stopped_on": dict.fromkeys(_STOP_RULES, 0)}
         return taken
 
-    def _scratch(self, name, shape, dtype=float):
-        """A C-contiguous array of ``shape``, whose last axis runs over
-        quadrature points, in the law's reused buffer ``name``.  The buffer
-        is made with room for ``_BLOCK_POINTS`` points and replaced by a
-        larger one only for a block that needs more."""
-        size = math.prod(shape)
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(
-                max(size, size // shape[-1] * _BLOCK_POINTS), dtype)
-        return buf[:size].reshape(shape)
-
-    def _rho(self, t, work=None, out=None):
-        """rho(t), written into ``out`` if given; ``work`` is a (k, len(t))
-        array to compute in, or None to allocate one."""
-        work = np.multiply(self.alphas[:, None], t, out=work)
+    def _rho(self, t):
+        """rho(t), computed in place in one (k, len(t)) array."""
+        work = self.alphas[:, None] * t
         np.square(work, out=work)
         np.multiply(4.0, work, out=work)
         np.log1p(work, out=work)
-        out = np.sum(work, axis=0, out=out)
+        out = np.sum(work, axis=0)
         np.multiply(-0.25, out, out=out)
         return np.exp(out, out=out)
 
-    def _theta(self, t, x, work=None, out=None):
-        """theta(t) at the points x (one per t), with ``work`` and ``out`` as
-        in :meth:`_rho`."""
-        work = np.multiply(2.0 * self.alphas[:, None], t, out=work)
+    def _theta(self, t, x):
+        """theta(t) at the points x (one per t), computed as :meth:`_rho`."""
+        work = 2.0 * self.alphas[:, None] * t
         np.arctan(work, out=work)
-        out = np.sum(work, axis=0, out=out)
+        out = np.sum(work, axis=0)
         np.multiply(0.5, out, out=out)
         shift = work[0]  # free once summed
         np.add(x, self.asum, out=shift)
@@ -316,10 +291,7 @@ class TargetLaw:
 
     def _block(self, a, b, x, nsub):
         """Panel integrals of a block: nsub[i] equal subpanels on [a[i], b[i]]
-        (edges as ``np.linspace`` places them), 16 Gauss-Legendre points each.
-
-        Every array with one entry per quadrature point lives in the law's
-        scratch buffers, so a block allocates only per-subpanel arrays."""
+        (edges as ``np.linspace`` places them), 16 Gauss-Legendre points each."""
         owner = np.repeat(np.arange(len(x)), nsub)
         j = np.arange(len(owner)) - np.repeat(np.cumsum(nsub) - nsub, nsub)
         step = ((b - a) / nsub)[owner]
@@ -327,23 +299,13 @@ class TargetLaw:
         right = np.where(j + 1 == nsub[owner], b[owner], (j + 1) * step + a[owner])
         mid = 0.5 * (right + left)
         half = 0.5 * (right - left)
-        panels, nodes = len(owner), len(_GL_NODES)
-        points = panels * nodes
-        ts = self._scratch("t", (points,))
-        ws = self._scratch("w", (points,))
-        point_owner = self._scratch("owner", (points,), np.intp)
-        grid = (panels, nodes)
-        np.multiply(half[:, None], _GL_NODES, out=ts.reshape(grid))
-        np.add(mid[:, None], ts.reshape(grid), out=ts.reshape(grid))
-        np.multiply(half[:, None], _GL_WEIGHTS, out=ws.reshape(grid))
-        point_owner.reshape(grid)[...] = owner[:, None]
-        work = self._scratch("work", (len(self.alphas), points))
-        # mode "clip": the owners are valid indices, and the default "raise"
-        # would write through a temporary array
-        xs = np.take(x, point_owner, out=self._scratch("x", (points,)),
-                     mode="clip")
-        theta = self._theta(ts, xs, work, self._scratch("theta", (points,)))
-        vals = self._rho(ts, work, self._scratch("rho", (points,)))
+        ts = half[:, None] * _GL_NODES
+        np.add(mid[:, None], ts, out=ts)
+        ts = ts.ravel()
+        ws = (half[:, None] * _GL_WEIGHTS).ravel()
+        point_owner = np.repeat(owner, len(_GL_NODES))
+        theta = self._theta(ts, x[point_owner])
+        vals = self._rho(ts)
         np.multiply(vals, np.sin(theta, out=theta), out=vals)
         np.divide(vals, ts, out=vals)
         np.multiply(ws, vals, out=vals)

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -644,18 +645,36 @@ def test_cdf_batch_on_a_sorted_sample_matches_it_shuffled():
     assert law.cdf_batch(values).tobytes() == shuffled.tobytes()
 
 
-def test_kolmogorov_distance_memory_is_two_sample_arrays_plus_scratch_plus_1_mb(
+def test_kolmogorov_distance_memory_is_two_sample_arrays_plus_one_block_plus_1_mb(
         peak_mb):
     # the sorted copy and the cdf values; the sorted copy is the quantile
     # order of cdf_batch and then the work array of both maxima.  One-line
-    # temporaries, a second sorted copy and 4 MB of scratch traced 7.9 MB.
+    # temporaries, a second sorted copy and 4 MB of reused CDF buffers
+    # traced 7.9 MB.  A block's arrays are (6 + k) quadrature-point arrays:
+    # 2 MB at k = 2.
     spec = TargetSpec((1.0, 2.0))
     TargetLaw(spec).cdf_batch(sample_target(spec, 1000, 72).values)  # imports
     values = sample_target(spec, 100_000, 73).values
     law = TargetLaw(spec)
     peak = peak_mb(lambda: kolmogorov_distance(values, law.cdf_batch))
-    scratch_mb = sum(buf.nbytes for buf in law._buffers.values()) / 2 ** 20
-    assert peak <= 2 * values.nbytes / 2 ** 20 + scratch_mb + 1.0
+    block_mb = (6 + spec.k) * montecarlo._BLOCK_POINTS * 8 / 2 ** 20
+    assert peak <= 2 * values.nbytes / 2 ** 20 + block_mb + 1.0
+
+
+@pytest.mark.parametrize("alphas", [(1.0, 2.0), (1.0, -0.6, 2.2)])
+def test_target_law_keeps_nothing_between_calls(alphas):
+    # reused block buffers kept 2.01 and 2.25 MB here
+    spec = TargetSpec(alphas)
+    values = sample_target(spec, 200_000, 74).values
+    TargetLaw(spec).cdf(values[:1000])  # imports
+    law = TargetLaw(spec)
+    tracemalloc.start()
+    try:
+        out = law.cdf(values)
+        held_mb = (tracemalloc.get_traced_memory()[0] - out.nbytes) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert held_mb < 0.1
 
 
 def _chi2_cdf(x):
@@ -844,9 +863,8 @@ def test_target_cdf_with_9_to_12_weights_is_within_1e_6_of_a_tight_tolerance():
 
 
 class AllocatingInverter(TargetLaw):
-    """The CDF inverter as it was before its blocks wrote into reused
-    scratch buffers, kept as its reference: every array of a block, and of
-    rho and theta, freshly allocated."""
+    """The CDF inverter with rho, theta and each block as one-line
+    formulas, kept as its reference: no array is written in place."""
 
     def _rho(self, t):
         return np.exp(-0.25 * np.sum(
@@ -880,19 +898,16 @@ def test_target_cdf_is_bitwise_the_allocating_blocks_property(quarters):
     edge = -sum(spec.alphas)
     sd = math.sqrt(2.0 * sum(a * a for a in spec.alphas))
     xs = np.linspace(edge - 6.0 * sd, edge + 6.0 * sd, 400)
-    # a long call, then shorter ones on the front of the same buffers
+    # a long call, then shorter ones on the same law
     assert np.array_equal(law.cdf(xs), ref.cdf(xs))
-    held = law._buffers["t"]
     for pts in (xs[::37], xs[200:201]):
         assert np.array_equal(law.cdf(pts), ref.cdf(pts))
-    assert law._buffers["t"] is held
     # one panel of about 8 000 subpanels, 1.3e5 quadrature points: a block
-    # of its own, for which the buffers grow
+    # of its own, longer than _BLOCK_POINTS
     zero, one = np.zeros(1), np.ones(1)
     far = np.array([edge + 0.5 * sum(math.atan(2.0 * a) for a in spec.alphas)
                     - 5e4])
     assert np.array_equal(law._panels(zero, one, far), ref._panels(zero, one, far))
-    assert law._buffers["t"].size > montecarlo._BLOCK_POINTS
     assert np.array_equal(law.cdf(xs[::3]), ref.cdf(xs[::3]))
 
 
