@@ -194,21 +194,25 @@ def hermite(q: int, x):
     return h if h.ndim else float(h)
 
 
-def _hermite_groups(F: ChaosExpansion):
-    """F's order >= 3 terms grouped by their leading factors: a list of
-    (lead, (row, coeff), rest), one per distinct tuple ``lead`` of table
-    rows that a term has before its last factor, with the last factor and
-    coefficient of the group's first term and, in ``rest``, those of its
-    other terms.  So the order >= 3 part of F is, summed over the groups,
-    prod_{j in lead} row j * sum_{(l, c)} c * row l: the Horner form over
-    the last factor.
+def _sum_plan(F: ChaosExpansion):
+    """F's order >= 3 terms grouped by their leading factors, as stage 2 of
+    :func:`_evaluator` sums them: a list of (lead, rows, coeffs, run), one
+    per distinct tuple ``lead`` of table rows that a term has before its
+    last factor.  ``rows`` holds the table rows of the group's last factors
+    and ``coeffs`` their coefficients, both arrays in term order, and
+    ``run`` is their slice of the table when those rows are one contiguous
+    run of at least three, else None (a dense kernel's groups are runs; a
+    sparse kernel's, or terms of different orders under one lead, are not).
+    So the order >= 3 part of F is, summed over the groups, prod_{j in
+    lead} row j * sum_k coeffs[k] * row rows[k]: the Horner form over the
+    last factor.
 
     A term is a nonzero multi-index i_1 <= ... <= i_q (lexicographic order,
     orders ascending).  Its runs of m_i equal entries i are its factors
     H_{m_i}(x_i), rows m_i * d + i of a Hermite table flattened to
     ((qmax+1) * d, rows), and its coefficient is float(q!/prod(m_i!)) *
     coeff, over the ordered positions that hold coeff.  Groups come in the
-    order of their first terms, a group's terms in their own order.
+    order of their first terms.
     """
     groups, dim = {}, F.dim
     for q in F.orders():
@@ -230,28 +234,15 @@ def _hermite_groups(F: ChaosExpansion):
                     m, last = 0, i
                 m += 1
             weight //= math.factorial(m)
-            groups.setdefault(tuple(lead), []).append(
-                (m * dim + last, float(weight) * coeff))
-    return [(lead, pairs[0], pairs[1:]) for lead, pairs in groups.items()]
-
-
-def _sum_plan(F: ChaosExpansion):
-    """The groups of :func:`_hermite_groups` as stage 2 of
-    :func:`_evaluator` sums them: a list of (lead, (row, coeff), rest, run),
-    where ``run`` is (slice of table rows, float array of coefficients) when
-    the group's last rows, in term order, are one contiguous run of at least
-    three rows, and None otherwise.  A dense kernel's groups are such runs;
-    a sparse kernel's, or terms of different orders that share a lead, are
-    not.
-    """
+            rows, coeffs = groups.setdefault(tuple(lead), ([], []))
+            rows.append(m * dim + last)
+            coeffs.append(float(weight) * coeff)
     plan = []
-    for lead, (j, c), rest in _hermite_groups(F):
-        run = None
-        if len(rest) >= 2 and all(row == j + k for k, (row, _) in
-                                  enumerate(rest, 1)):
-            run = (slice(j, j + 1 + len(rest)),
-                   np.array([c] + [coeff for _, coeff in rest]))
-        plan.append((lead, (j, c), rest, run))
+    for lead, (rows, coeffs) in groups.items():
+        j = rows[0]
+        run = (slice(j, j + len(rows)) if len(rows) >= 3
+               and rows == list(range(j, j + len(rows))) else None)
+        plan.append((lead, np.array(rows), np.array(coeffs), run))
     return plan
 
 
@@ -274,6 +265,18 @@ def evaluate(F: ChaosExpansion, x):
     values = _walk(F, len(rows),
                    lambda lo, block: np.copyto(block, rows[lo:lo + len(block)]))
     return float(values[0]) if xs.ndim == 1 else values
+
+
+def _under_callers_errstate(call):
+    """``call`` under this caller's ``np.geterr()`` on whatever thread runs
+    it: NumPy < 2 keeps np.errstate per thread, NumPy >= 2 per context, and
+    neither reaches a new thread by itself."""
+    err = np.geterr()
+
+    def run(*args):
+        with np.errstate(**err):
+            return call(*args)
+    return run
 
 
 def _walk(F: ChaosExpansion, n: int, fill) -> np.ndarray:
@@ -329,14 +332,7 @@ def _walk(F: ChaosExpansion, n: int, fill) -> np.ndarray:
     # logging, which a run without a table never needs
     from concurrent.futures import ThreadPoolExecutor
 
-    # NumPy < 2 keeps np.errstate per thread, NumPy >= 2 per context, and
-    # neither reaches a new thread by itself
-    err = np.geterr()
-
-    def ahead(k):
-        with np.errstate(**err):
-            return stage_1(k)
-
+    ahead = _under_callers_errstate(stage_1)
     with ThreadPoolExecutor(1) as helper:
         next_block = helper.submit(ahead, 0)
         for k in range(len(starts)):
@@ -368,10 +364,10 @@ def _evaluator(F: ChaosExpansion):
     polynomials over the table.  Their groups, planned by :func:`_sum_plan`,
     are built here, once, however many blocks the stages are then called
     on, and not kept on ``F``: at (q, d) = (3, 100), 171 700 terms in
-    5 050 groups, they take 18 MB, 2.6 MB of it the slices and coefficient
-    arrays of the 4 851 groups that are runs.  Per block, a group's sum c * H_l over
-    its terms is written into one row vector, multiplied in place by the
-    group's leading rows and added to the total.
+    5 050 groups, they take 4.7 MB, each row and coefficient held once.
+    Per block, a group's sum c * H_l over its terms is written into one
+    row vector, multiplied in place by the group's leading rows and added
+    to the total.
 
     A group whose last rows are one run is summed in one pass,
     ``einsum("j,jn->n", coeffs, rows[run], out=acc)`` (m + 1 row passes
@@ -417,12 +413,14 @@ def _evaluator(F: ChaosExpansion):
             acc, term = np.empty(len(total)), np.empty(len(total))
             # einsum sums a one-row block in a reduction kernel's order
             fuse = len(total) > 1
-            for lead, (j, c), rest, run in plan:
+            for lead, last, coeffs, run in plan:
                 if fuse and run is not None:
-                    np.einsum("j,jn->n", run[1], rows[run[0]], out=acc)
+                    np.einsum("j,jn->n", coeffs, rows[run], out=acc)
                 else:
+                    terms = zip(last, coeffs)
+                    j, c = next(terms)
                     np.multiply(rows[j], c, out=acc)
-                    for j, c in rest:
+                    for j, c in terms:
                         acc += np.multiply(rows[j], c, out=term)
                 for j in lead:
                     acc *= rows[j]

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, criteria, montecarlo, sym_tensor
+from . import __version__, chaos, criteria, montecarlo, sym_tensor
 from .chaos import ChaosExpansion
 from .errors import ConfigError, ConsistencyError, NumericalError, ResourceGuardError
 from .montecarlo import TargetLaw
@@ -338,14 +338,9 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
     out_dir.mkdir(parents=True, exist_ok=True)
 
     positions = range(len(scenario.indices))
-    # the caller's floating-point error handling (the CLI's np.errstate),
-    # which NumPy < 2 keeps per thread, is set again in each task
-    err = np.geterr()
-
-    def row_at(position):
-        with np.errstate(**err):
-            return _index_row(scenario, position, with_mc)
-
+    # each task runs under the caller's error handling (the CLI's np.errstate)
+    row_at = chaos._under_callers_errstate(
+        lambda position: _index_row(scenario, position, with_mc))
     with ThreadPoolExecutor(_workers(len(positions))) as pool:
         # the largest n (indices increase) starts first, so it does not run
         # last.  Results are taken in index order, so the outputs and the

@@ -383,30 +383,37 @@ class TargetLaw:
     def cdf(self, x):
         """P(target <= x): a float for scalar x, an array of x's shape otherwise."""
         xs = np.asarray(x, dtype=float)
-        flat = xs.ravel()
-        out = np.full(flat.shape, np.nan)
-        if self.lower_edge is not None:
-            out[flat <= self.lower_edge] = 0.0
-        if self.upper_edge is not None:
-            out[flat >= self.upper_edge] = 1.0
-        todo = np.flatnonzero(np.isnan(out))
-        bad = todo[~np.isfinite(flat[todo])]
-        if bad.size:
-            raise ValueError(f"CDF argument must be finite, got {flat[bad[0]]}")
-        out[todo] = self._invert(flat[todo])
+        out = self._invert(xs.ravel())
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
     def _invert(self, x):
-        """CDF values at the finite points x, in chunks of ``_BLOCK_POINTS``
-        // (``_MAX_DOUBLINGS`` + 1) points.  A point stopping at rung m has
-        the panels [0, T0] and [T0 2^{j-1}, T0 2^j], j = 1 .. m, so a
-        chunk's panel list, laid out point by point and summed in that
-        order, is never longer than ``_BLOCK_POINTS``."""
+        """CDF values at the points x: 0 at or below a lower support edge, 1
+        at or above an upper one, and the points in between inverted in
+        chunks of ``_BLOCK_POINTS`` // (``_MAX_DOUBLINGS`` + 1) points, so
+        the values are the only array as long as x.  A point stopping at
+        rung m has the panels [0, T0] and [T0 2^{j-1}, T0 2^j], j = 1 .. m,
+        so a chunk's panel list, laid out point by point and summed in that
+        order, is never longer than ``_BLOCK_POINTS``.  A NaN, or an
+        infinity off the edges, raises ``ValueError`` before any point is
+        inverted."""
+        low = -np.inf if self.lower_edge is None else self.lower_edge
+        high = np.inf if self.upper_edge is None else self.upper_edge
+        # clipped to the edges, every point is finite iff both ends are (a
+        # NaN makes both NaN), so the check copies nothing as long as x
+        if len(x) and not np.isfinite(np.clip([np.min(x), np.max(x)],
+                                              low, high)).all():
+            bad = x[~np.isfinite(np.clip(x, low, high))]
+            raise ValueError(f"CDF argument must be finite, got {bad[0]}")
         out = np.empty(len(x))
         most = _BLOCK_POINTS // (_MAX_DOUBLINGS + 1)
         diagnostics = self._diagnostics
         for lo in range(0, len(x), most):
-            chunk = x[lo:lo + most]
+            chunk, values = x[lo:lo + most], out[lo:lo + most]
+            inside = (low < chunk) & (chunk < high)
+            values[...] = chunk >= high  # 0 at a lower edge, 1 at an upper
+            chunk = chunk[inside]
+            if not len(chunk):
+                continue
             freq = np.maximum(np.abs(chunk + self.asum),
                               2.0 * float(np.max(np.abs(self.alphas))))
             T0 = 0.25 / freq
@@ -428,7 +435,7 @@ class TargetLaw:
             integral = np.bincount(owner, weights=self._panels(a, b, chunk[owner]),
                                    minlength=len(chunk))
             est = 0.5 - (integral + tail) / math.pi
-            out[lo:lo + most] = np.clip(est, 0.0, 1.0)
+            values[inside] = np.clip(est, 0.0, 1.0)
         return out
 
     def _stops(self, T0, x):

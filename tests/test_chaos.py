@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from itertools import combinations_with_replacement, product
 from unittest import mock
 
@@ -337,7 +338,7 @@ def with_symmetric_zeros(F):
 
 def per_multiset_terms(kern, q, dim):
     """The Python walk over every multiset, the reference for the terms of
-    ``_hermite_groups``: (weight * coeff, factor rows) per nonzero
+    ``_sum_plan``: (weight * coeff, factor rows) per nonzero
     multiset, in ``combinations_with_replacement`` order."""
     qfact = math.factorial(q)
     terms = []
@@ -356,34 +357,37 @@ def per_multiset_terms(kern, q, dim):
     return terms
 
 
+def plan_groups(F):
+    """``chaos._sum_plan(F)`` as (lead, [(last row, coeff), ...]) per group,
+    the shape of :func:`per_group_terms`."""
+    return [(lead, list(zip(rows.tolist(), coeffs.tolist())))
+            for lead, rows, coeffs, _ in chaos._sum_plan(F)]
+
+
 @pytest.mark.parametrize("q", [3, 4, 5, 6])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_hermite_terms_are_the_per_multiset_loop(q, d):
     kern = symmetric_zeros(random_kernel(q, d, np.random.default_rng((q, d))).coeffs)
     F = ChaosExpansion(d, {q: kern})
-    groups = chaos._hermite_groups(F)
-    got = [(lead, [first] + rest) for lead, first, rest in groups]
-    assert got == list(per_group_terms(F).items())
+    groups = plan_groups(F)
+    assert groups == list(per_group_terms(F).items())
     # every term once, with the reference's weight * coeff, bitwise
-    terms = [(c, lead + (row,)) for lead, first, rest in groups
-             for row, c in [first] + rest]
+    terms = [(c, lead + (row,)) for lead, pairs in groups for row, c in pairs]
     assert sorted(terms) == sorted(per_multiset_terms(kern, q, d))
 
 
-def test_hermite_groups_are_the_terms_grouped_by_their_leading_rows():
+def test_sum_plan_groups_the_terms_by_their_leading_rows():
     rng = np.random.default_rng(18)
     for dim, orders, sparse in [(3, [3, 4, 5], True), (4, [1, 2, 3, 5], False),
                                 (16, [3], False), (3, [6], True), (1, [3, 4], False)]:
         F = random_expansion(rng, dim, orders)
         if sparse:
             F = with_symmetric_zeros(F)
-        got = [(lead, [first] + rest)
-               for lead, first, rest in chaos._hermite_groups(F)]
-        assert got == list(per_group_terms(F).items())
+        assert plan_groups(F) == list(per_group_terms(F).items())
     # no term of order >= 3, and an order-3 kernel of zeros
-    assert chaos._hermite_groups(random_expansion(rng, 3, [1, 2])) == []
+    assert chaos._sum_plan(random_expansion(rng, 3, [1, 2])) == []
     zero = ChaosExpansion(2, {0: np.asarray(1.5), 3: np.zeros((2, 2, 2))})
-    assert chaos._hermite_groups(zero) == []
+    assert chaos._sum_plan(zero) == []
     assert np.array_equal(evaluate(zero, np.ones((3, 2))), np.full(3, 1.5))
 
 
@@ -460,17 +464,17 @@ def test_fused_group_sums_are_bitwise_the_per_term_sums():
                                      for q in (3, 5)}), 2))
     for F, fused in cases:
         dim, plan = F.dim, chaos._sum_plan(F)
-        assert [(lead, first, rest) for lead, first, rest, _ in plan] \
-            == chaos._hermite_groups(F)
+        assert plan_groups(F) == list(per_group_terms(F).items())
         assert sum(run is not None for *_, run in plan) == fused
         shared = 0
-        for lead, (j, c), rest, run in plan:
-            rows = [j] + [row for row, _ in rest]
+        for lead, last, coeffs, run in plan:
+            # one int array of rows and one float array of coefficients
+            assert last.dtype.kind == "i" and coeffs.dtype == np.float64
+            rows, j = last.tolist(), int(last[0])
             one_run = len(rows) >= 3 and rows == list(range(j, j + len(rows)))
             assert (run is not None) == one_run
             if one_run:
-                assert run[0] == slice(j, j + len(rows))
-                assert run[1].tolist() == [c] + [coeff for _, coeff in rest]
+                assert run == slice(j, j + len(rows))
             if len({order(lead, row, dim) for row in rows}) > 1:
                 assert run is None
                 shared += 1
@@ -483,14 +487,30 @@ def test_fused_group_sums_are_bitwise_the_per_term_sums():
             add(xs, table, got)
             # the per-term loop on the same table
             rows, want = table.reshape(-1, n), np.zeros(n)
-            for lead, (j, c), rest in chaos._hermite_groups(F):
-                acc = rows[j] * c
-                for j, c in rest:
+            for lead, pairs in per_group_terms(F).items():
+                acc = rows[pairs[0][0]] * pairs[0][1]
+                for j, c in pairs[1:]:
                     acc = acc + rows[j] * c
                 for j in lead:
                     acc = acc * rows[j]
                 want = want + acc
             assert got.tobytes() == want.tobytes(), (dim, F.max_order, n)
+
+
+def test_sum_plan_holds_each_coefficient_once():
+    # a dense (3, 40) kernel: 11 480 terms in 820 groups, held as one int
+    # array of rows and one float array of coefficients per group.  One
+    # (row, coeff) tuple per term, plus a second coefficient array per run
+    # group, held about 1.4 MB
+    F = ChaosExpansion.from_kernel(random_kernel(3, 40, np.random.default_rng(24)))
+    tracemalloc.start()
+    try:
+        plan = chaos._sum_plan(F)
+        held_mb = tracemalloc.get_traced_memory()[0] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert len(plan) == 820
+    assert held_mb < 0.7
 
 
 def test_evaluate_memory_above_order_2_is_n_values_plus_a_table_plus_8_mb(peak_mb):
