@@ -40,6 +40,9 @@ from .sym_tensor import SymmetricKernel
 KNOWN_OUTPUTS = ("cumulant_gaps", "gamma_stat", "ks", "empirical_cumulants",
                  "q_chaos")
 DEFAULT_MC_SAMPLES = 100_000
+# the most float64 values one NumPy array can hold: its size in bytes must
+# fit an intp (numpy raises ValueError, not MemoryError, above it)
+MAX_MC_SAMPLES = np.iinfo(np.intp).max // 8
 # the longest file name most file systems take, in bytes
 NAME_MAX = 255
 METRIC_LABELS = {
@@ -122,8 +125,9 @@ def config_diagnostics(doc) -> list:
         samples = mc.get("samples", DEFAULT_MC_SAMPLES)
         # k_statistics(batch, 4) needs more than 4 rows
         least = 5 if "empirical_cumulants" in outputs else 1
-        if not _is_int(samples) or samples < least:
-            out.append(f"mc.samples: integer >= {least} required"
+        if not _is_int(samples) or not least <= samples <= MAX_MC_SAMPLES:
+            out.append(f"mc.samples: integer in [{least}, {MAX_MC_SAMPLES}] "
+                       "required"
                        + (" with 'empirical_cumulants'" if least > 1 else "")
                        + f", got {samples!r}")
         # the Philox key is a uint64, and the index at position i uses seed + i
@@ -155,10 +159,13 @@ def validate_config(path) -> list:
 
 
 def _read_config(path):
-    with open(path) as fh:
+    # RFC 8259 JSON is UTF-8, whatever the locale's default encoding
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        # UnicodeDecodeError is a ValueError, like json.JSONDecodeError; a
+        # deeply nested document exhausts the decoder's recursion
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config: invalid JSON: {exc}") from None
 
 
@@ -449,6 +456,10 @@ def resolve_config(name_or_path) -> Path:
     raise ConfigError(f"config: no file or shipped scenario named {name_or_path!r}")
 
 
+def _path_error(exc: OSError) -> str:
+    return f"{exc.filename}: {exc.strerror}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="chi2chaos",
@@ -481,6 +492,9 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(exc, file=sys.stderr)
             return 2
+        except OSError as exc:  # e.g. a name longer than the system takes
+            print(_path_error(exc), file=sys.stderr)
+            return 2
         problems = validate_config(path)
         if problems:
             for line in problems:
@@ -504,7 +518,7 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 3
     except OSError as exc:
-        print(f"{exc.filename}: {exc.strerror}", file=sys.stderr)
+        print(_path_error(exc), file=sys.stderr)
         return 2
     print(csv_path)
     print(summary_path)

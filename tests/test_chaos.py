@@ -1,7 +1,9 @@
+import ast
 import math
 import re
 import tracemalloc
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -450,21 +452,42 @@ def test_fused_group_sums_are_bitwise_the_per_term_sums():
     # one run of rows), a sparse order-3 kernel (no run of three rows) and
     # orders 3 + 5, whose groups with terms of both orders are not one run.
     # A one-row block takes the per-term loop, the others einsum's.
+    #
+    # Row passes over a block per term stay under a ceiling on the
+    # highorder-mc kernels: 1 + m for a run of m rows summed in one pass,
+    # 2m for m rows summed term by term (c * H_last and its add), plus one
+    # per leading row either way.  The ceilings sit about 10% above the
+    # plan's 1.48, 2.21, 2.88 and 3.00, so a plan that stops sharing leading
+    # factors or summing runs in one pass shows: the per-term sums of every
+    # group took 2.29, 2.76, 3.07 and 3.07.
     def order(lead, row, dim):
         return sum(r // dim for r in lead + (row,))
 
+    highorder = {(3, 16): (105, 1.63), (4, 8): (56, 2.43), (5, 4): (5, 3.16),
+                 (6, 3): (1, 3.30)}
+    # every kernel the highorder-mc workload times has a ceiling
+    workloads = ast.parse((Path(__file__).parents[1] / "perfbench"
+                           / "workloads.py").read_text())
+    assert set(highorder) == set(next(
+        ast.literal_eval(node.value) for node in workloads.body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) == "HIGHORDER_POINTS"))
     cases = [(ChaosExpansion.from_kernel(
-        random_kernel(q, d, np.random.default_rng((0, q, d)))), fused)
-        for (q, d), fused in [((3, 16), 105), ((4, 8), 56), ((5, 4), 5),
-                              ((6, 3), 1)]]
+        random_kernel(q, d, np.random.default_rng((0, q, d)))), fused, most)
+        for (q, d), (fused, most) in highorder.items()]
     rng = np.random.default_rng(23)
     cases.append((ChaosExpansion(16, {3: symmetric_zeros(
-        random_kernel(3, 16, rng).coeffs)}), 0))
+        random_kernel(3, 16, rng).coeffs)}), 0, None))
     cases.append((ChaosExpansion(4, {q: random_kernel(q, 4, rng, 0.6).coeffs
-                                     for q in (3, 5)}), 2))
-    for F, fused in cases:
+                                     for q in (3, 5)}), 2, None))
+    for F, fused, most in cases:
         dim, plan = F.dim, chaos._sum_plan(F)
         assert plan_groups(F) == list(per_group_terms(F).items())
+        if most is not None:
+            passes = sum((1 + len(rows) if run is not None else 2 * len(rows))
+                         + len(lead) for lead, rows, _, run in plan)
+            terms = sum(len(rows) for _, rows, _, _ in plan)
+            assert passes / terms <= most, (F.max_order, dim, passes / terms)
         assert sum(run is not None for *_, run in plan) == fused
         shared = 0
         for lead, last, coeffs, run in plan:

@@ -365,6 +365,7 @@ def test_gamma_stat_and_the_conditions_disagreeing_exits_3(tmp_path, capsys,
     (["--mc-samples", "-5"], "mc.samples"),
     (["--mc-samples", "3"], "mc.samples"),  # gamma-nu1 asks for k-statistics
     (["--seed", "-1"], "mc.seed"),
+    (["--mc-samples", str(2 ** 63 - 1)], "mc.samples"),
 ])
 def test_run_rejects_bad_sample_count_and_seed_flags(tmp_path, capsys, flags,
                                                      field):
@@ -377,6 +378,10 @@ def test_run_rejects_bad_sample_count_and_seed_flags(tmp_path, capsys, flags,
 @pytest.mark.parametrize("mc, field", [
     ({"samples": 2000, "seed": -3}, "mc.seed"),
     ({"samples": 4, "seed": 1}, "mc.samples"),  # k_statistics(., 4) needs > 4
+    # more float64 values than one NumPy array holds: np.empty raised
+    # ValueError, not the MemoryError run maps to exit 3
+    ({"samples": 2 ** 63 - 1, "seed": 1}, "mc.samples"),
+    ({"samples": 10 ** 30, "seed": 1}, "mc.samples"),
 ])
 def test_validate_and_run_reject_bad_mc_config(tmp_path, capsys, mc, field):
     config = write_config(tmp_path, mc=mc)
@@ -401,6 +406,11 @@ def test_mc_seed_bounds_leave_room_for_every_index():
     assert config_diagnostics(doc) == []
     doc["mc"]["samples"] = 0
     assert config_diagnostics(doc)[0].startswith("mc.samples")
+    # the most float64 values one NumPy array holds
+    doc["mc"]["samples"] = np.iinfo(np.intp).max // 8
+    assert config_diagnostics(doc) == []
+    doc["mc"]["samples"] += 1
+    assert config_diagnostics(doc)[0].startswith("mc.samples")
 
 
 def test_run_rejects_invalid_json_and_non_list_outputs(tmp_path, capsys):
@@ -411,6 +421,47 @@ def test_run_rejects_invalid_json_and_non_list_outputs(tmp_path, capsys):
     config = write_config(tmp_path, outputs="ks")
     assert main(["validate", str(config)]) == 2
     assert "outputs: list required" in capsys.readouterr().err
+
+
+def test_a_config_json_cannot_decode_exits_2_with_one_line(tmp_path, capsys):
+    # a file that is not UTF-8 raised UnicodeDecodeError, and an array
+    # nested 2e5 deep RecursionError, each with a traceback and exit 1
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b'{"id": "caf\xe9"}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    for config in (not_utf8, deep):
+        for argv in (["validate", str(config)],
+                     ["run", str(config), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1, err
+            assert err.startswith("config: invalid JSON: "), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_is_read_as_utf_8_under_an_ascii_locale(tmp_path,
+                                                         python_child):
+    # RFC 8259 JSON is UTF-8, whatever the locale's default encoding is:
+    # the C locale without UTF-8 mode reads files as ASCII
+    config = tmp_path / "config.json"
+    config.write_bytes(json.dumps({**BASE_CONFIG, "note": "caf\u00e9"},
+                                  ensure_ascii=False).encode("utf-8"))
+    out, _ = python_child(
+        ["-c", "import sys; from chi2chaos import cli; "
+               "print(cli.validate_config(sys.argv[1]))", str(config)],
+        env={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
+    assert out == "[]"
+
+
+def test_a_config_name_longer_than_the_system_takes_exits_2(tmp_path, capsys):
+    # validate raised OSError (ENAMETOOLONG) from Path.exists with a
+    # traceback; run already ended with exit 2
+    name = "x" * 5000
+    for argv in (["validate", name], ["run", name, "--out", str(tmp_path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("overrides, field", [
@@ -594,6 +645,133 @@ def test_the_output_does_not_depend_on_the_number_of_workers(tmp_path,
     for name in shipped_scenarios():
         assert runs["one", name] == runs["default", name], name
         assert runs["one", name] == runs["three", name], name
+
+
+# Each shipped scenario runs once per condition in a child process, at its
+# default 1e5 samples, and every check below reads that one run.
+# run computes one index per usable core; pinned to core 0 it has one, so
+# its indices run one after another.  No step of run calls a BLAS product,
+# so one BLAS thread is only a guard: a BLAS product that came back and
+# summed differently on one thread would move a byte.  Eight workers hold
+# eight indices' samples and KS arrays at once.
+CHILD_CONDITIONS = {
+    "all cores": {},
+    "one core": {"one_core": True},
+    "one BLAS thread": {"env": {"OPENBLAS_NUM_THREADS": "1"}},
+    "eight workers": {"workers": 8},
+}
+
+
+@pytest.fixture(scope="module")
+def shipped_run(tmp_path_factory, python_child):
+    """shipped_run(name, condition) -> (csv bytes, summary bytes, peak RSS
+    in MB) of ``run <name>`` in a child process, run once per module."""
+    runs = {}
+
+    def run(name, condition):
+        if (name, condition) not in runs:
+            out = tmp_path_factory.mktemp("shipped")
+            argv = ["run", name, "--out", str(out)]
+            options = dict(CHILD_CONDITIONS[condition])
+            workers = options.pop("workers", None)
+            args = (["-m", "chi2chaos", *argv] if workers is None else
+                    ["-c", "import sys; from chi2chaos import cli; "
+                           f"cli._workers = lambda tasks: min({workers}, "
+                           f"tasks); sys.exit(cli.main({argv!r}))"])
+            _, peak = python_child(args, **options)
+            runs[name, condition] = (
+                (out / f"{name}.csv").read_bytes(),
+                (out / f"{name}_summary.json").read_bytes(), peak)
+        return runs[name, condition]
+    return run
+
+
+def test_a_pinned_child_has_one_usable_core(python_child):
+    # else the one-core runs below would compare every core with itself
+    out, _ = python_child(
+        ["-c", "import os; print(len(os.sched_getaffinity(0)))"],
+        one_core=True)
+    assert out == "1"
+
+
+def test_the_shipped_scenarios_stay_within_the_cdf_work_ceilings(shipped_run):
+    # every index must stop on a remainder bound below 1e-6 and use at most
+    # 48 of the 64 doublings, so a drift toward the guards shows here before
+    # it turns into a NumericalError.  Quadrature points per inverted point
+    # stay under a ceiling about 25% above the most any index takes, so a
+    # weaker stop rule shows too: the two-term tail bound took 362-704.
+    ceilings = {"gamma-nu1": 350, "second-chaos-converging": 290,
+                "two-eigenvalue-q2-example": 280,
+                "gaussian-counterexample": 280}
+    bad = [f"{name}: no quadrature-point ceiling"
+           for name in shipped_scenarios() if name not in ceilings]
+    peaks = {}
+    for name in shipped_scenarios():
+        _, summary, peaks[name] = shipped_run(name, "all cores")
+        for row in json.loads(summary)["cdf_diagnostics"]["by_index"]:
+            where = f"{name} n={row['n']}"
+            if not row["max_bound"] < 1e-6 or row["max_doublings"] > 48:
+                bad.append(f"{where}: bound {row['max_bound']:g}, "
+                           f"{row['max_doublings']} doublings")
+            stopped = row["stopped_on"]
+            if (set(stopped) != {"envelope", "three_terms"}
+                    or sum(stopped.values()) != row["points"]):
+                bad.append(f"{where}: stopped_on {stopped} for "
+                           f"{row['points']} points")
+            per_point = row["quadrature_points"] / row["points"]
+            if per_point > ceilings.get(name, 0):
+                bad.append(f"{where}: {per_point:.1f} quadrature points "
+                           f"per point, ceiling {ceilings.get(name)}")
+    assert bad == [], "\n".join(bad)
+    # gaussian-counterexample reaches d = 256, where a sample block of
+    # 16 384 rows once took its run to 155 MB.  One index runs on each
+    # usable core, and peak memory grows with them.
+    cores = len(os.sched_getaffinity(0))
+    assert max(peaks.values()) < 100, (peaks, f"{cores} usable cores")
+
+
+@pytest.mark.parametrize("condition", ["one core", "one BLAS thread"])
+def test_one_core_and_one_blas_thread_write_the_same_bytes(shipped_run,
+                                                          condition):
+    for name in shipped_scenarios():
+        assert (shipped_run(name, condition)[:2]
+                == shipped_run(name, "all cores")[:2]), name
+
+
+@pytest.mark.parametrize("name", ["second-chaos-converging",
+                                  "gaussian-counterexample"])
+def test_eight_workers_write_the_same_bytes_under_85_mb(shipped_run, name):
+    # each worker holds its own index's sample, sorted copy and CDF values
+    # and one quadrature block at a time, so peak memory grows with the
+    # workers: the two (1, 2) scenarios peak near 69 MB at eight.  85 MB
+    # leaves room for that and still catches CDF blocks of twice the
+    # points, which took second-chaos-converging over 100 MB.
+    csv_bytes, summary, peak = shipped_run(name, "eight workers")
+    assert (csv_bytes, summary) == shipped_run(name, "all cores")[:2]
+    assert peak < 85, f"{peak:.1f} MB"
+
+
+def test_the_exact_columns_match_the_golden_file(tmp_path):
+    # run --no-mc on the shipped scenarios, one (scenario, n, column, value)
+    # row per entry.  The bitwise tests compare the code with itself; this
+    # file holds the values themselves, so a NumPy release that moves them
+    # shows here.  The absolute floor covers the rounding noise of
+    # two-eigenvalue-q2-example: its kappa_gap_3 is 0 to 3.3e-16 and its
+    # cond_a is +-4.2e-17.
+    with open(Path(__file__).with_name("shipped_no_mc.csv")) as fh:
+        want = {(row["scenario"], int(row["n"]), row["column"]):
+                float(row["value"]) for row in csv.DictReader(fh)}
+    got = {}
+    for name, path in shipped_scenarios().items():
+        csv_path, _ = run_scenario(path, tmp_path / name, no_mc=True)
+        with open(csv_path) as fh:
+            for row in csv.DictReader(fh):
+                for column, value in row.items():
+                    if column != "n":
+                        got[name, int(row["n"]), column] = float(value)
+    assert got.keys() == want.keys()
+    assert [key for key in want if not abs(got[key] - want[key])
+            <= 1e-12 * abs(want[key]) + 1e-14] == []
 
 
 # np.convolve takes its dot products through BLAS too

@@ -58,6 +58,17 @@ def test_sampling_reproducible():
     assert a.generator_id == GENERATOR_ID
 
 
+def test_the_numpy_random_stream_is_the_pinned_one():
+    # every Monte Carlo column rests on these draws (NumPy 2.4.6), and numpy
+    # is not pinned: a release that changes Philox or its normal sampler
+    # moves every ks and emp_kappa_* value
+    want = [float.fromhex(h) for h in (
+        "0x1.463cb3872ecbdp-3", "-0x1.c6313809c831cp+0",
+        "0x1.5396485e717b0p+0", "0x1.346e5e799d961p+0")]
+    got = montecarlo._rng(0).standard_normal(4).tolist()
+    assert got == want, "the NumPy random stream changed"
+
+
 def test_sample_chaos_constant_and_gaussian():
     F = ChaosExpansion.constant(2, 4.5)
     batch = sample_chaos(F, 50, 1)
@@ -201,6 +212,32 @@ def test_sample_chaos_is_prefix_stable_at_highorder_shapes(q, dim):
     assert np.array_equal(whole, chaos.evaluate(F, draw))
     for m in (1, rows - 1, rows, rows + 1, 2 * rows):
         assert np.array_equal(sample_chaos(F, m, seed).values, whole[:m])
+
+
+# the sha256 of sample_chaos on the four highorder-mc kernels at seed 0
+HIGHORDER_HASHES = """
+import hashlib
+import numpy as np
+from chi2chaos.chaos import ChaosExpansion
+from chi2chaos.montecarlo import sample_chaos
+from chi2chaos.sym_tensor import random_kernel
+hashes = [hashlib.sha256(sample_chaos(ChaosExpansion.from_kernel(
+    random_kernel(q, d, np.random.default_rng((0, q, d)))), 500_000, 0)
+    .values.tobytes()).hexdigest()
+    for q, d in ((3, 16), (4, 8), (5, 4), (6, 3))]
+"""
+
+
+def test_sample_chaos_does_not_depend_on_the_helper_threads_core(
+        python_child):
+    # at order >= 3 a helper thread draws and tabulates the next block
+    # while the caller sums; pinned to core 0, the helper shares the
+    # caller's core and the blocks interleave differently
+    here = {}
+    exec(HIGHORDER_HASHES, here)
+    out, _ = python_child(["-c", HIGHORDER_HASHES + "print(*hashes)"],
+                          one_core=True)
+    assert out.split() == here["hashes"]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 16, 17, 64, 256])
