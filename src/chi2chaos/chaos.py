@@ -26,6 +26,7 @@ Conventions that matter:
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -194,6 +195,10 @@ def hermite(q: int, x):
     return h if h.ndim else float(h)
 
 
+# Terms of one order unravelled at a time while :func:`_sum_plan` is built.
+_PLAN_TERMS = 1 << 12
+
+
 def _sum_plan(F: ChaosExpansion):
     """F's order >= 3 terms grouped by their leading factors, as stage 2 of
     :func:`_evaluator` sums them: a list of (lead, rows, coeffs, run), one
@@ -213,6 +218,10 @@ def _sum_plan(F: ChaosExpansion):
     ((qmax+1) * d, rows), and its coefficient is float(q!/prod(m_i!)) *
     coeff, over the ordered positions that hold coeff.  Groups come in the
     order of their first terms.
+
+    The terms are walked ``_PLAN_TERMS`` at a time, each group's rows and
+    coefficients are collected in typed arrays, and those are dropped as
+    the group is packed, so the build holds little besides the plan.
     """
     groups, dim = {}, F.dim
     for q in F.orders():
@@ -223,25 +232,31 @@ def _sum_plan(F: ChaosExpansion):
         sorted_nonzero = kern != 0.0
         for i, j in zip(grid, grid[1:]):
             sorted_nonzero &= i <= j
-        for idx, coeff in zip(np.argwhere(sorted_nonzero).tolist(),
-                              kern[sorted_nonzero].tolist()):
-            # one pass over the runs: m entries equal to ``last`` so far
-            lead, weight, m, last = [], qfact, 0, idx[0]
-            for i in idx:
-                if i != last:
-                    lead.append(m * dim + last)
-                    weight //= math.factorial(m)
-                    m, last = 0, i
-                m += 1
-            weight //= math.factorial(m)
-            rows, coeffs = groups.setdefault(tuple(lead), ([], []))
-            rows.append(m * dim + last)
-            coeffs.append(float(weight) * coeff)
+        where = np.flatnonzero(sorted_nonzero)
+        for lo in range(0, len(where), _PLAN_TERMS):
+            part = where[lo:lo + _PLAN_TERMS]
+            for idx, coeff in zip(
+                    np.column_stack(np.unravel_index(part, kern.shape)).tolist(),
+                    kern.flat[part].tolist()):
+                # one pass over the runs: m entries equal to ``last`` so far
+                lead, weight, m, last = [], qfact, 0, idx[0]
+                for i in idx:
+                    if i != last:
+                        lead.append(m * dim + last)
+                        weight //= math.factorial(m)
+                        m, last = 0, i
+                    m += 1
+                weight //= math.factorial(m)
+                rows, coeffs = groups.setdefault(tuple(lead),
+                                                 (array("q"), array("d")))
+                rows.append(m * dim + last)
+                coeffs.append(float(weight) * coeff)
     plan = []
-    for lead, (rows, coeffs) in groups.items():
+    for lead in list(groups):
+        rows, coeffs = groups.pop(lead)
         j = rows[0]
         run = (slice(j, j + len(rows)) if len(rows) >= 3
-               and rows == list(range(j, j + len(rows))) else None)
+               and rows == array("q", range(j, j + len(rows))) else None)
         plan.append((lead, np.array(rows), np.array(coeffs), run))
     return plan
 

@@ -264,21 +264,15 @@ def _index_row(scenario: Scenario, position: int, with_mc: bool):
         for (r, _, _, gap) in report.cumulant_gaps:
             exact[f"kappa_gap_{r}"] = gap
         exact["gamma_stat"] = report.gamma_stat
-        conditions = {}
-        if "q_chaos" in scenario.outputs:
-            for key, val in criteria.q_chaos_conditions(
-                    kernel, scenario.target).items():
-                conditions[f"cond_{key}"] = val
+        found = (criteria.q_chaos_conditions(kernel, scenario.target)
+                 if "q_chaos" in scenario.outputs else {})
+        conditions = {f"cond_{key}": val for key, val in found.items()}
         # the exact columns are checked before Monte Carlo, which a
         # non-finite kernel would only make fail less clearly
         _check_finite(exact | conditions)
-        if conditions:
-            # gamma_stat comes from gamma_sequence and the b-keys from
-            # gamma_explicit: (1/2) sum_m m! b_m over them is gamma_stat
-            total = 0.5 * sum(
-                math.factorial(kernel.order if key == "cond_b1"
-                               else int(key.split("_k")[1])) * val
-                for key, val in conditions.items() if key != "cond_a")
+        if found:
+            # gamma_sequence and gamma_explicit must give one gamma_stat
+            total = criteria.conditions_gamma_stat(found, kernel.order)
             if abs(total - report.gamma_stat) > 1e-9 * abs(report.gamma_stat):
                 raise ConsistencyError(
                     f"gamma_stat {report.gamma_stat!r} from gamma_sequence, "

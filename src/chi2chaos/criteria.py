@@ -201,6 +201,12 @@ def psi_functional(kappas, moments, spec: TargetSpec, phi) -> float:
     return total
 
 
+def _buckets(q: int) -> dict:
+    """Bucket key -> chaos order, in :func:`q_chaos_conditions`' order."""
+    return {("b1" if m == q else f"b{2 if m < 2 * q - 1 else 3}_k{m}"): m
+            for m in [q] + [m for m in range(2 - q % 2, 3 * q - 3) if m != q]}
+
+
 def q_chaos_conditions(f: SymmetricKernel, spec: TargetSpec,
                        max_order=None) -> dict:
     """Order-q contraction conditions for a two-weight target.
@@ -216,8 +222,8 @@ def q_chaos_conditions(f: SymmetricKernel, spec: TargetSpec,
     * ``b3_k{m}`` -- orders 2q-1 <= m <= 3q-4.
 
     The b-keys cover every order of the combination, so
-    ``gamma_stat = (1/2) sum_m m! * bucket_m`` holds at every q; at q = 2
-    this reduces to gamma_stat == b1.
+    ``gamma_stat = (1/2) sum_m m! * bucket_m`` holds at every q
+    (:func:`conditions_gamma_stat`); at q = 2 this is gamma_stat == b1.
     """
     if f.order < 2:
         raise ValueError(f"kernel order must be >= 2, got {f.order}")
@@ -233,12 +239,16 @@ def q_chaos_conditions(f: SymmetricKernel, spec: TargetSpec,
     if q % 2 == 0:
         half = sym_tensor.sym_contract(f, f, q // 2, max_order=max_order)
         conditions["a"] = sym_tensor.inner(half, f)
-    conditions["b1"] = float(np.sum(comb.kernel(q) ** 2))
-    for m in range(2 - q % 2, 3 * q - 3):
-        if m != q:
-            prefix = "b2" if m < 2 * q - 1 else "b3"
-            conditions[f"{prefix}_k{m}"] = float(np.sum(comb.kernel(m) ** 2))
+    for key, m in _buckets(q).items():
+        conditions[key] = (float(np.sum(comb.kernel(m) ** 2))
+                           if m in comb.orders() else 0.0)
     return conditions
+
+
+def conditions_gamma_stat(conditions: dict, q: int) -> float:
+    """(1/2) sum_m m! * bucket_m of :func:`q_chaos_conditions` at order q."""
+    return 0.5 * sum(math.factorial(m) * conditions[key]
+                     for key, m in _buckets(q).items())
 
 
 @dataclass(frozen=True)

@@ -481,24 +481,19 @@ class TargetLaw:
         return rung, tail, bound, rule
 
     def cdf_batch(self, xs) -> np.ndarray:
-        """CDF at many points: exact inversion on a quantile grid of the n
-        inputs, with clip(n // 64, 256, 1600) nodes, and linear
-        interpolation in between; up to 256 inputs are all inverted.
-
-        The interpolation error at any point is at most the CDF increment
-        between adjacent grid nodes, roughly one over the number of nodes
-        when the nodes are sample quantiles, plus the nodes' own remainder
-        bounds.
+        """CDF at one or more points: exact inversion on a quantile grid of
+        the n inputs, with clip(n // 64, 256, 1600) nodes, and linear
+        interpolation in between (up to 256 inputs, all nodes: :meth:`cdf`).
+        The error at a point is at most the CDF increment between adjacent
+        nodes, about one over their number when they are sample quantiles,
+        plus the nodes' own remainder bounds.
         """
         xs = np.asarray(xs, dtype=float)
-        n = len(xs)
-        nodes = int(np.clip(n // 64, 256, 1600))
-        if n <= nodes:
-            return self.cdf(xs)
+        nodes = int(np.clip(len(xs) // 64, 256, 1600))
         # kolmogorov_distance passes a sorted sample: then it is its own
         # quantile order, and no second copy is sorted
         order = xs if np.all(xs[:-1] <= xs[1:]) else np.sort(xs)
-        idx = np.unique(np.round(np.linspace(0, n - 1, nodes)).astype(int))
+        idx = np.unique(np.round(np.linspace(0, len(xs) - 1, nodes)).astype(int))
         grid = np.unique(order[idx])
         return np.interp(xs, grid, self.cdf(grid))
 

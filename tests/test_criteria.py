@@ -15,6 +15,7 @@ from chi2chaos.chaos import (
 )
 from chi2chaos.criteria import (
     build_polynomials,
+    conditions_gamma_stat,
     criterion_statistic,
     gamma_combination,
     power_sum_match,
@@ -271,12 +272,6 @@ def test_q2_conditions_aggregate_to_gamma_stat():
         assert abs(gs - conds["b1"]) < 1e-9 * (1 + abs(gs))
 
 
-def _conditions_total(conds, q):
-    """(1/2) sum_m m! bucket_m over the returned b-keys."""
-    return 0.5 * sum(math.factorial(q if key == "b1" else int(key.split("_k")[1]))
-                     * val for key, val in conds.items() if key != "a")
-
-
 def test_q3_conditions_aggregate_to_gamma_stat_with_order_one():
     # at odd q the combination has an order-1 part; it is returned as b2_k1,
     # so the returned buckets alone reconstruct gamma_stat
@@ -291,7 +286,7 @@ def test_q3_conditions_aggregate_to_gamma_stat_with_order_one():
     assert order1 > 0.0
     assert abs(conds["b2_k1"] - order1) < 1e-12 * order1
     gs = criterion_statistic(F, spec, max_order=8).gamma_stat
-    assert abs(_conditions_total(conds, 3) - gs) < 1e-9 * (1 + abs(gs))
+    assert abs(conditions_gamma_stat(conds, 3) - gs) < 1e-9 * (1 + abs(gs))
 
 
 @settings(max_examples=12, deadline=None)
@@ -307,7 +302,7 @@ def test_conditions_aggregate_to_gamma_stat_property(q, d, seed, alphas):
     conds = q_chaos_conditions(f, spec, max_order=12)
     gs = criterion_statistic(ChaosExpansion.from_kernel(f), spec,
                              max_order=12).gamma_stat
-    assert abs(_conditions_total(conds, q) - gs) < 1e-9 * (1 + abs(gs))
+    assert abs(conditions_gamma_stat(conds, q) - gs) < 1e-9 * (1 + abs(gs))
 
 
 def test_criterion_statistic_builds_one_gamma_sequence(monkeypatch):
@@ -336,10 +331,54 @@ def test_q4_conditions_aggregate_to_gamma_stat():
                               "b3_k7", "b3_k8"}
         gs = criterion_statistic(ChaosExpansion.from_kernel(f), spec,
                                  max_order=12).gamma_stat
-        assert abs(gs - _conditions_total(conds, 4)) < 1e-9 * (1 + abs(gs))
+        assert abs(gs - conditions_gamma_stat(conds, 4)) < 1e-9 * (1 + abs(gs))
         # every odd chaos order vanishes when q is even
         assert conds["b2_k3"] == 0.0 and conds["b2_k5"] == 0.0 \
             and conds["b3_k7"] == 0.0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_each_bucket_holds_one_order_of_the_combination(q):
+    # criteria owns the bucket -> order map: b1 (order q) first, every
+    # order in 1..3q-4 once (order 1 at odd q only), and each bucket is the
+    # squared norm of its order's kernel in the gamma_sequence combination
+    spec = TargetSpec((0.9, -1.4))
+    f = random_kernel(q, 2, np.random.default_rng(q), scale=0.6)
+    conds = q_chaos_conditions(f, spec, max_order=3 * q)
+    buckets = criteria._buckets(q)
+    assert list(conds) == ["a"] * (q % 2 == 0) + list(buckets)
+    assert list(buckets.items())[0] == ("b1", q)
+    assert sorted(buckets.values()) == [m for m in range(1, 3 * q - 3)
+                                        if m > 1 or q % 2]
+    F = ChaosExpansion.from_kernel(f)
+    comb = gamma_combination(F, spec, max_order=3 * q)
+    for key, m in buckets.items():
+        want = float(np.sum(comb.kernel(m) ** 2))
+        assert abs(conds[key] - want) < 1e-9 * (1 + want), (key, m)
+    gs = criterion_statistic(F, spec, max_order=3 * q).gamma_stat
+    assert abs(conditions_gamma_stat(conds, q) - gs) < 1e-9 * (1 + abs(gs))
+    # one bucket at 1 and the rest at 0 reads m!/2: the sum takes each
+    # bucket at its own order
+    for key, m in buckets.items():
+        unit = dict.fromkeys(conds, 0.0) | {key: 1.0}
+        assert conditions_gamma_stat(unit, q) == math.factorial(m) / 2
+
+
+def test_an_order_the_combination_lacks_reads_zero_without_a_kernel(monkeypatch):
+    # at even q every odd order is absent; its bucket is 0.0 without the
+    # d^m zero kernel that ChaosExpansion.kernel makes for an absent order
+    asked = []
+    kernel = ChaosExpansion.kernel
+
+    def recording(self, q):
+        asked.append((q, q in self.orders()))
+        return kernel(self, q)
+
+    monkeypatch.setattr(ChaosExpansion, "kernel", recording)
+    f = random_kernel(4, 2, np.random.default_rng(9), scale=0.6)
+    conds = q_chaos_conditions(f, TargetSpec((0.9, -1.4)), max_order=12)
+    assert [conds[key] for key in ("b2_k3", "b2_k5", "b3_k7")] == [0.0] * 3
+    assert asked and all(present for _, present in asked)
 
 
 def test_q_chaos_kappa3_relation():

@@ -566,7 +566,49 @@ def test_cdf_closure_three_weights():
 def test_cdf_batch_matches_scalar():
     law = TargetLaw(TargetSpec((1.0, 2.0)))
     xs = np.array([-2.5, -1.0, 0.0, 1.0, 5.0])
-    assert np.allclose(law.cdf_batch(xs), [law.cdf(x) for x in xs], atol=1e-9)
+    assert law.cdf_batch(xs).tobytes() == np.array(
+        [law.cdf(x) for x in xs]).tobytes()
+
+
+@pytest.mark.parametrize("alphas", [(1.0,), (1.0, 2.0), (-0.5, -1.5),
+                                    (0.5, -0.5), (1.0, -0.6, 2.2)])
+def test_cdf_batch_up_to_256_points_is_bitwise_cdf(alphas):
+    # one path: with at most 256 inputs every distinct input is a grid
+    # node, and np.interp returns a node's value as it is
+    law = TargetLaw(TargetSpec(alphas))
+    rng = np.random.default_rng(len(alphas))
+    edges = [e for e in (law.lower_edge, law.upper_edge) if e is not None]
+    special = [-60.0, 60.0] + edges + [e + s for e in edges
+                                       for s in (-1e-9, 1e-9, -3.0, 3.0)]
+    # an infinity is a point only beyond a support edge
+    special += [-np.inf] * (law.lower_edge is not None) \
+        + [np.inf] * (law.upper_edge is not None)
+    points = sample_target(law.spec, 256, 81).values
+    batches = [points[:1], points[:2], points[:255], points,
+               np.repeat(points[:5], 7), np.array(special),
+               rng.permutation(np.concatenate([special, points[:200],
+                                               points[:40]]))]
+    for xs in batches:
+        assert len(xs) <= 256
+        assert law.cdf_batch(xs).tobytes() == law.cdf(xs).tobytes()
+    with pytest.raises(ValueError, match="finite"):
+        law.cdf_batch(np.array([0.0, np.nan]))
+
+
+def test_cdf_batch_inverts_each_distinct_point_once():
+    # a batch of repeated points inverts its distinct points only
+    law = TargetLaw(TargetSpec((1.0,)))
+    xs = np.repeat(sample_target(law.spec, 10, 82).values, 3)
+    sizes = []
+    cdf = TargetLaw.cdf
+
+    def recording(self, x):
+        sizes.append(np.size(x))
+        return cdf(self, x)
+
+    with mock.patch.object(TargetLaw, "cdf", recording):
+        law.cdf_batch(xs)
+    assert sizes == [10]
 
 
 def test_cdf_batch_interpolates_the_inverted_values_as_they_are():
