@@ -35,26 +35,22 @@ from .sym_tensor import SymmetricKernel
 
 
 class ChaosExpansion:
-    """Finite map order -> kernel array, closed under the operations below.
+    """Finite map order -> kernel, closed under the operations below.
 
-    Kernels are held as read-only float arrays.  A kernel passed in that
-    already is a read-only float64 array owning its data (every
-    ``SymmetricKernel.coeffs`` is one) is kept as it is; anything else is
-    copied, so later writes to the caller's array never reach the expansion.
+    Each order holds one ``SymmetricKernel``, whose check is the only
+    kernel rule, and ``kernel(q)`` returns its read-only coefficients.  A
+    kernel passed in that already is a read-only float64 array owning its
+    data (every ``SymmetricKernel.coeffs`` is one) is kept as it is;
+    anything else is copied, so later writes to the caller's array never
+    reach the expansion.
     """
 
     def __init__(self, dim: int, kernels=None):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
-        self._kernels = {}
-        for q, arr in (kernels or {}).items():
-            a = sym_tensor._held(arr)
-            if a.shape != (dim,) * q:
-                raise ValueError(
-                    f"kernel at order {q} has shape {a.shape}, expected {(dim,) * q}"
-                )
-            self._kernels[int(q)] = a
+        self._kernels = {int(q): SymmetricKernel(q, dim, arr)
+                         for q, arr in (kernels or {}).items()}
 
     @classmethod
     def constant(cls, dim: int, value: float) -> "ChaosExpansion":
@@ -71,7 +67,7 @@ class ChaosExpansion:
     def kernel(self, q: int) -> np.ndarray:
         """Kernel at order q; absent orders are the zero kernel."""
         if q in self._kernels:
-            return self._kernels[q]
+            return self._kernels[q].coeffs
         return np.zeros((self.dim,) * q)
 
     @property
@@ -85,7 +81,7 @@ class ChaosExpansion:
     def recentered(self) -> "ChaosExpansion":
         """Drop the order-0 part: F - E[F]."""
         return ChaosExpansion(
-            self.dim, {q: a for q, a in self._kernels.items() if q > 0})
+            self.dim, {q: k.coeffs for q, k in self._kernels.items() if q > 0})
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
@@ -107,7 +103,7 @@ class ChaosExpansion:
 
     def __mul__(self, c: float):
         return ChaosExpansion(
-            self.dim, {q: _sealed(c * a) for q, a in self._kernels.items()})
+            self.dim, {q: _sealed(c * k.coeffs) for q, k in self._kernels.items()})
 
     __rmul__ = __mul__
 
@@ -126,10 +122,8 @@ def _pair(F: ChaosExpansion, G: ChaosExpansion, weight, r_min: int,
     if F.dim != G.dim:
         raise ValueError("dimension mismatch")
     out = {}
-    for p in F.orders():
-        f = SymmetricKernel(p, F.dim, F.kernel(p))
-        for q in G.orders():
-            g = SymmetricKernel(q, G.dim, G.kernel(q))
+    for p, f in sorted(F._kernels.items()):
+        for q, g in sorted(G._kernels.items()):
             for r in range(r_min, min(p, q) + 1):
                 m = p + q - 2 * r
                 term = weight(p, q, r) * sym_tensor.sym_contract(

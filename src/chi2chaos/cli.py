@@ -45,6 +45,12 @@ DEFAULT_MC_SAMPLES = 100_000
 MAX_MC_SAMPLES = np.iinfo(np.intp).max // 8
 # the longest file name most file systems take, in bytes
 NAME_MAX = 255
+# the fields a config may have: at the top level, in target and in mc, and
+# in family for each family name
+CONFIG_FIELDS = {"config": ("id", "target", "family", "indices", "mc", "outputs"),
+                 "target": ("alphas",), "mc": ("samples", "seed")}
+FAMILY_FIELDS = {"diag": ("name", "entries"), "equal-split": ("name", "signs"),
+                 "rank-one-difference": ("name", "scale")}
 METRIC_LABELS = {
     "gamma_stat": "unconditional (sufficient)",
     "distance": "kolmogorov",
@@ -66,11 +72,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _unknown_fields(where, obj, known, of="") -> list:
+    return [f"{where}: unknown field {key!r}{of} (known: {', '.join(known)})"
+            for key in obj if key not in known]
+
+
 def config_diagnostics(doc) -> list:
     """Schema and invariant report for a parsed config; empty means valid."""
-    out = []
     if not isinstance(doc, dict):
         return ["config: top-level JSON object expected"]
+    out = _unknown_fields("config", doc, CONFIG_FIELDS["config"])
     # the id names the output files <id>.csv and <id>_summary.json
     scenario_id = doc.get("id")
     # printable: no NUL, and no line break or escape in a printed path
@@ -90,6 +101,8 @@ def config_diagnostics(doc) -> list:
                            f"<id>_summary.json {size} bytes long, over "
                            f"{NAME_MAX}")
     target = doc.get("target")
+    if isinstance(target, dict):
+        out += _unknown_fields("target", target, CONFIG_FIELDS["target"])
     if not isinstance(target, dict) or not isinstance(target.get("alphas"), list):
         out.append("target: object with an 'alphas' list required")
     else:
@@ -98,10 +111,15 @@ def config_diagnostics(doc) -> list:
         except ConfigError as exc:
             out.append(f"target.{exc}")
     # family_kernel owns the family rules, and none of them depends on n
+    family = doc.get("family")
     try:
-        family_kernel(doc.get("family"), 1)
+        family_kernel(family, 1)
     except ConfigError as exc:
         out.append(str(exc))
+    name = family.get("name") if isinstance(family, dict) else None
+    if isinstance(name, str) and name in FAMILY_FIELDS:
+        out += _unknown_fields("family", family, FAMILY_FIELDS[name],
+                               f" of family {name!r}")
     indices = doc.get("indices")
     if not isinstance(indices, list) or not indices:
         out.append("indices: nonempty list required")
@@ -122,6 +140,7 @@ def config_diagnostics(doc) -> list:
     if not isinstance(mc, dict):
         out.append("mc: object expected")
     else:
+        out += _unknown_fields("mc", mc, CONFIG_FIELDS["mc"])
         samples = mc.get("samples", DEFAULT_MC_SAMPLES)
         # k_statistics(batch, 4) needs more than 4 rows
         least = 5 if "empirical_cumulants" in outputs else 1
@@ -228,7 +247,7 @@ def family_kernel(family: dict, n: int) -> SymmetricKernel:
         v = np.array([c, math.sqrt(1.0 - c * c)])
         return SymmetricKernel(2, 2, scale * (np.outer(u, u) - np.outer(v, v)))
     raise ConfigError(f"family.name: unknown family {name!r} "
-                      "(known: diag, equal-split, rank-one-difference)")
+                      f"(known: {', '.join(FAMILY_FIELDS)})")
 
 
 def _workers(tasks: int) -> int:
@@ -480,25 +499,14 @@ def main(argv=None) -> int:
             print(f"{name}\t{path}")
         return 0
 
-    if args.command == "validate":
-        try:
-            path = resolve_config(args.config)
-        except ConfigError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        except OSError as exc:  # e.g. a name longer than the system takes
-            print(_path_error(exc), file=sys.stderr)
-            return 2
-        problems = validate_config(path)
-        if problems:
-            for line in problems:
-                print(line, file=sys.stderr)
-            return 2
-        print("ok")
-        return 0
-
     try:
         path = resolve_config(args.config)
+        if args.command == "validate":
+            problems = validate_config(path)
+            if problems:
+                raise ConfigError("\n".join(problems))
+            print("ok")
+            return 0
         # a non-finite value ends the run with one line (exit 3), so numpy's
         # floating-point warnings would only repeat it
         with np.errstate(all="ignore"):
@@ -511,7 +519,7 @@ def main(argv=None) -> int:
     except (ResourceGuardError, NumericalError, ConsistencyError) as exc:
         print(exc, file=sys.stderr)
         return 3
-    except OSError as exc:
+    except OSError as exc:  # e.g. a name longer than the system takes
         print(_path_error(exc), file=sys.stderr)
         return 2
     print(csv_path)

@@ -56,7 +56,7 @@ class SampleBatch:
 
     values: np.ndarray
     seed: int
-    generator_id: str = GENERATOR_ID
+    generator_id = GENERATOR_ID  # unannotated: a class constant, not a field
 
     def __post_init__(self):
         object.__setattr__(self, "values", sym_tensor._held(self.values))
@@ -382,8 +382,18 @@ class TargetLaw:
 
     def cdf(self, x):
         """P(target <= x): a float for scalar x, an array of x's shape otherwise."""
+        return self._pointwise(x, self._invert)
+
+    @staticmethod
+    def _pointwise(x, values):
+        """The input rule of :meth:`cdf` and :meth:`cdf_batch`: ``values``
+        at the points of x, passed as one flat float array and returned in
+        x's shape (a float for scalar x; an empty array for empty x, which
+        ``values`` never sees)."""
         xs = np.asarray(x, dtype=float)
-        out = self._invert(xs.ravel())
+        if not xs.size:
+            return np.empty(xs.shape)
+        out = values(xs.ravel())
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
     def _invert(self, x):
@@ -480,15 +490,20 @@ class TargetLaw:
                 )
         return rung, tail, bound, rule
 
-    def cdf_batch(self, xs) -> np.ndarray:
-        """CDF at one or more points: exact inversion on a quantile grid of
-        the n inputs, with clip(n // 64, 256, 1600) nodes, and linear
-        interpolation in between (up to 256 inputs, all nodes: :meth:`cdf`).
-        The error at a point is at most the CDF increment between adjacent
-        nodes, about one over their number when they are sample quantiles,
-        plus the nodes' own remainder bounds.
+    def cdf_batch(self, xs):
+        """CDF at one or more points, taken as :meth:`cdf` takes them: exact
+        inversion on a quantile grid of the n inputs, with
+        clip(n // 64, 256, 1600) nodes, and linear interpolation in between
+        (up to 256 inputs, all nodes, so bitwise :meth:`cdf`).  The error at
+        a point is at most the CDF increment between adjacent nodes, about
+        one over their number when they are sample quantiles, plus the
+        nodes' own remainder bounds.
         """
-        xs = np.asarray(xs, dtype=float)
+        return self._pointwise(xs, self._interpolated)
+
+    def _interpolated(self, xs):
+        """:meth:`cdf_batch` at the flat nonempty float array xs, by one
+        :meth:`cdf` call on its quantile grid."""
         nodes = int(np.clip(len(xs) // 64, 256, 1600))
         # kolmogorov_distance passes a sorted sample: then it is its own
         # quantile order, and no second copy is sorted

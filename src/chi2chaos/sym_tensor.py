@@ -76,10 +76,6 @@ class SymmetricKernel:
             )
         object.__setattr__(self, "coeffs", arr)
 
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.coeffs ** 2)))
-
 
 # kept only for perfbench/test_bench.py, until ROADMAP item 1 retires it
 def _arrangement_count(blocks):

@@ -122,7 +122,7 @@ def test_four_way_equality_property(quarters, d, seed):
 def test_02_four_way_vanishes_at_target():
     for k, spec in SPECS_BY_K.items():
         f = target_kernel(spec, spec.k + 1)
-        tol = 1e-10 * (1 + f.norm ** (2 * (k + 1)))
+        tol = 1e-10 * (1 + math.sqrt(sym_tensor.inner(f, f)) ** (2 * (k + 1)))
         vals = four_way_quantities(f, spec)
         assert all(abs(v) < tol for v in vals), (k, vals, tol)
     print("\nacceptance  2 PASS  all four quantities vanish at the target")

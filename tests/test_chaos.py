@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chi2chaos import chaos
@@ -29,7 +29,7 @@ from chi2chaos.chaos import (
     multiply,
 )
 from chi2chaos.errors import ResourceGuardError
-from chi2chaos.sym_tensor import basis_kernel, random_kernel
+from chi2chaos.sym_tensor import SymmetricKernel, basis_kernel, random_kernel
 
 
 def random_expansion(rng, dim, orders, scale=0.6):
@@ -787,6 +787,26 @@ def test_chaos_polynomial():
     xs = rng.standard_normal((40, 2))
     v = evaluate(F, xs)
     assert np.allclose(evaluate(P, xs), 1.0 - 2.0 * v + 3.0 * v ** 2, atol=1e-10)
+
+
+def _accepts(make):
+    try:
+        make()
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@example(q=-1, dim=2, shape=[])  # ChaosExpansion(2, {-1: 0.0})
+@given(q=st.integers(-3, 4), dim=st.integers(0, 3),
+       shape=st.lists(st.integers(0, 3), max_size=4))
+def test_expansion_and_kernel_accept_the_same_kernels_property(q, dim, shape):
+    # one kernel rule: an expansion holds a kernel the kernel type accepts
+    arr = np.zeros(shape)
+    expansion = _accepts(lambda: ChaosExpansion(dim, {q: arr}))
+    assert expansion == _accepts(lambda: SymmetricKernel(q, dim, arr))
+    assert expansion == (q >= 0 and dim >= 1 and tuple(shape) == (dim,) * q)
 
 
 def test_expansion_keeps_read_only_kernels_and_copies_writable_ones():

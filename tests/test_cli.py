@@ -291,6 +291,60 @@ def test_guard_abort_exit_code(tmp_path, capsys):
     assert "n=4000" in err
 
 
+# main's exit code, stdout and stderr for each command on each kind of
+# config, with the test's directory written <tmp>: a record of the CLI's
+# behaviour, which a change to main must keep
+MAIN_RECORD = {
+    ("validate", "missing"): (2, "", "config: no file or shipped scenario "
+                              "named 'no-such-scenario'\n"),
+    ("run", "missing"): (2, "", "config: no file or shipped scenario named "
+                         "'no-such-scenario'\n"),
+    ("validate", "directory"): (2, "", "config: cannot read <tmp>/dir: "
+                                "[Errno 21] Is a directory: '<tmp>/dir'\n"),
+    ("run", "directory"): (2, "", "<tmp>/dir: Is a directory\n"),
+    ("validate", "invalid"): (2, "", "indices: nonempty list required\n"
+                              "outputs: unknown metric 'wat' (known: "
+                              "cumulant_gaps, gamma_stat, ks, "
+                              "empirical_cumulants, q_chaos)\n"),
+    ("run", "invalid"): (2, "", "indices: nonempty list required; outputs: "
+                         "unknown metric 'wat' (known: cumulant_gaps, "
+                         "gamma_stat, ks, empirical_cumulants, q_chaos)\n"),
+    ("validate", "guard"): (0, "ok\n", ""),
+    ("run", "guard"): (3, "", "scenario 'tiny' aborted at n=4000: dense "
+                       "tensor with dim=4000, order=2 has 16000000 entries, "
+                       "above the guard MAX_ELEMENTS=10000000\n"),
+    ("validate", "good"): (0, "ok\n", ""),
+    ("run", "good"): (0, "<tmp>/out-good/tiny.csv\n"
+                      "<tmp>/out-good/tiny_summary.json\n", ""),
+}
+
+
+def test_main_keeps_its_recorded_exit_codes_and_messages(tmp_path):
+    (tmp_path / "dir").mkdir()
+    configs = {"missing": "no-such-scenario", "directory": tmp_path / "dir"}
+    for case, overrides in [
+            ("invalid", {"indices": [], "outputs": ["wat"]}),
+            ("guard", {"family": {"name": "equal-split"},
+                       "indices": [2, 4000]}),
+            ("good", {})]:
+        doc = {**BASE_CONFIG, "indices": [2, 4],
+               "outputs": ["cumulant_gaps", "gamma_stat"], **overrides}
+        configs[case] = tmp_path / f"{case}.json"
+        configs[case].write_text(json.dumps(doc))
+    got = {}
+    for case, config in configs.items():
+        for argv in (["validate", str(config)],
+                     ["run", str(config), "--out", str(tmp_path / f"out-{case}"),
+                      "--no-mc"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            got[argv[0], case] = (code, *(s.getvalue().replace(
+                str(tmp_path), "<tmp>") for s in (out, err)))
+    assert got == MAIN_RECORD
+
+
 def test_main_run_tiny(tmp_path, capsys):
     config = write_config(tmp_path, mc={"samples": 500, "seed": 5},
                           indices=[2, 4])
@@ -443,7 +497,9 @@ def test_a_config_json_cannot_decode_exits_2_with_one_line(tmp_path, capsys):
 def test_a_config_is_read_as_utf_8_under_an_ascii_locale(tmp_path,
                                                          python_child):
     # RFC 8259 JSON is UTF-8, whatever the locale's default encoding is:
-    # the C locale without UTF-8 mode reads files as ASCII
+    # the C locale without UTF-8 mode reads files as ASCII.  The only
+    # problem found is the unknown field that carries the non-ASCII text,
+    # so the file decoded.
     config = tmp_path / "config.json"
     config.write_bytes(json.dumps({**BASE_CONFIG, "note": "caf\u00e9"},
                                   ensure_ascii=False).encode("utf-8"))
@@ -451,7 +507,8 @@ def test_a_config_is_read_as_utf_8_under_an_ascii_locale(tmp_path,
         ["-c", "import sys; from chi2chaos import cli; "
                "print(cli.validate_config(sys.argv[1]))", str(config)],
         env={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
-    assert out == "[]"
+    assert out == repr(["config: unknown field 'note' (known: id, target, "
+                        "family, indices, mc, outputs)"])
 
 
 def test_a_config_name_longer_than_the_system_takes_exits_2(tmp_path, capsys):
@@ -487,6 +544,36 @@ def test_validate_and_run_reject_the_same_bad_fields(tmp_path, capsys,
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(field), err
         assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"mc": {"sample": 100}},
+     "mc: unknown field 'sample' (known: samples, seed)"),
+    ({"index": [2]}, "config: unknown field 'index' (known: id, target, "
+     "family, indices, mc, outputs)"),
+    ({"target": {"alphas": [1.0, 2.0], "alpha": [1.0]}},
+     "target: unknown field 'alpha' (known: alphas)"),
+    ({"family": {"name": "diag", "entries": [[1.0, 0.0]], "signs": "positive"}},
+     "family: unknown field 'signs' of family 'diag' (known: name, entries)"),
+    ({"family": {"name": "equal-split", "scale": 2.0}}, "family: unknown "
+     "field 'scale' of family 'equal-split' (known: name, signs)"),
+    ({"family": {**RANK_ONE, "entries": []}}, "family: unknown field "
+     "'entries' of family 'rank-one-difference' (known: name, scale)"),
+    ({"target": {"alpha": [1.0]}}, "target: unknown field 'alpha' (known: "
+     "alphas); target: object with an 'alphas' list required"),
+    ({"mc": {"seed": 1, "Samples": 10, "\n": 0}},
+     "mc: unknown field 'Samples' (known: samples, seed); "
+     "mc: unknown field '\\n' (known: samples, seed)"),
+])
+def test_validate_and_run_reject_unknown_fields(tmp_path, capsys, overrides,
+                                                message):
+    # a misspelt field is an error, not a default silently used
+    config = write_config(tmp_path, **overrides)
+    assert main(["validate", str(config)]) == 2
+    assert capsys.readouterr().err == message.replace("; ", "\n") + "\n"
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == message + "\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -595,6 +595,20 @@ def test_cdf_batch_up_to_256_points_is_bitwise_cdf(alphas):
         law.cdf_batch(np.array([0.0, np.nan]))
 
 
+@pytest.mark.parametrize("x", [
+    0.5, -3.0, np.float64(2.0), 7, [], np.empty((0, 3)), [1.5],
+    [[-1.0, 0.0, 2.0], [3.0, 0.5, 0.5]], np.linspace(-4.0, 9.0, 256),
+    np.linspace(-4.0, 9.0, 256).reshape(16, 4, 4)])
+def test_cdf_batch_takes_what_cdf_takes(x):
+    # one input rule: a float for a scalar, else an array of x's shape,
+    # bitwise cdf's values up to 256 points
+    law = TargetLaw(TargetSpec((1.0, 2.0)))
+    want, got = law.cdf(x), law.cdf_batch(x)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_cdf_batch_inverts_each_distinct_point_once():
     # a batch of repeated points inverts its distinct points only
     law = TargetLaw(TargetSpec((1.0,)))
