@@ -46,11 +46,10 @@ class ChaosExpansion:
     """
 
     def __init__(self, dim: int, kernels=None):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        self.dim = dim
-        self._kernels = {int(q): SymmetricKernel(q, dim, arr)
-                         for q, arr in (kernels or {}).items()}
+        self.dim = sym_tensor._integer(dim, "dim", 1)
+        held = [SymmetricKernel(q, self.dim, arr)
+                for q, arr in (kernels or {}).items()]
+        self._kernels = {f.order: f for f in held}
 
     @classmethod
     def constant(cls, dim: int, value: float) -> "ChaosExpansion":

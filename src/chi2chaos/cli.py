@@ -166,17 +166,6 @@ def config_diagnostics(doc) -> list:
     return out
 
 
-def validate_config(path) -> list:
-    """Diagnostics for a config file without running it."""
-    try:
-        doc = _read_config(path)
-    except OSError as exc:
-        return [f"config: cannot read {path}: {exc}"]
-    except ConfigError as exc:
-        return [str(exc)]
-    return config_diagnostics(doc)
-
-
 def _read_config(path):
     # RFC 8259 JSON is UTF-8, whatever the locale's default encoding
     with open(path, encoding="utf-8") as fh:
@@ -189,6 +178,9 @@ def _read_config(path):
 
 
 def load_config(path) -> Scenario:
+    """The scenario a config file states.  An unreadable file raises
+    OSError; a config with problems raises one ConfigError, its problems
+    joined by '; '."""
     return _scenario(_read_config(path))
 
 
@@ -395,7 +387,9 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
         "final": {c: rows[-1].get(c) for c in columns},
         "provenance": {"chi2chaos": __version__, "numpy": np.__version__,
                        "python": platform.python_version(),
-                       "generator_id": montecarlo.GENERATOR_ID},
+                       "generator_id": montecarlo.GENERATOR_ID,
+                       "stream_fingerprint_matched":
+                           montecarlo.stream_fingerprint_matches()},
     }
     if kappa_se:
         # standard errors of the emp_kappa_* columns, from 10 sub-batches
@@ -502,9 +496,7 @@ def main(argv=None) -> int:
     try:
         path = resolve_config(args.config)
         if args.command == "validate":
-            problems = validate_config(path)
-            if problems:
-                raise ConfigError("\n".join(problems))
+            load_config(path)
             print("ok")
             return 0
         # a non-finite value ends the run with one line (exit 3), so numpy's

@@ -12,6 +12,7 @@ per call; the element limit is fixed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,22 @@ def _check_guard(order, dim, max_order=None):
             f"dense tensor with dim={dim}, order={order} has {dim ** order} "
             f"entries, above the guard MAX_ELEMENTS={MAX_ELEMENTS}"
         )
+
+
+def _integer(value, name, least, below=None) -> int:
+    """``value`` as an int, or ValueError naming ``name`` unless it is an
+    integer (a NumPy integer is; a bool is not) in [least, below)."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if number < least:
+        raise ValueError(f"{name} must be >= {least}, got {number}")
+    if below is not None and number >= below:
+        raise ValueError(f"{name} must be < {below}, got {number}")
+    return number
 
 
 def _held(arr) -> np.ndarray:
@@ -65,10 +82,8 @@ class SymmetricKernel:
 
     def __post_init__(self):
         arr = _held(self.coeffs)
-        if self.order < 0:
-            raise ValueError(f"order must be >= 0, got {self.order}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        object.__setattr__(self, "order", _integer(self.order, "order", 0))
+        object.__setattr__(self, "dim", _integer(self.dim, "dim", 1))
         if arr.shape != (self.dim,) * self.order:
             raise ValueError(
                 f"coeffs shape {arr.shape} does not match order={self.order}, "

@@ -28,7 +28,6 @@ from chi2chaos.cli import (
     resolve_config,
     run_scenario,
     shipped_scenarios,
-    validate_config,
 )
 from chi2chaos.errors import ConfigError, ConsistencyError
 from chi2chaos.spectral2 import spectral
@@ -47,6 +46,11 @@ BASE_CONFIG = {
 RANK_ONE = {"name": "rank-one-difference", "scale": 0.5}
 
 
+def diagnostics(path):
+    """The problems of the config file at path, read as run reads it."""
+    return config_diagnostics(cli._read_config(path))
+
+
 def write_config(tmp_path, **overrides):
     doc = json.loads(json.dumps(BASE_CONFIG))
     doc.update(overrides)
@@ -62,37 +66,37 @@ def test_shipped_scenarios_present_and_valid():
         "two-eigenvalue-q2-example", "gamma-nu1",
     }
     for path in shipped.values():
-        assert validate_config(path) == []
+        assert diagnostics(path) == []
 
 
 def test_validate_ok(tmp_path):
     path = write_config(tmp_path)
-    assert validate_config(path) == []
+    assert diagnostics(path) == []
 
 
 def test_validate_duplicate_alphas(tmp_path):
     path = write_config(tmp_path, target={"alphas": [1.0, 1.0]})
-    problems = validate_config(path)
+    problems = diagnostics(path)
     assert problems and "alphas[1]" in problems[0]
 
 
 def test_validate_decreasing_indices(tmp_path):
     path = write_config(tmp_path, indices=[4, 2])
-    problems = validate_config(path)
+    problems = diagnostics(path)
     assert problems and "strictly increasing" in problems[0]
 
 
 def test_validate_unknown_family_and_outputs(tmp_path):
     path = write_config(tmp_path, family={"name": "nope"})
-    assert any("unknown family" in p for p in validate_config(path))
+    assert any("unknown family" in p for p in diagnostics(path))
     path = write_config(tmp_path, outputs=["gamma_stat", "wat"])
-    assert any("unknown metric" in p for p in validate_config(path))
+    assert any("unknown metric" in p for p in diagnostics(path))
 
 
 def test_validate_q_chaos_needs_two_weights(tmp_path):
     path = write_config(tmp_path, target={"alphas": [1.0]},
                         outputs=["q_chaos"])
-    assert any("two-weight" in p for p in validate_config(path))
+    assert any("two-weight" in p for p in diagnostics(path))
 
 
 def test_load_config_raises_on_invalid(tmp_path):
@@ -216,7 +220,8 @@ def test_run_scenario_summary_records_the_software(tmp_path):
     assert provenance == {"chi2chaos": chi2chaos.__version__,
                           "numpy": np.__version__,
                           "python": platform.python_version(),
-                          "generator_id": montecarlo.GENERATOR_ID}
+                          "generator_id": montecarlo.GENERATOR_ID,
+                          "stream_fingerprint_matched": True}
 
 
 def test_run_scenario_summary_has_the_ks_noise_floor(tmp_path):
@@ -299,10 +304,9 @@ MAIN_RECORD = {
                               "named 'no-such-scenario'\n"),
     ("run", "missing"): (2, "", "config: no file or shipped scenario named "
                          "'no-such-scenario'\n"),
-    ("validate", "directory"): (2, "", "config: cannot read <tmp>/dir: "
-                                "[Errno 21] Is a directory: '<tmp>/dir'\n"),
+    ("validate", "directory"): (2, "", "<tmp>/dir: Is a directory\n"),
     ("run", "directory"): (2, "", "<tmp>/dir: Is a directory\n"),
-    ("validate", "invalid"): (2, "", "indices: nonempty list required\n"
+    ("validate", "invalid"): (2, "", "indices: nonempty list required; "
                               "outputs: unknown metric 'wat' (known: "
                               "cumulant_gaps, gamma_stat, ks, "
                               "empirical_cumulants, q_chaos)\n"),
@@ -343,6 +347,9 @@ def test_main_keeps_its_recorded_exit_codes_and_messages(tmp_path):
             got[argv[0], case] = (code, *(s.getvalue().replace(
                 str(tmp_path), "<tmp>") for s in (out, err)))
     assert got == MAIN_RECORD
+    # validate is run's config reader without the run: one line per fault
+    for case in ("missing", "directory", "invalid"):
+        assert got["validate", case] == got["run", case]
 
 
 def test_main_run_tiny(tmp_path, capsys):
@@ -477,6 +484,56 @@ def test_run_rejects_invalid_json_and_non_list_outputs(tmp_path, capsys):
     assert "outputs: list required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([BASE_CONFIG], "config: top-level JSON object expected"),
+    ({**BASE_CONFIG, "mc": [2000, 321]}, "mc: object expected"),
+])
+def test_validate_and_run_reject_a_config_of_the_wrong_shape(tmp_path, capsys,
+                                                             doc, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    for argv in (["validate", str(config)],
+                 ["run", str(config), "--out", str(tmp_path / "out"),
+                  "--seed", "1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_equal_split_with_positive_signs_has_closed_form_columns(tmp_path):
+    # n eigenvalues 1/sqrt(2n) against N^2 - 1: kappa_2 is 1 against the
+    # target's 2, and gamma_stat is (1/2)(1 - 1/sqrt(2n))^2
+    config = write_config(tmp_path, target={"alphas": [1.0]},
+                          family={"name": "equal-split", "signs": "positive"},
+                          indices=[2, 8, 32],
+                          outputs=["cumulant_gaps", "gamma_stat"])
+    csv_path, _ = run_scenario(config, tmp_path / "out", no_mc=True)
+    rows = list(csv.DictReader(open(csv_path)))
+    assert [int(row["n"]) for row in rows] == [2, 8, 32]
+    for row in rows:
+        n = int(row["n"])
+        assert float(row["kappa_gap_2"]) == 1.0
+        assert math.isclose(float(row["gamma_stat"]),
+                            0.5 * (1.0 - 1.0 / math.sqrt(2 * n)) ** 2,
+                            rel_tol=1e-12)
+
+
+def test_a_target_whose_cumulants_overflow_a_float_exits_3(tmp_path, capsys):
+    # 200 weights need cumulant gaps up to order 201, and (r - 1)! passes
+    # the float range from r = 172
+    config = write_config(tmp_path, id="many",
+                          target={"alphas": [1.0 + i / 100 for i in range(200)]},
+                          outputs=["cumulant_gaps", "gamma_stat"])
+    assert main(["validate", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(config), "--out", str(tmp_path / "out"),
+                 "--no-mc"]) == 3
+    assert capsys.readouterr().err == (
+        "scenario 'many' aborted at n=2: overflow: int too large to convert "
+        "to float\n")
+    assert not (tmp_path / "out" / "many.csv").exists()
+
+
 def test_a_config_json_cannot_decode_exits_2_with_one_line(tmp_path, capsys):
     # a file that is not UTF-8 raised UnicodeDecodeError, and an array
     # nested 2e5 deep RecursionError, each with a traceback and exit 1
@@ -505,7 +562,8 @@ def test_a_config_is_read_as_utf_8_under_an_ascii_locale(tmp_path,
                                   ensure_ascii=False).encode("utf-8"))
     out, _ = python_child(
         ["-c", "import sys; from chi2chaos import cli; "
-               "print(cli.validate_config(sys.argv[1]))", str(config)],
+               "print(cli.config_diagnostics(cli._read_config(sys.argv[1])))",
+         str(config)],
         env={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
     assert out == repr(["config: unknown field 'note' (known: id, target, "
                         "family, indices, mc, outputs)"])
@@ -571,7 +629,7 @@ def test_validate_and_run_reject_unknown_fields(tmp_path, capsys, overrides,
     # a misspelt field is an error, not a default silently used
     config = write_config(tmp_path, **overrides)
     assert main(["validate", str(config)]) == 2
-    assert capsys.readouterr().err == message.replace("; ", "\n") + "\n"
+    assert capsys.readouterr().err == message + "\n"
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == message + "\n"
     assert not (tmp_path / "out").exists()

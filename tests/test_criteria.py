@@ -429,3 +429,10 @@ def test_power_sum_forward_check_random():
         b = rng.permutation(a)
         res = power_sum_match(a, b, pmax=max(6, len(a)))
         assert res.equal and res.power_sums_agree
+
+
+def test_poly_expectation_needs_a_moment_for_each_degree():
+    cubic = [1.0, 0.0, 0.0, 2.0]  # 1 + 2 x^3
+    with pytest.raises(ValueError, match="degree 3 needs 3 moments, got 2"):
+        criteria._poly_expectation(cubic, [0.0, 1.0])
+    assert criteria._poly_expectation(cubic, [0.0, 1.0, 0.5]) == 2.0

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import sys
@@ -12,7 +13,7 @@ from scipy import integrate, special
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from chi2chaos import chaos, montecarlo, sym_tensor
+from chi2chaos import chaos, cli, montecarlo, sym_tensor
 from chi2chaos.chaos import ChaosExpansion
 from chi2chaos.cli import load_config, shipped_scenarios
 from chi2chaos.errors import NumericalError
@@ -58,7 +59,7 @@ def test_sampling_reproducible():
     assert a.generator_id == GENERATOR_ID
 
 
-def test_the_numpy_random_stream_is_the_pinned_one():
+def test_the_numpy_random_stream_is_the_pinned_one(tmp_path):
     # every Monte Carlo column rests on these draws (NumPy 2.4.6), and numpy
     # is not pinned: a release that changes Philox or its normal sampler
     # moves every ks and emp_kappa_* value
@@ -67,6 +68,46 @@ def test_the_numpy_random_stream_is_the_pinned_one():
         "0x1.5396485e717b0p+0", "0x1.346e5e799d961p+0")]
     got = montecarlo._rng(0).standard_normal(4).tolist()
     assert got == want, "the NumPy random stream changed"
+    # and a run's summary says whether the stream is still this one
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "id": "stream", "target": {"alphas": [1.0]},
+        "family": {"name": "equal-split"}, "indices": [2],
+        "outputs": ["gamma_stat"]}))
+    _, summary = cli.run_scenario(config, tmp_path, no_mc=True)
+    provenance = json.loads(summary.read_text())["provenance"]
+    assert provenance["stream_fingerprint_matched"] is True
+    with mock.patch.object(montecarlo, "STREAM_FINGERPRINT", ("0x0p+0",) * 4):
+        assert montecarlo.stream_fingerprint_matches() is False
+
+
+@pytest.mark.parametrize("n, seed, message", [
+    # seed 1.5 drew seed 1's sample, and its SampleBatch recorded 1.5
+    (10, 1.5, "seed must be an integer, got 1.5"),
+    (10, "3", "seed must be an integer, got '3'"),
+    (10, True, "seed must be an integer, got True"),
+    # -1 and 2^64 raised OverflowError
+    (10, -1, "seed must be >= 0, got -1"),
+    (10, 2 ** 64, f"seed must be < {2 ** 64}, got {2 ** 64}"),
+    # n = 2.5 raised TypeError
+    (2.5, 1, "n must be an integer, got 2.5"),
+    (0, 1, "n must be >= 1, got 0"),
+    (np.True_, 1, "n must be an integer, got "),
+])
+def test_the_samplers_take_an_integer_seed_below_2_64_and_an_integer_n(
+        n, seed, message):
+    F = ChaosExpansion.from_kernel(basis_kernel(2, (0, 1)))
+    for sample, law in ((sample_chaos, F), (sample_target, TargetSpec((1.0,)))):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            sample(law, n, seed)
+
+
+def test_the_samplers_take_numpy_integers_and_the_largest_seed():
+    F = ChaosExpansion.from_kernel(basis_kernel(2, (0, 1)))
+    for sample, law in ((sample_chaos, F), (sample_target, TargetSpec((1.0,)))):
+        plain = sample(law, 5, 2 ** 64 - 1)
+        typed = sample(law, np.int64(5), np.uint64(2 ** 64 - 1))
+        assert np.array_equal(plain.values, typed.values)
 
 
 def test_sample_chaos_constant_and_gaussian():
@@ -696,6 +737,14 @@ def test_kolmogorov_distance_rejects_a_cdf_of_the_wrong_shape():
 
     with pytest.raises(ValueError, match=r"shape \(\) .* shape \(5,\)"):
         kolmogorov_distance(np.arange(5.0), scalar_only)
+
+
+def test_kolmogorov_distance_needs_a_sample():
+    def unreachable(x):
+        raise AssertionError("the CDF was called on an empty sample")
+
+    with pytest.raises(ValueError, match="^need at least one sample$"):
+        kolmogorov_distance(np.empty(0), unreachable)
 
 
 def _ks_one_line(values, cdf):

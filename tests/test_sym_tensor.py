@@ -266,3 +266,26 @@ def test_order_zero_kernel():
     k = SymmetricKernel(0, 3, np.asarray(2.5))
     assert math.sqrt(inner(k, k)) == 2.5
     assert float(contract(k, k, 0)) == 6.25
+
+
+@pytest.mark.parametrize("order, dim, field", [
+    (2.0, 3, "order"), ("2", 3, "order"), (True, 3, "order"),
+    (2, 3.0, "dim"), (2, "3", "dim"), (2, np.True_, "dim"),
+])
+def test_a_kernel_order_or_dim_that_is_not_an_integer_raises_value_error(
+        order, dim, field):
+    # order 2.0 raised TypeError from (dim,) * order, and dim 3.0 was
+    # accepted until evaluate or sample_chaos used it as a size
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        SymmetricKernel(order, dim, np.eye(3))
+    if field == "dim":
+        with pytest.raises(ValueError, match="^dim must be an integer, got "):
+            ChaosExpansion(dim)
+
+
+def test_numpy_integers_are_kernel_orders_and_dims():
+    f = SymmetricKernel(np.int64(2), np.uint8(3), np.eye(3))
+    assert (f.order, f.dim) == (2, 3)
+    assert type(f.order) is int and type(f.dim) is int
+    F = ChaosExpansion(np.int32(3), {np.int16(2): np.eye(3)})
+    assert F.dim == 3 and F.orders() == [2]
