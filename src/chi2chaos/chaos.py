@@ -65,6 +65,7 @@ class ChaosExpansion:
 
     def kernel(self, q: int) -> np.ndarray:
         """Kernel at order q; absent orders are the zero kernel."""
+        q = sym_tensor._integer(q, "q", 0)
         if q in self._kernels:
             return self._kernels[q].coeffs
         return np.zeros((self.dim,) * q)
@@ -85,8 +86,7 @@ class ChaosExpansion:
     def __add__(self, other):
         if isinstance(other, (int, float)):
             other = ChaosExpansion.constant(self.dim, other)
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+        sym_tensor._same_dim(self.dim, other.dim)
         out = {}
         for q in set(self._kernels) | set(other._kernels):
             out[q] = _sealed(self.kernel(q) + other.kernel(q))
@@ -118,8 +118,7 @@ def _sealed(a) -> np.ndarray:
 def _pair(F: ChaosExpansion, G: ChaosExpansion, weight, r_min: int,
           max_order=None) -> ChaosExpansion:
     """sum_{p,q,r >= r_min} weight(p,q,r) I_{p+q-2r}(f_p (x)~_r g_q)."""
-    if F.dim != G.dim:
-        raise ValueError("dimension mismatch")
+    sym_tensor._same_dim(F.dim, G.dim)
     out = {}
     for p, f in sorted(F._kernels.items()):
         for q, g in sorted(G._kernels.items()):
@@ -182,8 +181,7 @@ def _hermite_table(x: np.ndarray, qmax: int, out=None, work=None) -> np.ndarray:
 def hermite(q: int, x):
     """Probabilists' Hermite polynomial H_q evaluated at x (scalar or array):
     row q of :func:`_hermite_table`."""
-    if q < 0:
-        raise ValueError(f"q must be >= 0, got {q}")
+    q = sym_tensor._integer(q, "q", 0)
     h = _hermite_table(np.asarray(x, dtype=float), q)[q]
     return h if h.ndim else float(h)
 
@@ -466,10 +464,8 @@ def gamma_step(F: ChaosExpansion, G: ChaosExpansion, max_order=None) -> ChaosExp
 
 def gamma_sequence(F: ChaosExpansion, imax: int, max_order=None):
     """[Gamma_0(F) = F, Gamma_1(F), ..., Gamma_imax(F)] by iterating gamma_step."""
-    if imax < 0:
-        raise ValueError(f"imax must be >= 0, got {imax}")
     seq = [F]
-    for _ in range(imax):
+    for _ in range(sym_tensor._integer(imax, "imax", 0)):
         seq.append(gamma_step(F, seq[-1], max_order=max_order))
     return seq
 
@@ -485,11 +481,8 @@ def gamma_explicit(f: SymmetricKernel, i: int, max_order=None) -> ChaosExpansion
     do not survive another derivative), while the final step may produce the
     order-0 term that carries E[Gamma_i].
     """
-    if f.order < 2:
-        raise ValueError(f"kernel order must be >= 2, got {f.order}")
-    if i < 1:
-        raise ValueError(f"i must be >= 1, got {i}")
-    q = f.order
+    q = sym_tensor._integer(f.order, "kernel order", 2)
+    i = sym_tensor._integer(i, "i", 1)
     out = {}
 
     def descend(current: SymmetricKernel, const: float, step: int):
@@ -512,8 +505,7 @@ def gamma_explicit(f: SymmetricKernel, i: int, max_order=None) -> ChaosExpansion
 
 def l2_inner(F: ChaosExpansion, G: ChaosExpansion) -> float:
     """E[F G] via the chaos isometry: sum_q q! <f_q, g_q> plus the means."""
-    if F.dim != G.dim:
-        raise ValueError("dimension mismatch")
+    sym_tensor._same_dim(F.dim, G.dim)
     total = 0.0
     for q in set(F.orders()) & set(G.orders()):
         total += math.factorial(q) * float(np.sum(F.kernel(q) * G.kernel(q)))
@@ -527,8 +519,7 @@ def l2_norm(F: ChaosExpansion) -> float:
 
 def exact_cumulants(F: ChaosExpansion, jmax: int, max_order=None):
     """[kappa_1, ..., kappa_jmax] computed from one gamma sequence."""
-    if jmax < 1:
-        raise ValueError(f"jmax must be >= 1, got {jmax}")
+    jmax = sym_tensor._integer(jmax, "jmax", 1)
     out = [F.mean]
     if jmax == 1:
         return out
@@ -541,6 +532,7 @@ def exact_cumulants(F: ChaosExpansion, jmax: int, max_order=None):
 
 def moments_from_cumulants(kappas, mmax: int):
     """Raw moments E[F^1..F^mmax] from cumulants [kappa_1, kappa_2, ...]."""
+    mmax = sym_tensor._integer(mmax, "mmax", 0)
     if len(kappas) < mmax:
         raise ValueError(f"need {mmax} cumulants, got {len(kappas)}")
     moments = [1.0]  # E[F^0]

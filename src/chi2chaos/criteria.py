@@ -225,12 +225,10 @@ def q_chaos_conditions(f: SymmetricKernel, spec: TargetSpec,
     ``gamma_stat = (1/2) sum_m m! * bucket_m`` holds at every q
     (:func:`conditions_gamma_stat`); at q = 2 this is gamma_stat == b1.
     """
-    if f.order < 2:
-        raise ValueError(f"kernel order must be >= 2, got {f.order}")
+    q = sym_tensor._integer(f.order, "kernel order", 2)
     if spec.k != 2:
         raise ValueError(f"conditions are defined for exactly two weights, "
                          f"got {spec.k}")
-    q = f.order
     seq = [ChaosExpansion.from_kernel(f)]
     seq += [chaos.gamma_explicit(f, i, max_order=max_order) for i in (1, 2)]
     comb = _centered_combination(seq, spec)
@@ -279,6 +277,7 @@ def power_sum_match(a, b, pmax: int, tol: float = 1e-10) -> PowerSumMatch:
     per entry.  Power sums sum_k a_k^p for p = 1..pmax are reported for both
     lists as the forward check (equal multisets must share every power sum).
     """
+    pmax = sym_tensor._integer(pmax, "pmax", 0)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     psums_a = tuple(float(np.sum(a ** p)) for p in range(1, pmax + 1))

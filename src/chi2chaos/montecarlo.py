@@ -115,8 +115,12 @@ def sample_chaos(F: ChaosExpansion, n: int, seed: int) -> SampleBatch:
 
 
 def _values(batch) -> np.ndarray:
-    """The sample values of a ``SampleBatch`` or of an array-like."""
-    return batch.values if isinstance(batch, SampleBatch) else np.asarray(batch, float)
+    """The sample values of a ``SampleBatch`` or of an array-like, if 1-D."""
+    values = (batch.values if isinstance(batch, SampleBatch)
+              else np.asarray(batch, float))
+    if values.ndim != 1:
+        raise ValueError(f"a sample must be 1-D, got shape {values.shape}")
+    return values
 
 
 def k_statistics(batch, rmax: int = 4):
@@ -124,8 +128,7 @@ def k_statistics(batch, rmax: int = 4):
     k-statistics."""
     values = _values(batch)
     n = len(values)
-    if not 1 <= rmax <= 4:
-        raise ValueError(f"rmax must be in 1..4, got {rmax}")
+    rmax = sym_tensor._integer(rmax, "rmax", 1, 5)
     if n <= rmax:
         raise ValueError(f"need more than rmax={rmax} samples, got {n}")
     mean = float(np.mean(values))
@@ -153,8 +156,7 @@ def k_statistic_errors(batch, rmax: int = 4):
     or None for each below 10 (rmax + 1) values, where some sub-batch would
     hold rmax values or fewer."""
     values = _values(batch)
-    if not 1 <= rmax <= 4:
-        raise ValueError(f"rmax must be in 1..4, got {rmax}")
+    rmax = sym_tensor._integer(rmax, "rmax", 1, 5)
     if len(values) < 10 * (rmax + 1):
         return [None] * rmax
     chunks = np.array_split(values, 10)

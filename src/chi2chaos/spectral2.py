@@ -62,19 +62,22 @@ class TargetSpec:
         return len(self.alphas)
 
     def cumulant(self, r: int) -> float:
-        """kappa_r of the target: 2^{r-1} (r-1)! sum_i alpha_i^r, for r >= 2.
+        """kappa_r of the target: 0 at r = 1 (it is centered), else
+        2^{r-1} (r-1)! sum_i alpha_i^r.
 
         A power beyond the float range is inf (a NumPy power, where a
         Python float power raises OverflowError), so the column it feeds
         is the one named non-finite."""
-        if r < 2:
+        r = sym_tensor._integer(r, "r", 1)
+        if r == 1:
             return 0.0
         return (2.0 ** (r - 1)) * math.factorial(r - 1) * sum(
             float(np.float64(a) ** r) for a in self.alphas)
 
     def cumulants(self, rmax: int):
         """[kappa_1, ..., kappa_rmax]; kappa_1 = 0 (the target is centered)."""
-        return [self.cumulant(r) for r in range(1, rmax + 1)]
+        return [self.cumulant(r)
+                for r in range(1, sym_tensor._integer(rmax, "rmax", 0) + 1)]
 
 
 @dataclass(frozen=True)
@@ -110,10 +113,8 @@ def iterated_contraction(f: SymmetricKernel, p: int) -> SymmetricKernel:
     """The p-fold iterated contraction of f with itself (p=1 gives f)."""
     if f.order != 2:
         raise ValueError(f"kernel order must be 2, got {f.order}")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     out = f
-    for _ in range(p - 1):
+    for _ in range(sym_tensor._integer(p, "p", 1) - 1):
         out = SymmetricKernel(2, f.dim, sym_tensor.contract(out, f, 1))
     return out
 
@@ -125,8 +126,7 @@ def cumulant_spectral_forms(f: SymmetricKernel, i: int):
     """
     if f.order != 2:
         raise ValueError(f"kernel order must be 2, got {f.order}")
-    if i < 2:
-        raise ValueError(f"i must be >= 2, got {i}")
+    i = sym_tensor._integer(i, "i", 2)
     prefactor = (2.0 ** (i - 1)) * math.factorial(i - 1)
     eigen = spectral(f).eigenvalues
     by_eigen = prefactor * float(np.sum(eigen ** i))
@@ -164,8 +164,7 @@ def gamma_identity_defect(f: SymmetricKernel, r: int, max_order=None) -> float:
     recursion) and the L^2 norm of their difference is returned; it should be
     below ~1e-10 * (1 + ||f||^r).
     """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    r = sym_tensor._integer(r, "r", 1)
     lhs = ChaosExpansion.from_kernel(iterated_contraction(f, r))
     F = ChaosExpansion.from_kernel(f)
     gamma = chaos.gamma_sequence(F, r - 1, max_order=max_order)[r - 1]

@@ -24,7 +24,10 @@ MAX_ELEMENTS = 10_000_000
 
 
 def _check_guard(order, dim, max_order=None):
-    max_order = MAX_ORDER if max_order is None else max_order
+    """``(order, dim)`` as ints; order, dim and max_order obey ``_integer``."""
+    order, dim = _integer(order, "order", 0), _integer(dim, "dim", 1)
+    max_order = (MAX_ORDER if max_order is None
+                 else _integer(max_order, "max_order", 0))
     if order > max_order:
         raise ResourceGuardError(
             f"tensor order {order} exceeds the guard max_order={max_order}"
@@ -34,6 +37,7 @@ def _check_guard(order, dim, max_order=None):
             f"dense tensor with dim={dim}, order={order} has {dim ** order} "
             f"entries, above the guard MAX_ELEMENTS={MAX_ELEMENTS}"
         )
+    return order, dim
 
 
 def _integer(value, name, least, below=None) -> int:
@@ -50,6 +54,13 @@ def _integer(value, name, least, below=None) -> int:
     if below is not None and number >= below:
         raise ValueError(f"{name} must be < {below}, got {number}")
     return number
+
+
+def _same_dim(a: int, b: int) -> int:
+    """The dimension a of two operands, or ValueError unless b equals it."""
+    if a != b:
+        raise ValueError(f"dimension mismatch: {a} != {b}")
+    return a
 
 
 def _held(arr) -> np.ndarray:
@@ -113,12 +124,11 @@ def symmetrize(tensor, *, max_order=None):
     """
     t = np.asarray(tensor, dtype=float)
     q = t.ndim
+    if t.shape != t.shape[:1] * q:
+        raise ValueError(f"tensor shape {t.shape} is not cubical")
+    _check_guard(q, t.shape[0] if q else 1, max_order)
     if q <= 1:
         return t.copy()
-    dim = t.shape[0]
-    if t.shape != (dim,) * q:
-        raise ValueError(f"tensor shape {t.shape} is not cubical")
-    _check_guard(q, dim, max_order)
 
     acc = t
     for m in range(1, q):
@@ -144,13 +154,8 @@ def contract(f: SymmetricKernel, g: SymmetricKernel, r: int) -> np.ndarray:
     and the value does not depend on the BLAS build.  A dense 256 x 256
     product takes about 4.5 ms this way, against 0.4 ms on one BLAS thread.
     """
-    if f.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} != {g.dim}")
-    if not 0 <= r <= min(f.order, g.order):
-        raise ValueError(
-            f"contraction order r={r} outside [0, {min(f.order, g.order)}]"
-        )
-    d, p, q = f.dim, f.order, g.order
+    d, p, q = _same_dim(f.dim, g.dim), f.order, g.order
+    r = _integer(r, "r", 0, min(p, q) + 1)
     a = f.coeffs.reshape(d ** (p - r), d ** r)
     b = g.coeffs.reshape(d ** (q - r), d ** r)
     return np.einsum("ik,jk->ij", a, b).reshape((d,) * (p + q - 2 * r))
@@ -165,6 +170,7 @@ def sym_contract(f: SymmetricKernel, g: SymmetricKernel, r: int,
 
     The guards are checked on the result's order f.order + g.order - 2r
     before ``contract`` allocates it."""
+    r = _integer(r, "r", 0, min(f.order, g.order) + 1)
     _check_guard(f.order + g.order - 2 * r, f.dim, max_order)
     raw = contract(f, g, r)
     if raw.ndim == 0:
@@ -186,8 +192,7 @@ def inner(f: SymmetricKernel, g: SymmetricKernel) -> float:
 
 def basis_kernel(dim: int, index: tuple) -> SymmetricKernel:
     """Symmetrized elementary tensor e_{i1} o ... o e_{iq} (0-based indices)."""
-    q = len(index)
-    _check_guard(q, dim)
+    q, dim = _check_guard(len(index), dim)
     t = np.zeros((dim,) * q)
     t[tuple(index)] = 1.0
     return SymmetricKernel(q, dim, symmetrize(t))
@@ -196,6 +201,6 @@ def basis_kernel(dim: int, index: tuple) -> SymmetricKernel:
 def random_kernel(order: int, dim: int, rng, scale=1.0,
                   max_order=None) -> SymmetricKernel:
     """Symmetrization of a tensor with U[-scale, scale] entries."""
-    _check_guard(order, dim, max_order)
+    order, dim = _check_guard(order, dim, max_order)
     raw = rng.uniform(-scale, scale, size=(dim,) * order)
     return SymmetricKernel(order, dim, symmetrize(raw, max_order=max_order))

@@ -29,7 +29,12 @@ from chi2chaos.chaos import (
     multiply,
 )
 from chi2chaos.errors import ResourceGuardError
-from chi2chaos.sym_tensor import SymmetricKernel, basis_kernel, random_kernel
+from chi2chaos.sym_tensor import (
+    SymmetricKernel,
+    basis_kernel,
+    contract,
+    random_kernel,
+)
 
 
 def random_expansion(rng, dim, orders, scale=0.6):
@@ -711,6 +716,27 @@ def test_gamma_explicit_argument_errors():
         gamma_explicit(basis_kernel(2, (0,)), 1)
     with pytest.raises(ValueError):
         gamma_explicit(basis_kernel(2, (0, 0)), 0)
+
+
+def test_gamma_explicit_rejects_a_fractional_step_before_contracting(
+        monkeypatch):
+    # i = 1.5 never met step == i, so descend recursed until RecursionError
+    def contract(*args, **kwargs):
+        raise AssertionError("gamma_explicit contracted")
+
+    monkeypatch.setattr(chaos.sym_tensor, "sym_contract", contract)
+    with pytest.raises(ValueError, match=r"^i must be an integer, got 1\.5$"):
+        gamma_explicit(basis_kernel(2, (0, 0)), 1.5)
+
+
+def test_every_dimension_mismatch_names_both_dimensions():
+    F = ChaosExpansion(2, {1: np.ones(2)})
+    G = ChaosExpansion(3, {1: np.ones(3)})
+    f, g = basis_kernel(2, (0,)), basis_kernel(3, (0,))
+    for call in (lambda: F + G, lambda: multiply(F, G), lambda: gamma_step(F, G),
+                 lambda: l2_inner(F, G), lambda: contract(f, g, 1)):
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 != 3$"):
+            call()
 
 
 # --- cumulants and moments ----------------------------------------------------

@@ -555,9 +555,25 @@ def test_k_statistics_memory_is_two_value_arrays_plus_1_mb(peak_mb):
 def test_k_statistics_argument_errors():
     with pytest.raises(ValueError, match="need more than rmax=4"):
         k_statistics(np.zeros(4), 4)
-    for rmax in (0, 5):
-        with pytest.raises(ValueError, match="rmax must be in 1..4"):
+    for rmax, rule in ((0, ">= 1"), (5, "< 5")):
+        with pytest.raises(ValueError, match=f"^rmax must be {rule}, got {rmax}$"):
             k_statistics(np.zeros(10), rmax)
+
+
+@pytest.mark.parametrize("sample", [
+    np.arange(12.0).reshape(6, 2), SampleBatch(np.arange(12.0).reshape(6, 2), 0),
+    np.float64(3.0),
+], ids=["array", "batch", "scalar"])
+def test_a_sample_that_is_not_1d_raises_value_error_naming_its_shape(sample):
+    # k_statistics took a (6, 2) array as 12 values with n = 6, and
+    # kolmogorov_distance raised a broadcast error
+    shape = np.shape(sample.values if isinstance(sample, SampleBatch) else sample)
+    for call in (lambda: k_statistics(sample, 2),
+                 lambda: k_statistic_errors(sample, 2),
+                 lambda: kolmogorov_distance(sample, lambda v: v)):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"must be 1-D, got shape {shape}")):
+            call()
 
 
 def test_target_cf_sanity():

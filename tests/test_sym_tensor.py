@@ -1,12 +1,17 @@
+import ast
+import dataclasses
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from chi2chaos import sym_tensor
+import chi2chaos
+from chi2chaos import chaos, criteria, montecarlo, spectral2, sym_tensor
 from chi2chaos.chaos import ChaosExpansion
 from chi2chaos.cli import family_kernel
 from chi2chaos.errors import ResourceGuardError
@@ -271,16 +276,23 @@ def test_order_zero_kernel():
 @pytest.mark.parametrize("order, dim, field", [
     (2.0, 3, "order"), ("2", 3, "order"), (True, 3, "order"),
     (2, 3.0, "dim"), (2, "3", "dim"), (2, np.True_, "dim"),
+    (1.5, 3, "order"), (2, 1.5, "dim"),
 ])
 def test_a_kernel_order_or_dim_that_is_not_an_integer_raises_value_error(
         order, dim, field):
     # order 2.0 raised TypeError from (dim,) * order, and dim 3.0 was
-    # accepted until evaluate or sample_chaos used it as a size
-    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+    # accepted until evaluate or sample_chaos used it as a size; the guard
+    # compared them as they came in random_kernel and basis_kernel
+    match = f"^{field} must be an integer, got "
+    with pytest.raises(ValueError, match=match):
         SymmetricKernel(order, dim, np.eye(3))
+    with pytest.raises(ValueError, match=match):
+        random_kernel(order, dim, np.random.default_rng(0))
     if field == "dim":
-        with pytest.raises(ValueError, match="^dim must be an integer, got "):
+        with pytest.raises(ValueError, match=match):
             ChaosExpansion(dim)
+        with pytest.raises(ValueError, match=match):
+            basis_kernel(dim, (0, 1))
 
 
 def test_numpy_integers_are_kernel_orders_and_dims():
@@ -289,3 +301,122 @@ def test_numpy_integers_are_kernel_orders_and_dims():
     assert type(f.order) is int and type(f.dim) is int
     F = ChaosExpansion(np.int32(3), {np.int16(2): np.eye(3)})
     assert F.dim == 3 and F.orders() == [2]
+
+
+_F2 = SymmetricKernel(2, 2, [[0.0, 0.5], [0.5, 0.5]])
+_CHAOS2 = ChaosExpansion.from_kernel(_F2)
+_SPEC = spectral2.TargetSpec((1.0, -0.5))
+_SAMPLE = np.linspace(-1.0, 2.0, 60)
+
+# every public count argument: its name, a call taking it, a value in range
+# and the values on either side of the range
+COUNT_ARGUMENTS = {
+    "hermite.q": ("q", lambda v: chaos.hermite(v, 0.5), 3, [-1]),
+    "ChaosExpansion.kernel.q": ("q", lambda v: _CHAOS2.kernel(v), 2, [-1]),
+    "gamma_sequence.imax": (
+        "imax", lambda v: chaos.gamma_sequence(_CHAOS2, v), 2, [-1]),
+    "gamma_explicit.i": ("i", lambda v: chaos.gamma_explicit(_F2, v), 2, [0]),
+    "exact_cumulants.jmax": (
+        "jmax", lambda v: chaos.exact_cumulants(_CHAOS2, v), 4, [0]),
+    "moments_from_cumulants.mmax": (
+        "mmax", lambda v: chaos.moments_from_cumulants([0.5, 2.0, 1.0], v),
+        3, [-1]),
+    "power_sum_match.pmax": (
+        "pmax", lambda v: criteria.power_sum_match([1.0, 2.0], [2.0], v),
+        3, [-1]),
+    "k_statistics.rmax": (
+        "rmax", lambda v: montecarlo.k_statistics(_SAMPLE, v), 4, [0, 5]),
+    "k_statistic_errors.rmax": (
+        "rmax", lambda v: montecarlo.k_statistic_errors(_SAMPLE, v), 4, [0, 5]),
+    "TargetSpec.cumulant.r": ("r", lambda v: _SPEC.cumulant(v), 3, [0]),
+    "TargetSpec.cumulants.rmax": ("rmax", lambda v: _SPEC.cumulants(v), 4, [-1]),
+    "iterated_contraction.p": (
+        "p", lambda v: spectral2.iterated_contraction(_F2, v), 3, [0]),
+    "cumulant_spectral_forms.i": (
+        "i", lambda v: spectral2.cumulant_spectral_forms(_F2, v), 3, [1]),
+    "gamma_identity_defect.r": (
+        "r", lambda v: spectral2.gamma_identity_defect(_F2, v), 3, [0]),
+    "contract.r": ("r", lambda v: contract(_F2, _F2, v), 1, [-1, 3]),
+    "sym_contract.r": ("r", lambda v: sym_contract(_F2, _F2, v), 1, [-1, 3]),
+    "random_kernel.order": (
+        "order", lambda v: random_kernel(v, 2, np.random.default_rng(0)),
+        3, [-1]),
+    "random_kernel.dim": (
+        "dim", lambda v: random_kernel(3, v, np.random.default_rng(0)), 2, [0]),
+    "basis_kernel.dim": ("dim", lambda v: basis_kernel(v, (0, 1)), 3, [0]),
+    "random_kernel.max_order": (
+        "max_order", lambda v: random_kernel(2, 2, np.random.default_rng(0),
+                                             max_order=v), 8, [-1]),
+    "symmetrize.max_order": (
+        "max_order", lambda v: symmetrize(np.arange(4.0).reshape(2, 2),
+                                          max_order=v), 8, [-1]),
+    "sym_contract.max_order": (
+        "max_order", lambda v: sym_contract(_F2, _F2, 1, max_order=v), 8, [-1]),
+    "gamma_sequence.max_order": (
+        "max_order", lambda v: chaos.gamma_sequence(_CHAOS2, 2, max_order=v),
+        8, [-1]),
+    "gamma_explicit.max_order": (
+        "max_order", lambda v: chaos.gamma_explicit(_F2, 2, max_order=v),
+        8, [-1]),
+}
+
+
+@pytest.mark.parametrize("argument", COUNT_ARGUMENTS)
+def test_every_count_argument_obeys_the_integer_rule(argument):
+    # gamma_explicit(f, 1.5) recursed until RecursionError, hermite(True, x)
+    # returned two rows and k_statistics(x, True) read True as 1
+    name, call, _, outside = COUNT_ARGUMENTS[argument]
+    for value in [1.5, 2.0, True, "2", *outside]:
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+            call(value)
+
+
+def _bits(result):
+    """``result`` as a comparable value that keeps every type and bit."""
+    if isinstance(result, ChaosExpansion):
+        return result.dim, [(q, _bits(result.kernel(q))) for q in result.orders()]
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if dataclasses.is_dataclass(result):
+        return type(result).__name__, _bits(dataclasses.astuple(result))
+    if isinstance(result, (list, tuple)):
+        return [_bits(v) for v in result]
+    if isinstance(result, float):
+        return type(result).__name__, result.hex()
+    return type(result).__name__, result
+
+
+@pytest.mark.parametrize("argument", COUNT_ARGUMENTS)
+def test_a_numpy_integer_count_gives_the_python_ints_bits(argument):
+    _, call, value, _ = COUNT_ARGUMENTS[argument]
+    assert _bits(call(np.int64(value))) == _bits(call(value))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: chaos.gamma_explicit(basis_kernel(2, (0,)), 1),
+    lambda: criteria.q_chaos_conditions(basis_kernel(2, (0,)), _SPEC),
+])
+def test_a_kernel_of_order_below_2_has_no_gamma_operators(call):
+    with pytest.raises(ValueError, match="^kernel order must be >= 2, got 1$"):
+        call()
+
+
+def test_only_the_integer_rule_words_a_range():
+    # a hand-written range check words its own message; _integer is the one
+    # owner of "must be >=" and "must be <"
+    found = []
+    for path in sorted(Path(chi2chaos.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = set()
+        if path.name == "sym_tensor.py":
+            rule = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef)
+                        and node.name == "_integer")
+            exempt = {id(node) for node in ast.walk(rule)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in exempt
+                    and ("must be >=" in node.value
+                         or "must be <" in node.value)):
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert found == []
