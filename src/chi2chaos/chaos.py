@@ -38,11 +38,8 @@ class ChaosExpansion:
     """Finite map order -> kernel, closed under the operations below.
 
     Each order holds one ``SymmetricKernel``, whose check is the only
-    kernel rule, and ``kernel(q)`` returns its read-only coefficients.  A
-    kernel passed in that already is a read-only float64 array owning its
-    data (every ``SymmetricKernel.coeffs`` is one) is kept as it is;
-    anything else is copied, so later writes to the caller's array never
-    reach the expansion.
+    kernel rule, and ``kernel(q)`` returns its read-only coefficients, held
+    by the ownership rule of ``sym_tensor._held`` (README, "guard rails").
     """
 
     def __init__(self, dim: int, kernels=None):
@@ -53,7 +50,7 @@ class ChaosExpansion:
 
     @classmethod
     def constant(cls, dim: int, value: float) -> "ChaosExpansion":
-        return cls(dim, {0: np.asarray(float(value))})
+        return cls(dim, {0: sym_tensor._sealed(float(value))})
 
     @classmethod
     def from_kernel(cls, f: SymmetricKernel) -> "ChaosExpansion":
@@ -87,9 +84,11 @@ class ChaosExpansion:
         if isinstance(other, (int, float)):
             other = ChaosExpansion.constant(self.dim, other)
         sym_tensor._same_dim(self.dim, other.dim)
-        out = {}
-        for q in set(self._kernels) | set(other._kernels):
-            out[q] = _sealed(self.kernel(q) + other.kernel(q))
+        # a kernel that only one operand has is kept as it is
+        out = {q: f.coeffs for q, f in self._kernels.items()}
+        for q, g in other._kernels.items():
+            out[q] = (sym_tensor._sealed(out[q] + g.coeffs) if q in out
+                      else g.coeffs)
         return ChaosExpansion(self.dim, out)
 
     __radd__ = __add__
@@ -101,18 +100,10 @@ class ChaosExpansion:
         return self + (-other if isinstance(other, ChaosExpansion) else -float(other))
 
     def __mul__(self, c: float):
-        return ChaosExpansion(
-            self.dim, {q: _sealed(c * k.coeffs) for q, k in self._kernels.items()})
+        return ChaosExpansion(self.dim, {q: sym_tensor._sealed(c * k.coeffs)
+                                         for q, k in self._kernels.items()})
 
     __rmul__ = __mul__
-
-
-def _sealed(a) -> np.ndarray:
-    """A freshly computed kernel as a read-only float array, which
-    ``ChaosExpansion`` then holds without a copy."""
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 def _pair(F: ChaosExpansion, G: ChaosExpansion, weight, r_min: int,
@@ -127,7 +118,7 @@ def _pair(F: ChaosExpansion, G: ChaosExpansion, weight, r_min: int,
                 term = weight(p, q, r) * sym_tensor.sym_contract(
                     f, g, r, max_order=max_order).coeffs
                 out[m] = out.get(m, 0.0) + term
-    return ChaosExpansion(F.dim, {m: _sealed(a) for m, a in out.items()})
+    return ChaosExpansion(F.dim, {m: sym_tensor._sealed(a) for m, a in out.items()})
 
 
 def multiply(F: ChaosExpansion, G: ChaosExpansion, max_order=None) -> ChaosExpansion:
@@ -437,14 +428,14 @@ def _evaluator(F: ChaosExpansion):
 
 def apply_L(F: ChaosExpansion) -> ChaosExpansion:
     """Ornstein-Uhlenbeck generator: scale order q by -q."""
-    return ChaosExpansion(
-        F.dim, {q: -q * F.kernel(q) for q in F.orders() if q > 0})
+    return ChaosExpansion(F.dim, {q: sym_tensor._sealed(-q * F.kernel(q))
+                                  for q in F.orders() if q > 0})
 
 
 def apply_L_inverse(F: ChaosExpansion) -> ChaosExpansion:
     """Pseudo-inverse of L: scale order q >= 1 by -1/q, drop the mean."""
-    return ChaosExpansion(
-        F.dim, {q: (-1.0 / q) * F.kernel(q) for q in F.orders() if q > 0})
+    return ChaosExpansion(F.dim, {q: sym_tensor._sealed((-1.0 / q) * F.kernel(q))
+                                  for q in F.orders() if q > 0})
 
 
 def gamma_step(F: ChaosExpansion, G: ChaosExpansion, max_order=None) -> ChaosExpansion:
@@ -464,6 +455,7 @@ def gamma_step(F: ChaosExpansion, G: ChaosExpansion, max_order=None) -> ChaosExp
 
 def gamma_sequence(F: ChaosExpansion, imax: int, max_order=None):
     """[Gamma_0(F) = F, Gamma_1(F), ..., Gamma_imax(F)] by iterating gamma_step."""
+    sym_tensor._max_order(max_order)
     seq = [F]
     for _ in range(sym_tensor._integer(imax, "imax", 0)):
         seq.append(gamma_step(F, seq[-1], max_order=max_order))
@@ -500,7 +492,7 @@ def gamma_explicit(f: SymmetricKernel, i: int, max_order=None) -> ChaosExpansion
                 descend(nxt, weight, step + 1)
 
     descend(f, 1.0, 1)
-    return ChaosExpansion(f.dim, out)
+    return ChaosExpansion(f.dim, {m: sym_tensor._sealed(a) for m, a in out.items()})
 
 
 def l2_inner(F: ChaosExpansion, G: ChaosExpansion) -> float:
@@ -520,6 +512,7 @@ def l2_norm(F: ChaosExpansion) -> float:
 def exact_cumulants(F: ChaosExpansion, jmax: int, max_order=None):
     """[kappa_1, ..., kappa_jmax] computed from one gamma sequence."""
     jmax = sym_tensor._integer(jmax, "jmax", 1)
+    sym_tensor._max_order(max_order)
     out = [F.mean]
     if jmax == 1:
         return out
@@ -546,6 +539,7 @@ def moments_from_cumulants(kappas, mmax: int):
 
 def chaos_polynomial(F: ChaosExpansion, coeffs, max_order=None) -> ChaosExpansion:
     """phi(F) for a polynomial phi given by ascending coefficients."""
+    sym_tensor._max_order(max_order)
     result = ChaosExpansion.constant(F.dim, 0.0)
     power = ChaosExpansion.constant(F.dim, 1.0)
     for j, c in enumerate(coeffs):

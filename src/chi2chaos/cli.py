@@ -69,7 +69,7 @@ class Scenario:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _unknown_fields(where, obj, known, of="") -> list:
@@ -217,7 +217,7 @@ def family_kernel(family: dict, n: int) -> SymmetricKernel:
         vals = [finite_real(base, f"family.entries[{i}][0]")
                 + finite_real(pert, f"family.entries[{i}][1]") / n
                 for i, (base, pert) in enumerate(entries)]
-        return SymmetricKernel(2, len(vals), np.diag(vals))
+        return SymmetricKernel(2, len(vals), sym_tensor._sealed(np.diag(vals)))
     if name == "equal-split":
         signs = family.get("signs", "alternating")
         if signs not in ("alternating", "positive"):
@@ -229,7 +229,7 @@ def family_kernel(family: dict, n: int) -> SymmetricKernel:
             vals = [mag if i % 2 == 0 else -mag for i in range(n)]
         else:
             vals = [mag] * n
-        return SymmetricKernel(2, n, np.diag(vals))
+        return SymmetricKernel(2, n, sym_tensor._sealed(np.diag(vals)))
     if name == "rank-one-difference":
         scale = finite_real(family.get("scale", 0.5), "family.scale")
         if scale == 0.0:
@@ -237,7 +237,8 @@ def family_kernel(family: dict, n: int) -> SymmetricKernel:
         c = 1.0 / n
         u = np.array([1.0, 0.0])
         v = np.array([c, math.sqrt(1.0 - c * c)])
-        return SymmetricKernel(2, 2, scale * (np.outer(u, u) - np.outer(v, v)))
+        return SymmetricKernel(2, 2, sym_tensor._sealed(
+            scale * (np.outer(u, u) - np.outer(v, v))))
     raise ConfigError(f"family.name: unknown family {name!r} "
                       f"(known: {', '.join(FAMILY_FIELDS)})")
 
@@ -340,9 +341,9 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
     if isinstance(doc, dict) and isinstance(doc.get("mc", {}), dict):
         mc = dict(doc.get("mc", {}))
         if mc_samples is not None:
-            mc["samples"] = int(mc_samples)
+            mc["samples"] = mc_samples
         if seed is not None:
-            mc["seed"] = int(seed)
+            mc["seed"] = seed
         doc["mc"] = mc
     scenario = _scenario(doc)
     with_mc = not no_mc

@@ -84,10 +84,8 @@ def build_polynomials(spec: TargetSpec) -> CriterionPolynomials:
     p = np.array([0.0, 1.0])  # x
     for a in spec.alphas:
         p = _poly_mul(p, [-a, 1.0])
-    q = _poly_mul(p, p)
-    p.flags.writeable = False
-    q.flags.writeable = False
-    return CriterionPolynomials(spec.alphas, p, q)
+    return CriterionPolynomials(spec.alphas, sym_tensor._sealed(p),
+                                sym_tensor._sealed(_poly_mul(p, p)))
 
 
 def weighted_cumulant_sum(kappas, polys: CriterionPolynomials) -> float:
@@ -118,7 +116,8 @@ def _centered_combination(seq, spec: TargetSpec) -> ChaosExpansion:
         for m in seq[r - 1].orders():
             if m > 0:
                 kernels[m] = kernels.get(m, 0.0) + coeff * seq[r - 1].kernel(m)
-    return ChaosExpansion(seq[0].dim, kernels)
+    return ChaosExpansion(seq[0].dim, {m: sym_tensor._sealed(a)
+                                       for m, a in kernels.items()})
 
 
 def gamma_combination(F: ChaosExpansion, spec: TargetSpec,

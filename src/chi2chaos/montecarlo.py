@@ -66,10 +66,8 @@ def stream_fingerprint_matches() -> bool:
 class SampleBatch:
     """Reproducible sample: (seed, generator_id, n) determines the values.
 
-    ``values`` is held read-only.  An array passed in that already is a
-    read-only float64 array owning its data (the samplers below pass one) is
-    kept as it is; anything else is copied, so later writes to the caller's
-    array never reach the batch.
+    ``values`` is 1-D and read-only, held by the ownership rule of
+    ``sym_tensor._held`` (README, "guard rails").
     """
 
     values: np.ndarray
@@ -77,7 +75,7 @@ class SampleBatch:
     generator_id = GENERATOR_ID  # unannotated: a class constant, not a field
 
     def __post_init__(self):
-        object.__setattr__(self, "values", sym_tensor._held(self.values))
+        object.__setattr__(self, "values", _values(sym_tensor._held(self.values)))
 
     @property
     def n(self) -> int:
@@ -88,8 +86,7 @@ def sample_target(spec: TargetSpec, n: int, seed: int) -> SampleBatch:
     """n i.i.d. draws of sum_i alpha_i (N_i^2 - 1)."""
     z = _rng(seed, n).standard_normal((n, spec.k))
     values = np.einsum("nk,k->n", z * z - 1.0, np.asarray(spec.alphas))
-    values.flags.writeable = False
-    return SampleBatch(values, seed)
+    return SampleBatch(sym_tensor._sealed(values), seed)
 
 
 def sample_chaos(F: ChaosExpansion, n: int, seed: int) -> SampleBatch:
@@ -110,12 +107,12 @@ def sample_chaos(F: ChaosExpansion, n: int, seed: int) -> SampleBatch:
     """
     rng = _rng(seed, n)
     values = chaos._walk(F, n, lambda lo, block: rng.standard_normal(out=block))
-    values.flags.writeable = False
-    return SampleBatch(values, seed)
+    return SampleBatch(sym_tensor._sealed(values), seed)
 
 
 def _values(batch) -> np.ndarray:
-    """The sample values of a ``SampleBatch`` or of an array-like, if 1-D."""
+    """The sample values of a ``SampleBatch`` or of an array-like, if 1-D:
+    the one sample rule, which ``SampleBatch`` applies when it is built."""
     values = (batch.values if isinstance(batch, SampleBatch)
               else np.asarray(batch, float))
     if values.ndim != 1:

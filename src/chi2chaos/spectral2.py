@@ -115,7 +115,8 @@ def iterated_contraction(f: SymmetricKernel, p: int) -> SymmetricKernel:
         raise ValueError(f"kernel order must be 2, got {f.order}")
     out = f
     for _ in range(sym_tensor._integer(p, "p", 1) - 1):
-        out = SymmetricKernel(2, f.dim, sym_tensor.contract(out, f, 1))
+        out = SymmetricKernel(
+            2, f.dim, sym_tensor._sealed(sym_tensor.contract(out, f, 1)))
     return out
 
 
@@ -153,7 +154,7 @@ def target_kernel(spec: TargetSpec, d: int) -> SymmetricKernel:
     m = np.zeros((d, d))
     for i, a in enumerate(spec.alphas):
         m[i, i] = a
-    return SymmetricKernel(2, d, m)
+    return SymmetricKernel(2, d, sym_tensor._sealed(m))
 
 
 def gamma_identity_defect(f: SymmetricKernel, r: int, max_order=None) -> float:

@@ -26,8 +26,7 @@ MAX_ELEMENTS = 10_000_000
 def _check_guard(order, dim, max_order=None):
     """``(order, dim)`` as ints; order, dim and max_order obey ``_integer``."""
     order, dim = _integer(order, "order", 0), _integer(dim, "dim", 1)
-    max_order = (MAX_ORDER if max_order is None
-                 else _integer(max_order, "max_order", 0))
+    max_order = _max_order(max_order)
     if order > max_order:
         raise ResourceGuardError(
             f"tensor order {order} exceeds the guard max_order={max_order}"
@@ -38,6 +37,12 @@ def _check_guard(order, dim, max_order=None):
             f"entries, above the guard MAX_ELEMENTS={MAX_ELEMENTS}"
         )
     return order, dim
+
+
+def _max_order(max_order) -> int:
+    """``MAX_ORDER``, or a given max_order that obeys ``_integer``."""
+    return (MAX_ORDER if max_order is None
+            else _integer(max_order, "max_order", 0))
 
 
 def _integer(value, name, least, below=None) -> int:
@@ -63,15 +68,21 @@ def _same_dim(a: int, b: int) -> int:
     return a
 
 
+def _sealed(arr) -> np.ndarray:
+    """An array the library has just computed, as the read-only float64
+    array that ``_held`` keeps without a copy."""
+    arr = np.asarray(arr, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 def _held(arr) -> np.ndarray:
-    """``arr`` as a kernel holds it: kept if it already is a read-only
-    float64 array owning its data, else copied and made read-only."""
+    """``arr`` as a kernel or sample holds it (README, "guard rails"): kept
+    if it is a read-only float64 array owning its data, else a sealed copy."""
     if (isinstance(arr, np.ndarray) and arr.dtype == np.float64
             and not arr.flags.writeable and arr.base is None):
         return arr
-    arr = np.array(arr, dtype=float)
-    arr.flags.writeable = False
-    return arr
+    return _sealed(np.array(arr, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -80,11 +91,8 @@ class SymmetricKernel:
 
     ``coeffs`` has shape ``(dim,) * order`` and is invariant under every
     permutation of its indices.  Instances built by library operations are
-    symmetric by construction.
-
-    ``coeffs`` is held read-only.  An array passed in that already is a
-    read-only float64 array owning its data is kept as it is; anything else
-    is copied, so later writes to the caller's array never reach the kernel.
+    symmetric by construction.  ``coeffs`` is read-only, held by the
+    ownership rule of :func:`_held` (README, "guard rails").
     """
 
     order: int
@@ -153,40 +161,38 @@ def contract(f: SymmetricKernel, g: SymmetricKernel, r: int) -> np.ndarray:
     never calls BLAS, so no BLAS thread competes with the caller's threads
     and the value does not depend on the BLAS build.  A dense 256 x 256
     product takes about 4.5 ms this way, against 0.4 ms on one BLAS thread.
+    The product is written into the matrix view of a fresh array of the
+    result's shape, so the array returned owns its data.
     """
     d, p, q = _same_dim(f.dim, g.dim), f.order, g.order
     r = _integer(r, "r", 0, min(p, q) + 1)
     a = f.coeffs.reshape(d ** (p - r), d ** r)
     b = g.coeffs.reshape(d ** (q - r), d ** r)
-    return np.einsum("ik,jk->ij", a, b).reshape((d,) * (p + q - 2 * r))
+    out = np.empty((d,) * (p + q - 2 * r))
+    np.einsum("ik,jk->ij", a, b, out=out.reshape(len(a), len(b)))
+    return out
 
 
 def sym_contract(f: SymmetricKernel, g: SymmetricKernel, r: int,
                  max_order=None) -> SymmetricKernel:
     """Symmetrized contraction of f and g of order r: :func:`contract` (one
     einsum, no BLAS call), then :func:`symmetrize` (q(q-1)/2 adds over the
-    order-q result), with read-only coefficients that the kernel holds
-    without a copy.
+    order-q result; an order <= 1 result is symmetric as it is).
 
     The guards are checked on the result's order f.order + g.order - 2r
     before ``contract`` allocates it."""
     r = _integer(r, "r", 0, min(f.order, g.order) + 1)
     _check_guard(f.order + g.order - 2 * r, f.dim, max_order)
     raw = contract(f, g, r)
-    if raw.ndim == 0:
-        return SymmetricKernel(0, f.dim, raw)
-    sym = symmetrize(raw, max_order=max_order)
-    sym.flags.writeable = False
-    return SymmetricKernel(raw.ndim, f.dim, sym)
+    sym = raw if raw.ndim <= 1 else symmetrize(raw, max_order=max_order)
+    return SymmetricKernel(raw.ndim, f.dim, _sealed(sym))
 
 
 def inner(f: SymmetricKernel, g: SymmetricKernel) -> float:
     """Euclidean inner product of the coefficient arrays."""
-    if f.order != g.order or f.dim != g.dim:
-        raise ValueError(
-            f"shape mismatch: order/dim ({f.order},{f.dim}) vs "
-            f"({g.order},{g.dim})"
-        )
+    if f.order != g.order:
+        raise ValueError(f"order mismatch: {f.order} != {g.order}")
+    _same_dim(f.dim, g.dim)
     return float(np.sum(f.coeffs * g.coeffs))
 
 
@@ -195,7 +201,7 @@ def basis_kernel(dim: int, index: tuple) -> SymmetricKernel:
     q, dim = _check_guard(len(index), dim)
     t = np.zeros((dim,) * q)
     t[tuple(index)] = 1.0
-    return SymmetricKernel(q, dim, symmetrize(t))
+    return SymmetricKernel(q, dim, _sealed(symmetrize(t)))
 
 
 def random_kernel(order: int, dim: int, rng, scale=1.0,
@@ -203,4 +209,5 @@ def random_kernel(order: int, dim: int, rng, scale=1.0,
     """Symmetrization of a tensor with U[-scale, scale] entries."""
     order, dim = _check_guard(order, dim, max_order)
     raw = rng.uniform(-scale, scale, size=(dim,) * order)
-    return SymmetricKernel(order, dim, symmetrize(raw, max_order=max_order))
+    return SymmetricKernel(order, dim,
+                           _sealed(symmetrize(raw, max_order=max_order)))

@@ -254,6 +254,16 @@ def test_run_scenario_exact_columns_independent_of_mc(tmp_path):
         assert ra["ks"] != rb["ks"]
 
 
+def test_run_scenario_checks_its_overrides_by_the_config_rule(tmp_path):
+    # int() made 60.9 samples 60 and seed True seed 1
+    path = write_config(tmp_path)
+    for overrides, field in (({"mc_samples": 60.9}, "mc.samples"),
+                             ({"seed": True}, "mc.seed")):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            run_scenario(path, tmp_path / "out", **overrides)
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_scenario_q_chaos_columns(tmp_path):
     path = write_config(
         tmp_path,
@@ -457,7 +467,7 @@ def test_mc_seed_bounds_leave_room_for_every_index():
     # the Philox key is a uint64 and index i runs on seed + i; 3 indices
     top = 2 ** 64 - 3
     for seed, ok in ((0, True), (top, True), (top + 1, False), (-1, False),
-                     (1.5, False), (True, False)):
+                     (1.5, False), (True, False), (np.uint64(top), True)):
         doc = json.loads(json.dumps(BASE_CONFIG))
         doc["mc"]["seed"] = seed
         assert (config_diagnostics(doc) == []) is ok, seed

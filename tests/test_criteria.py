@@ -319,6 +319,17 @@ def test_criterion_statistic_builds_one_gamma_sequence(monkeypatch):
     assert len(calls) == 1
 
 
+def test_the_criterion_and_the_conditions_hold_no_kernel_twice(peak_mb):
+    # (q, d) = (3, 16) at max_order=12, a point of perfbench's exact grid:
+    # the traced peak is 25.1 MB, and a copy of each computed kernel held
+    # beside it took the peak to 34.1 MB
+    f = random_kernel(3, 16, np.random.default_rng((0, 3, 16)))
+    spec = TargetSpec((1.0, 2.0))
+    F = ChaosExpansion.from_kernel(f)
+    assert peak_mb(lambda: (criterion_statistic(F, spec, max_order=12),
+                            q_chaos_conditions(f, spec, max_order=12))) < 28.0
+
+
 def test_q4_conditions_aggregate_to_gamma_stat():
     # even q exercises the middle contraction term; the aggregate identity
     # gamma_stat = (1/2) sum_m m! cond_m pins its q (r-1)! C(q-1,r-1)^2 weight

@@ -561,16 +561,20 @@ def test_k_statistics_argument_errors():
 
 
 @pytest.mark.parametrize("sample", [
-    np.arange(12.0).reshape(6, 2), SampleBatch(np.arange(12.0).reshape(6, 2), 0),
+    np.arange(12.0).reshape(6, 2),
+    lambda: SampleBatch(np.arange(12.0).reshape(6, 2), 0),
     np.float64(3.0),
 ], ids=["array", "batch", "scalar"])
 def test_a_sample_that_is_not_1d_raises_value_error_naming_its_shape(sample):
     # k_statistics took a (6, 2) array as 12 values with n = 6, and
-    # kolmogorov_distance raised a broadcast error
-    shape = np.shape(sample.values if isinstance(sample, SampleBatch) else sample)
-    for call in (lambda: k_statistics(sample, 2),
-                 lambda: k_statistic_errors(sample, 2),
-                 lambda: kolmogorov_distance(sample, lambda v: v)):
+    # kolmogorov_distance raised a broadcast error; a batch of those values,
+    # whose n was 6, raises as it is built
+    calls = ([sample] if callable(sample) else
+             [lambda: k_statistics(sample, 2),
+              lambda: k_statistic_errors(sample, 2),
+              lambda: kolmogorov_distance(sample, lambda v: v)])
+    shape = (6, 2) if callable(sample) else np.shape(sample)
+    for call in calls:
         with pytest.raises(ValueError,
                            match=re.escape(f"must be 1-D, got shape {shape}")):
             call()

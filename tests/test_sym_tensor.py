@@ -244,6 +244,8 @@ def test_inner_examples():
     assert abs(inner(e12, e12) - 0.5) < 1e-15
     with pytest.raises(ValueError):
         inner(e11, basis_kernel(3, (0, 0)))
+    with pytest.raises(ValueError, match="^order mismatch: 2 != 1$"):
+        inner(e11, basis_kernel(2, (0,)))
 
 
 def test_kernel_immutable():
@@ -263,8 +265,11 @@ def test_kernel_shares_sealed_arrays_and_copies_writable_ones():
     assert np.array_equal(k.coeffs, f.coeffs)
     assert not k.coeffs.flags.writeable
 
-    for r in range(4):
-        assert not sym_contract(f, f, r).coeffs.flags.writeable
+    # what the library computes is sealed, so a kernel holds it as it is
+    for g in (f, basis_kernel(3, (0, 1, 1)),
+              *(sym_contract(f, f, r) for r in range(4))):
+        assert not g.coeffs.flags.writeable
+        assert SymmetricKernel(g.order, 3, g.coeffs).coeffs is g.coeffs
 
 
 def test_order_zero_kernel():
@@ -358,6 +363,16 @@ COUNT_ARGUMENTS = {
     "gamma_explicit.max_order": (
         "max_order", lambda v: chaos.gamma_explicit(_F2, 2, max_order=v),
         8, [-1]),
+    # calls that form no contraction check max_order all the same
+    "gamma_sequence.max_order at imax 0": (
+        "max_order", lambda v: chaos.gamma_sequence(_CHAOS2, 0, max_order=v),
+        8, [-1]),
+    "exact_cumulants.max_order at jmax 1": (
+        "max_order", lambda v: chaos.exact_cumulants(_CHAOS2, 1, max_order=v),
+        8, [-1]),
+    "chaos_polynomial.max_order at degree 0": (
+        "max_order",
+        lambda v: chaos.chaos_polynomial(_CHAOS2, [1.0], max_order=v), 8, [-1]),
 }
 
 
@@ -399,6 +414,68 @@ def test_a_numpy_integer_count_gives_the_python_ints_bits(argument):
 def test_a_kernel_of_order_below_2_has_no_gamma_operators(call):
     with pytest.raises(ValueError, match="^kernel order must be >= 2, got 1$"):
         call()
+
+
+def test_only_sym_tensor_seals_an_array():
+    # sym_tensor._sealed is the one place that makes an array read-only
+    found = []
+    for path in sorted(Path(chi2chaos.__file__).parent.glob("*.py")):
+        if path.name == "sym_tensor.py":
+            continue
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(target, "attr", None) == "writeable"
+                          for target in node.targets)]
+    assert found == []
+
+
+_F4 = random_kernel(4, 6, np.random.default_rng((0, 4, 6)))
+_CHAOS4 = ChaosExpansion.from_kernel(_F4)
+_TWO_WEIGHTS = spectral2.TargetSpec((1.0, 2.0))
+
+# every library call that computes a kernel or a sample
+COMPUTED = {
+    "criterion_statistic": lambda: criteria.criterion_statistic(
+        _CHAOS4, _TWO_WEIGHTS, max_order=12),
+    "q_chaos_conditions": lambda: criteria.q_chaos_conditions(
+        _F4, _TWO_WEIGHTS, max_order=12),
+    "iterated_contraction": lambda: spectral2.iterated_contraction(_F2, 3),
+    "target_kernel": lambda: spectral2.target_kernel(_TWO_WEIGHTS, 4),
+    "random_kernel": lambda: random_kernel(3, 4, np.random.default_rng(0)),
+    "basis_kernel": lambda: basis_kernel(3, (0, 1, 1)),
+    "apply_L": lambda: chaos.apply_L(_CHAOS4),
+    "apply_L_inverse": lambda: chaos.apply_L_inverse(_CHAOS4),
+    "gamma_explicit": lambda: chaos.gamma_explicit(_F2, 2),
+    "multiply": lambda: chaos.multiply(_CHAOS2, _CHAOS2),
+    "sum of disjoint orders": lambda: _CHAOS4 + ChaosExpansion.from_kernel(
+        random_kernel(2, 6, np.random.default_rng(1))) + 1.0,
+    "scalar multiple": lambda: 2.0 * _CHAOS4,
+    "family diag": lambda: family_kernel(
+        {"name": "diag", "entries": [[1.0, 0.5], [-0.5, 0.0]]}, 3),
+    "family equal-split": lambda: family_kernel({"name": "equal-split"}, 256),
+    "family rank-one-difference": lambda: family_kernel(
+        {"name": "rank-one-difference"}, 3),
+    "sample_target": lambda: montecarlo.sample_target(_TWO_WEIGHTS, 100, 0),
+    "sample_chaos": lambda: montecarlo.sample_chaos(_CHAOS2, 100, 0),
+}
+
+
+@pytest.mark.parametrize("call", COMPUTED)
+def test_the_library_never_copies_what_it_computed(monkeypatch, call):
+    # criterion_statistic copied 4 kernels, among them a 13 MB one of order
+    # 8, and q_chaos_conditions 11
+    held, copied = sym_tensor._held, []
+
+    def spy(arr):
+        kept = held(arr)
+        if kept is not arr:
+            copied.append(np.shape(arr))
+        return kept
+
+    monkeypatch.setattr(sym_tensor, "_held", spy)
+    COMPUTED[call]()
+    assert copied == []
 
 
 def test_only_the_integer_rule_words_a_range():
