@@ -26,6 +26,7 @@ Conventions that matter:
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 
 import numpy as np
@@ -61,11 +62,13 @@ class ChaosExpansion:
         return sorted(self._kernels)
 
     def kernel(self, q: int) -> np.ndarray:
-        """Kernel at order q; absent orders are the zero kernel."""
+        """Kernel at order q; an absent order is a read-only zero kernel,
+        checked against the element guard alone (no contraction forms it)."""
         q = sym_tensor._integer(q, "q", 0)
         if q in self._kernels:
             return self._kernels[q].coeffs
-        return np.zeros((self.dim,) * q)
+        sym_tensor._check_guard(q, self.dim, max_order=q)
+        return sym_tensor._sealed(np.zeros((self.dim,) * q))
 
     @property
     def mean(self) -> float:
@@ -81,7 +84,7 @@ class ChaosExpansion:
             self.dim, {q: k.coeffs for q, k in self._kernels.items() if q > 0})
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, numbers.Real):
             other = ChaosExpansion.constant(self.dim, other)
         sym_tensor._same_dim(self.dim, other.dim)
         # a kernel that only one operand has is kept as it is
@@ -509,18 +512,17 @@ def l2_norm(F: ChaosExpansion) -> float:
     return math.sqrt(max(l2_inner(F, F), 0.0))
 
 
+def _cumulants(seq) -> list:
+    """[kappa_2, ..., kappa_len(seq)] of a centered F from its gamma sequence
+    ``seq`` = [Gamma_0(F), ...]: kappa_r = (r-1)! E[Gamma_{r-1}(F)]."""
+    return [math.factorial(j) * gamma.mean for j, gamma in enumerate(seq) if j]
+
+
 def exact_cumulants(F: ChaosExpansion, jmax: int, max_order=None):
     """[kappa_1, ..., kappa_jmax] computed from one gamma sequence."""
     jmax = sym_tensor._integer(jmax, "jmax", 1)
-    sym_tensor._max_order(max_order)
-    out = [F.mean]
-    if jmax == 1:
-        return out
-    centered = F.recentered()
-    seq = gamma_sequence(centered, jmax - 1, max_order=max_order)
-    for j in range(2, jmax + 1):
-        out.append(math.factorial(j - 1) * seq[j - 1].mean)
-    return out
+    return [F.mean] + _cumulants(
+        gamma_sequence(F.recentered(), jmax - 1, max_order=max_order))
 
 
 def moments_from_cumulants(kappas, mmax: int):

@@ -79,8 +79,15 @@ def _unknown_fields(where, obj, known, of="") -> list:
 
 def config_diagnostics(doc) -> list:
     """Schema and invariant report for a parsed config; empty means valid."""
+    return _read_doc(doc)[1]
+
+
+def _read_doc(doc):
+    """(scenario, problems) of a parsed config: each field is checked and
+    read, with its default, in one pass; the scenario is None unless the
+    problems are empty."""
     if not isinstance(doc, dict):
-        return ["config: top-level JSON object expected"]
+        return None, ["config: top-level JSON object expected"]
     out = _unknown_fields("config", doc, CONFIG_FIELDS["config"])
     # the id names the output files <id>.csv and <id>_summary.json
     scenario_id = doc.get("id")
@@ -100,14 +107,14 @@ def config_diagnostics(doc) -> list:
                 out.append(f"id: {scenario_id[:16]!r}... makes the file name "
                            f"<id>_summary.json {size} bytes long, over "
                            f"{NAME_MAX}")
-    target = doc.get("target")
+    target, spec = doc.get("target"), None
     if isinstance(target, dict):
         out += _unknown_fields("target", target, CONFIG_FIELDS["target"])
     if not isinstance(target, dict) or not isinstance(target.get("alphas"), list):
         out.append("target: object with an 'alphas' list required")
     else:
         try:
-            TargetSpec(tuple(target["alphas"]))
+            spec = TargetSpec(tuple(target["alphas"]))
         except ConfigError as exc:
             out.append(f"target.{exc}")
     # family_kernel owns the family rules, and none of them depends on n
@@ -159,11 +166,16 @@ def config_diagnostics(doc) -> list:
         if name not in KNOWN_OUTPUTS:
             out.append(f"outputs: unknown metric {name!r} "
                        f"(known: {', '.join(KNOWN_OUTPUTS)})")
+    # on the raw list, so a target with a bad weight reports this too
     if "q_chaos" in outputs and isinstance(target, dict):
         alphas = target.get("alphas", [])
         if isinstance(alphas, list) and len(alphas) != 2:
             out.append("outputs: 'q_chaos' requires a two-weight target")
-    return out
+    if out:
+        return None, out
+    return Scenario(id=scenario_id, target=spec, family=family,
+                    indices=tuple(indices), mc_samples=int(samples),
+                    mc_seed=int(seed), outputs=tuple(outputs)), out
 
 
 def _read_config(path):
@@ -185,26 +197,18 @@ def load_config(path) -> Scenario:
 
 
 def _scenario(doc) -> Scenario:
-    problems = config_diagnostics(doc)
+    scenario, problems = _read_doc(doc)
     if problems:
         raise ConfigError("; ".join(problems))
-    mc = doc.get("mc", {})
-    return Scenario(
-        id=doc["id"],
-        target=TargetSpec(tuple(doc["target"]["alphas"])),
-        family=doc["family"],
-        indices=tuple(doc["indices"]),
-        mc_samples=int(mc.get("samples", DEFAULT_MC_SAMPLES)),
-        mc_seed=int(mc.get("seed", 0)),
-        outputs=tuple(doc.get("outputs", ())),
-    )
+    return scenario
 
 
 def family_kernel(family: dict, n: int) -> SymmetricKernel:
     """Construct the order-2 scenario kernel f_n from its family parameters.
 
-    A bad parameter raises ConfigError naming its field, whatever n is.
+    A bad parameter raises ConfigError naming its field, whatever n >= 1 is.
     """
+    n = sym_tensor._integer(n, "n", 1)
     if not isinstance(family, dict) or "name" not in family:
         raise ConfigError("family: must be an object with a 'name' field")
     name = family["name"]
@@ -339,12 +343,9 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
     doc = _read_config(config_path)
     # the overrides go into the document, so the config rules check them too
     if isinstance(doc, dict) and isinstance(doc.get("mc", {}), dict):
-        mc = dict(doc.get("mc", {}))
-        if mc_samples is not None:
-            mc["samples"] = mc_samples
-        if seed is not None:
-            mc["seed"] = seed
-        doc["mc"] = mc
+        doc["mc"] = doc.get("mc", {}) | {
+            key: value for key, value in (("samples", mc_samples),
+                                          ("seed", seed)) if value is not None}
     scenario = _scenario(doc)
     with_mc = not no_mc
     out_dir = Path(out_dir)

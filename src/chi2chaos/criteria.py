@@ -152,8 +152,7 @@ def criterion_statistic(F: ChaosExpansion, spec: TargetSpec,
     """
     seq = chaos.gamma_sequence(F.recentered(), spec.k, max_order=max_order)
     gaps = []
-    for r in range(2, spec.k + 2):
-        kn = math.factorial(r - 1) * seq[r - 1].mean
+    for r, kn in enumerate(chaos._cumulants(seq), start=2):
         kt = spec.cumulant(r)
         gaps.append((r, kn, kt, abs(kn - kt)))
     comb = _centered_combination(seq, spec)

@@ -88,15 +88,20 @@ class SpectralForm:
     eigenvectors: np.ndarray  # columns
 
 
+def _order_2(f: SymmetricKernel) -> SymmetricKernel:
+    """``f``, or ValueError unless it is an order-2 kernel."""
+    if f.order != 2:
+        raise ValueError(f"kernel order must be 2, got {f.order}")
+    return f
+
+
 def spectral(f: SymmetricKernel) -> SpectralForm:
     """Symmetric eigendecomposition, deterministically ordered.
 
     Eigenvalues descend; each eigenvector's first component of magnitude above
     1e-12 of its sup-norm is made positive to pin the sign.
     """
-    if f.order != 2:
-        raise ValueError(f"kernel order must be 2, got {f.order}")
-    vals, vecs = np.linalg.eigh(f.coeffs)
+    vals, vecs = np.linalg.eigh(_order_2(f).coeffs)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
@@ -111,9 +116,7 @@ def spectral(f: SymmetricKernel) -> SpectralForm:
 
 def iterated_contraction(f: SymmetricKernel, p: int) -> SymmetricKernel:
     """The p-fold iterated contraction of f with itself (p=1 gives f)."""
-    if f.order != 2:
-        raise ValueError(f"kernel order must be 2, got {f.order}")
-    out = f
+    out = _order_2(f)
     for _ in range(sym_tensor._integer(p, "p", 1) - 1):
         out = SymmetricKernel(
             2, f.dim, sym_tensor._sealed(sym_tensor.contract(out, f, 1)))
@@ -125,8 +128,7 @@ def cumulant_spectral_forms(f: SymmetricKernel, i: int):
 
     Returns (power-sum form, contraction form); they agree up to numerics.
     """
-    if f.order != 2:
-        raise ValueError(f"kernel order must be 2, got {f.order}")
+    _order_2(f)
     i = sym_tensor._integer(i, "i", 2)
     prefactor = (2.0 ** (i - 1)) * math.factorial(i - 1)
     eigen = spectral(f).eigenvalues
@@ -149,12 +151,9 @@ def cumulant_spectral(f: SymmetricKernel, i: int) -> float:
 
 def target_kernel(spec: TargetSpec, d: int) -> SymmetricKernel:
     """Diagonal kernel sum_i alpha_i e_i x e_i embedded in dimension d >= k."""
-    if d < spec.k:
-        raise ValueError(f"d = {d} is smaller than the number of weights {spec.k}")
-    m = np.zeros((d, d))
-    for i, a in enumerate(spec.alphas):
-        m[i, i] = a
-    return SymmetricKernel(2, d, sym_tensor._sealed(m))
+    d = sym_tensor._integer(d, "d", spec.k)
+    return SymmetricKernel(2, d, sym_tensor._sealed(
+        np.diag(spec.alphas + (0.0,) * (d - spec.k))))
 
 
 def gamma_identity_defect(f: SymmetricKernel, r: int, max_order=None) -> float:

@@ -21,6 +21,9 @@ from .errors import ResourceGuardError
 
 MAX_ORDER = 8
 MAX_ELEMENTS = 10_000_000
+# the most a caller's kernel may differ from its symmetrization, as a share
+# of its largest |coefficient|
+SYMMETRY_TOL = 1e-12
 
 
 def _check_guard(order, dim, max_order=None):
@@ -90,9 +93,11 @@ class SymmetricKernel:
     """Order-q symmetric tensor over R^d; order 0 is a scalar.
 
     ``coeffs`` has shape ``(dim,) * order`` and is invariant under every
-    permutation of its indices.  Instances built by library operations are
-    symmetric by construction.  ``coeffs`` is read-only, held by the
-    ownership rule of :func:`_held` (README, "guard rails").
+    permutation of its indices.  ``coeffs`` is read-only, held by the
+    ownership rule of :func:`_held` (README, "guard rails"): an array the
+    library sealed is symmetric by construction and kept as it is, and an
+    array the rule copies must differ from its symmetrization by at most
+    ``SYMMETRY_TOL`` of its largest |coefficient|, else ValueError.
     """
 
     order: int
@@ -108,7 +113,24 @@ class SymmetricKernel:
                 f"coeffs shape {arr.shape} does not match order={self.order}, "
                 f"dim={self.dim}"
             )
+        if arr is not self.coeffs:
+            _check_symmetric(arr)
         object.__setattr__(self, "coeffs", arr)
+
+
+def _check_symmetric(arr):
+    """ValueError unless ``arr`` differs from its symmetrization by at most
+    ``SYMMETRY_TOL`` of its largest |coefficient|.  No guard applies, and an
+    array with a non-finite entry is left to the finiteness checks."""
+    scale = np.max(np.abs(arr))
+    if arr.ndim < 2 or not 0.0 < scale < np.inf:
+        return
+    unit = arr / scale
+    gap = float(np.max(np.abs(_permutation_average(unit) - unit)))
+    if gap > SYMMETRY_TOL:
+        raise ValueError(
+            f"order-{arr.ndim} coeffs differ from their symmetrization by "
+            f"{gap:.3g} of their largest |coefficient|, above {SYMMETRY_TOL:g}")
 
 
 # kept only for perfbench/test_bench.py, until ROADMAP item 1 retires it
@@ -135,11 +157,15 @@ def symmetrize(tensor, *, max_order=None):
     if t.shape != t.shape[:1] * q:
         raise ValueError(f"tensor shape {t.shape} is not cubical")
     _check_guard(q, t.shape[0] if q else 1, max_order)
-    if q <= 1:
-        return t.copy()
+    return _permutation_average(t)
 
+
+def _permutation_average(t: np.ndarray) -> np.ndarray:
+    """The q!-permutation average of :func:`symmetrize`, unguarded."""
+    if t.ndim <= 1:
+        return t.copy()
     acc = t
-    for m in range(1, q):
+    for m in range(1, t.ndim):
         nxt = acc + acc.swapaxes(0, m)
         for j in range(1, m):
             nxt += acc.swapaxes(j, m)

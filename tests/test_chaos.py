@@ -2,6 +2,7 @@ import ast
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 from unittest import mock
@@ -835,6 +836,28 @@ def test_expansion_and_kernel_accept_the_same_kernels_property(q, dim, shape):
     expansion = _accepts(lambda: ChaosExpansion(dim, {q: arr}))
     assert expansion == _accepts(lambda: SymmetricKernel(q, dim, arr))
     assert expansion == (q >= 0 and dim >= 1 and tuple(shape) == (dim,) * q)
+
+
+def test_an_absent_order_is_a_read_only_zero_kernel_under_the_element_guard():
+    F = ChaosExpansion(3, {2: np.eye(3)})
+    for q in (0, 5, 9):  # order 9 is above max_order, which does not apply
+        zero = F.kernel(q)
+        assert zero.shape == (3,) * q and not zero.any()
+        assert not zero.flags.writeable
+    # 3^25 floats: NumPy raised MemoryError asking for 6.16 TiB
+    with pytest.raises(ResourceGuardError, match="dim=3, order=25"):
+        F.kernel(25)
+
+
+@pytest.mark.parametrize("x", [2, 0.5, True, np.float32(1.0), np.int64(2),
+                               np.float64(0.5), Fraction(1, 2)])
+def test_an_expansion_plus_any_real_scalar_adds_a_constant(x):
+    # F + np.float32(1.0) raised AttributeError
+    F = ChaosExpansion.from_kernel(random_kernel(2, 3, np.random.default_rng(2)))
+    total = F + x
+    assert total.orders() == [0, 2] and total.mean == float(x)
+    assert total.kernel(2) is F.kernel(2)
+    assert (x + F).mean == (F - (-x)).mean == float(x)
 
 
 def test_expansion_keeps_read_only_kernels_and_copies_writable_ones():

@@ -99,6 +99,17 @@ def test_validate_q_chaos_needs_two_weights(tmp_path):
     assert any("two-weight" in p for p in diagnostics(path))
 
 
+def test_q_chaos_with_a_bad_target_reports_both_problems(tmp_path):
+    # the two-weight rule reads the raw alphas list, not the TargetSpec
+    path = write_config(tmp_path, target={"alphas": [1.0, 0.0, 2.0]},
+                        outputs=["q_chaos"])
+    assert diagnostics(path) == [
+        "target.alphas[1]: nonzero weight required",
+        "outputs: 'q_chaos' requires a two-weight target"]
+    with pytest.raises(ConfigError, match="^target.alphas.*; outputs: "):
+        load_config(path)
+
+
 def test_load_config_raises_on_invalid(tmp_path):
     path = write_config(tmp_path, indices=[])
     with pytest.raises(ConfigError):

@@ -181,6 +181,18 @@ def test_criterion_statistic_mixed_chaos_orders():
         assert abs(rep.cumulant_gaps[0][3] - eps ** 2) < 1e-12
 
 
+def test_the_criterion_reads_the_cumulants_of_exact_cumulants():
+    # both read kappa_r = (r-1)! E[Gamma_{r-1}] off one gamma sequence
+    spec = TargetSpec((1.0, -0.5, 2.0))
+    for q, d in ((2, 4), (3, 3), (4, 2)):
+        F = ChaosExpansion.from_kernel(
+            random_kernel(q, d, np.random.default_rng((q, d)))) + 0.25
+        report = criterion_statistic(F, spec, max_order=12)
+        kappas = [kn for (_, kn, _, _) in report.cumulant_gaps]
+        exact = exact_cumulants(F, spec.k + 1, max_order=12)[1:]
+        assert [k.hex() for k in kappas] == [k.hex() for k in exact]
+
+
 def test_criterion_recenters_internally():
     spec = TargetSpec((1.0,))
     F = ChaosExpansion.from_kernel(target_kernel(spec, 2)) + 7.0

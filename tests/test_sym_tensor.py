@@ -272,6 +272,43 @@ def test_kernel_shares_sealed_arrays_and_copies_writable_ones():
         assert SymmetricKernel(g.order, 3, g.coeffs).coeffs is g.coeffs
 
 
+@pytest.mark.parametrize("order, coeffs, gap", [
+    # evaluate reads x^T f x (variance 8), the exact engine 2 ||f||^2 = 12
+    (2, [[1.0, 2.0], [0.0, 1.0]], "0.5"),
+    # exact variance 840, pathwise about 467
+    (3, np.arange(8.0).reshape(2, 2, 2), "0.238"),
+])
+def test_a_kernel_that_is_not_symmetric_raises_value_error(order, coeffs, gap):
+    with pytest.raises(ValueError, match=(
+            f"^order-{order} coeffs differ from their symmetrization by "
+            f"{gap} of their largest \\|coefficient\\|, above 1e-12$")):
+        SymmetricKernel(order, 2, coeffs)
+    with pytest.raises(ValueError, match="symmetrization"):
+        ChaosExpansion(2, {order: coeffs})
+
+
+def test_the_symmetry_tolerance_is_relative_to_the_largest_coefficient():
+    for scale in (1e-300, 1.0, 1e300):
+        near = np.array([[1.0, 1.0], [1.0 + 5e-13, 1.0]]) * scale
+        SymmetricKernel(2, 2, near)
+        far = np.array([[1.0, 1.0], [1.0 + 5e-12, 1.0]]) * scale
+        with pytest.raises(ValueError, match="symmetrization"):
+            SymmetricKernel(2, 2, far)
+    # a symmetric kernel near the float range, whose plain symmetrization
+    # overflows, and one that is not finite, are held
+    SymmetricKernel(3, 2, np.full((2, 2, 2), 1.5e308))
+    SymmetricKernel(2, 2, [[math.nan, 1.0], [2.0, 0.0]])
+
+
+def test_the_symmetry_check_adds_no_guard():
+    # SymmetricKernel checks no guard, so neither does its symmetry check
+    for order in (1, 9):
+        k = SymmetricKernel(order, 2, np.ones((2,) * order))
+        assert k.order == order
+    with pytest.raises(ValueError, match="^order-9 coeffs differ"):
+        SymmetricKernel(9, 2, np.arange(512.0).reshape((2,) * 9))
+
+
 def test_order_zero_kernel():
     k = SymmetricKernel(0, 3, np.asarray(2.5))
     assert math.sqrt(inner(k, k)) == 2.5
@@ -373,6 +410,14 @@ COUNT_ARGUMENTS = {
     "chaos_polynomial.max_order at degree 0": (
         "max_order",
         lambda v: chaos.chaos_polynomial(_CHAOS2, [1.0], max_order=v), 8, [-1]),
+    # target_kernel wrote its own range check, and family_kernel had none
+    "target_kernel.d": (
+        "d", lambda v: spectral2.target_kernel(_SPEC, v), 3, [_SPEC.k - 1]),
+    **{f"family_kernel.n {family['name']}": (
+        "n", lambda v, family=family: family_kernel(family, v), 3, [0])
+       for family in ({"name": "diag", "entries": [[1.0, 0.5]]},
+                      {"name": "equal-split"},
+                      {"name": "rank-one-difference"})},
 }
 
 
@@ -461,6 +506,34 @@ COMPUTED = {
 }
 
 
+def _kernels(result):
+    """The kernels of a computed result, as (order, dim, coeffs)."""
+    if isinstance(result, SymmetricKernel):
+        return [(result.order, result.dim, result.coeffs)]
+    if isinstance(result, ChaosExpansion):
+        return [(q, result.dim, result.kernel(q)) for q in result.orders()]
+    return []
+
+
+# the calls of COMPUTED that return kernels, and the steps of the criterion
+BUILT = {**{name: lambda call=call: [call()] for name, call in COMPUTED.items()
+            if not name.startswith(("criterion", "q_chaos", "sample"))},
+         "gamma_sequence": lambda: chaos.gamma_sequence(
+             _CHAOS4, 2, max_order=12),
+         "gamma_combination": lambda: [criteria.gamma_combination(
+             _CHAOS4, _TWO_WEIGHTS, max_order=12)]}
+
+
+@pytest.mark.parametrize("call", BUILT)
+def test_every_kernel_the_library_computes_passes_the_symmetry_check(call):
+    # a writable copy is held under the caller's rule, which checks symmetry
+    kernels = [k for result in BUILT[call]() for k in _kernels(result)]
+    assert kernels
+    for order, dim, coeffs in kernels:
+        held = SymmetricKernel(order, dim, np.array(coeffs))
+        assert np.array_equal(held.coeffs, coeffs)
+
+
 @pytest.mark.parametrize("call", COMPUTED)
 def test_the_library_never_copies_what_it_computed(monkeypatch, call):
     # criterion_statistic copied 4 kernels, among them a 13 MB one of order
@@ -476,6 +549,25 @@ def test_the_library_never_copies_what_it_computed(monkeypatch, call):
     monkeypatch.setattr(sym_tensor, "_held", spy)
     COMPUTED[call]()
     assert copied == []
+
+
+def test_no_exception_message_is_written_twice():
+    # a rule raised from two places is a rule stated twice; each message
+    # that holds a literal is raised from one place
+    places = {}
+    for path in sorted(Path(chi2chaos.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and node.exc.args):
+                continue
+            message = node.exc.args[0]
+            if any(isinstance(part, ast.JoinedStr)
+                   or isinstance(getattr(part, "value", None), str)
+                   for part in ast.walk(message)):
+                places.setdefault(ast.unparse(message), []).append(
+                    f"{path.name}:{node.lineno}")
+    assert {message: where for message, where in places.items()
+            if len(where) > 1} == {}
 
 
 def test_only_the_integer_rule_words_a_range():
