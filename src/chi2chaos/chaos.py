@@ -67,8 +67,7 @@ class ChaosExpansion:
         q = sym_tensor._integer(q, "q", 0)
         if q in self._kernels:
             return self._kernels[q].coeffs
-        sym_tensor._check_guard(q, self.dim, max_order=q)
-        return sym_tensor._sealed(np.zeros((self.dim,) * q))
+        return sym_tensor._sealed(sym_tensor._zeros(q, self.dim, max_order=q))
 
     @property
     def mean(self) -> float:

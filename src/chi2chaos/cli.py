@@ -117,12 +117,14 @@ def _read_doc(doc):
             spec = TargetSpec(tuple(target["alphas"]))
         except ConfigError as exc:
             out.append(f"target.{exc}")
-    # family_kernel owns the family rules, and none of them depends on n
+    # family_kernel owns the family rules and diag's size; none depends on n
     family = doc.get("family")
     try:
         family_kernel(family, 1)
     except ConfigError as exc:
         out.append(str(exc))
+    except ResourceGuardError as exc:
+        out.append(f"family: {exc}")
     name = family.get("name") if isinstance(family, dict) else None
     if isinstance(name, str) and name in FAMILY_FIELDS:
         out += _unknown_fields("family", family, FAMILY_FIELDS[name],
@@ -207,6 +209,8 @@ def family_kernel(family: dict, n: int) -> SymmetricKernel:
     """Construct the order-2 scenario kernel f_n from its family parameters.
 
     A bad parameter raises ConfigError naming its field, whatever n >= 1 is.
+    The array comes from ``sym_tensor._zeros``: a ``diag`` family of over
+    3 162 entries, or ``equal-split`` at n > 3 162, raises ResourceGuardError.
     """
     n = sym_tensor._integer(n, "n", 1)
     if not isinstance(family, dict) or "name" not in family:
@@ -221,19 +225,18 @@ def family_kernel(family: dict, n: int) -> SymmetricKernel:
         vals = [finite_real(base, f"family.entries[{i}][0]")
                 + finite_real(pert, f"family.entries[{i}][1]") / n
                 for i, (base, pert) in enumerate(entries)]
-        return SymmetricKernel(2, len(vals), sym_tensor._sealed(np.diag(vals)))
+        coeffs = sym_tensor._zeros(2, len(vals))
+        np.fill_diagonal(coeffs, vals)
+        return SymmetricKernel(2, len(vals), sym_tensor._sealed(coeffs))
     if name == "equal-split":
         signs = family.get("signs", "alternating")
         if signs not in ("alternating", "positive"):
             raise ConfigError("family.signs: expected 'alternating' or "
                               f"'positive', got {signs!r}")
-        sym_tensor._check_guard(2, n)  # kernel dimension grows with n
+        coeffs = sym_tensor._zeros(2, n)  # guarded before any work on n
         mag = 1.0 / math.sqrt(2.0 * n)
-        if signs == "alternating":
-            vals = [mag if i % 2 == 0 else -mag for i in range(n)]
-        else:
-            vals = [mag] * n
-        return SymmetricKernel(2, n, sym_tensor._sealed(np.diag(vals)))
+        np.fill_diagonal(coeffs, (mag, -mag) if signs == "alternating" else mag)
+        return SymmetricKernel(2, n, sym_tensor._sealed(coeffs))
     if name == "rank-one-difference":
         scale = finite_real(family.get("scale", 0.5), "family.scale")
         if scale == 0.0:

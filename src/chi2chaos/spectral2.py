@@ -48,13 +48,13 @@ class TargetSpec:
         for i, a in enumerate(alphas):
             if a == 0.0:
                 raise ConfigError(f"alphas[{i}]: nonzero weight required")
-        for i in range(len(alphas)):
-            for j in range(i + 1, len(alphas)):
-                if alphas[i] == alphas[j]:
-                    raise ConfigError(
-                        f"alphas[{j}] duplicates alphas[{i}] (= {alphas[i]}); "
-                        "weights must be pairwise distinct"
-                    )
+        # each weight's first index, then the least pair (i, j) of equals
+        first = {a: i for i, a in reversed(tuple(enumerate(alphas)))}
+        pairs = [(first[a], j) for j, a in enumerate(alphas) if first[a] < j]
+        if pairs:
+            i, j = min(pairs)
+            raise ConfigError(f"alphas[{j}] duplicates alphas[{i}] (= "
+                              f"{alphas[i]}); weights must be pairwise distinct")
         object.__setattr__(self, "alphas", alphas)
 
     @property
@@ -151,9 +151,9 @@ def cumulant_spectral(f: SymmetricKernel, i: int) -> float:
 
 def target_kernel(spec: TargetSpec, d: int) -> SymmetricKernel:
     """Diagonal kernel sum_i alpha_i e_i x e_i embedded in dimension d >= k."""
-    d = sym_tensor._integer(d, "d", spec.k)
-    return SymmetricKernel(2, d, sym_tensor._sealed(
-        np.diag(spec.alphas + (0.0,) * (d - spec.k))))
+    coeffs = sym_tensor._zeros(2, sym_tensor._integer(d, "d", spec.k))
+    np.fill_diagonal(coeffs[:spec.k], spec.alphas)
+    return SymmetricKernel(2, len(coeffs), sym_tensor._sealed(coeffs))
 
 
 def gamma_identity_defect(f: SymmetricKernel, r: int, max_order=None) -> float:

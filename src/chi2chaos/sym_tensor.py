@@ -4,9 +4,9 @@ A kernel of order q is stored as the full dense array of its d^q coefficients
 (row-major), which keeps contraction code free of multiset bookkeeping at the
 cost of redundancy.  Guard rails reject tensors that would not fit desk-scale
 work: orders above ``MAX_ORDER`` and coefficient arrays above ``MAX_ELEMENTS``
-entries.  Each is checked where a tensor's order and dimension first become
-known, before its array is allocated.  Only ``max_order`` can be overridden
-per call; the element limit is fixed.
+entries.  ``_check_guard`` is the one check of both, and every kernel array
+the library makes from scratch is allocated by ``_zeros`` behind it.  Only
+``max_order`` can be overridden per call; the element limit is fixed.
 """
 
 from __future__ import annotations
@@ -40,6 +40,13 @@ def _check_guard(order, dim, max_order=None):
             f"entries, above the guard MAX_ELEMENTS={MAX_ELEMENTS}"
         )
     return order, dim
+
+
+def _zeros(order, dim, max_order=None) -> np.ndarray:
+    """The zero array of an order-``order`` tensor over R^dim, allocated
+    only once it passes ``_check_guard(order, dim, max_order)``."""
+    order, dim = _check_guard(order, dim, max_order)
+    return np.zeros((dim,) * order)
 
 
 def _max_order(max_order) -> int:
@@ -187,14 +194,14 @@ def contract(f: SymmetricKernel, g: SymmetricKernel, r: int) -> np.ndarray:
     never calls BLAS, so no BLAS thread competes with the caller's threads
     and the value does not depend on the BLAS build.  A dense 256 x 256
     product takes about 4.5 ms this way, against 0.4 ms on one BLAS thread.
-    The product is written into the matrix view of a fresh array of the
-    result's shape, so the array returned owns its data.
+    The product is written into the matrix view of a fresh ``_zeros`` array
+    of the result's shape (element guard only), so the result owns its data.
     """
     d, p, q = _same_dim(f.dim, g.dim), f.order, g.order
     r = _integer(r, "r", 0, min(p, q) + 1)
     a = f.coeffs.reshape(d ** (p - r), d ** r)
     b = g.coeffs.reshape(d ** (q - r), d ** r)
-    out = np.empty((d,) * (p + q - 2 * r))
+    out = _zeros(p + q - 2 * r, d, max_order=p + q - 2 * r)
     np.einsum("ik,jk->ij", a, b, out=out.reshape(len(a), len(b)))
     return out
 
@@ -224,10 +231,9 @@ def inner(f: SymmetricKernel, g: SymmetricKernel) -> float:
 
 def basis_kernel(dim: int, index: tuple) -> SymmetricKernel:
     """Symmetrized elementary tensor e_{i1} o ... o e_{iq} (0-based indices)."""
-    q, dim = _check_guard(len(index), dim)
-    t = np.zeros((dim,) * q)
+    t = _zeros(len(index), dim)
     t[tuple(index)] = 1.0
-    return SymmetricKernel(q, dim, _sealed(symmetrize(t)))
+    return SymmetricKernel(t.ndim, dim, _sealed(symmetrize(t)))
 
 
 def random_kernel(order: int, dim: int, rng, scale=1.0,

@@ -590,6 +590,24 @@ def test_a_config_is_read_as_utf_8_under_an_ascii_locale(tmp_path,
                         "family, indices, mc, outputs)"])
 
 
+@pytest.mark.parametrize("entries", [4000, 40000])
+def test_a_diag_family_above_the_element_guard_is_a_config_error(
+        tmp_path, capsys, entries):
+    # a diag kernel's dimension is its entry count at every n, so a family
+    # of more than 3 162 entries is the config's fault, found before any index
+    path = write_config(tmp_path, family={
+        "name": "diag", "entries": [[1.0, 0.0]] * entries})
+    problem = (f"family: dense tensor with dim={entries}, order=2 has "
+               f"{entries ** 2} entries, above the guard MAX_ELEMENTS=10000000")
+    assert diagnostics(path) == [problem]
+    for argv in (["validate", str(path)],
+                 ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", problem + "\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_config_name_longer_than_the_system_takes_exits_2(tmp_path, capsys):
     # validate raised OSError (ENAMETOOLONG) from Path.exists with a
     # traceback; run already ended with exit 2

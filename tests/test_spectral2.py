@@ -40,6 +40,30 @@ def test_target_spec_validation():
     assert TargetSpec((np.float64(1.5), 2)).alphas == (1.5, 2.0)
 
 
+def test_a_duplicate_weight_is_named_as_a_pairwise_loop_names_it():
+    # the least pair (i, j) with alphas[i] == alphas[j] is the one named,
+    # against a reference double loop on short lists with repeats
+    with pytest.raises(ConfigError, match=r"^alphas\[3\] duplicates "
+                       r"alphas\[0\] \(= 1\.0\)"):
+        TargetSpec((1.0, 2.0, 2.0, 1.0))
+    rng = np.random.default_rng(11)
+    lists = [
+        tuple(float(a) for a in rng.choice([-2, -1, 1, 2, 3], size=k))
+        for k in rng.integers(1, 9, size=300)]
+    for alphas in lists:
+        pairs = [(i, j) for i in range(len(alphas))
+                 for j in range(i + 1, len(alphas)) if alphas[i] == alphas[j]]
+        if not pairs:
+            assert TargetSpec(alphas).alphas == alphas
+            continue
+        i, j = pairs[0]
+        with pytest.raises(ConfigError) as exc:
+            TargetSpec(alphas)
+        assert str(exc.value) == (
+            f"alphas[{j}] duplicates alphas[{i}] (= {alphas[i]}); "
+            "weights must be pairwise distinct")
+
+
 def test_target_cumulant_beyond_the_float_range_is_inf():
     # a Python float power raises OverflowError instead
     with np.errstate(over="ignore"):

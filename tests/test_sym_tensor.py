@@ -109,14 +109,46 @@ def test_symmetrize_order_guard():
     assert out.shape == (1,) * 9
 
 
-def test_element_guard():
-    with pytest.raises(ResourceGuardError):
-        random_kernel(8, 10, np.random.default_rng(0))  # 10^8 entries
+# each kernel builder with arguments that put its array above the element
+# guard (20^6 entries would be 512 MB); the contractions' results are of
+# order 8 at d = 40, from an order-4 operand f built before the traced call
+OVERSIZED = {
+    "basis_kernel": lambda f: basis_kernel(20, (0,) * 6),
+    "random_kernel": lambda f: random_kernel(8, 10, np.random.default_rng(0)),
+    "target_kernel": lambda f: spectral2.target_kernel(
+        spectral2.TargetSpec((1.0,)), 10 ** 6),
+    "diag-4000": lambda f: family_kernel(
+        {"name": "diag", "entries": [[1.0, 0.0]] * 4000}, 1),
+    "equal-split-5000": lambda f: family_kernel({"name": "equal-split"}, 5000),
+    "equal-split-1e400": lambda f: family_kernel({"name": "equal-split"},
+                                                 10 ** 400),
+    "absent-order": lambda f: ChaosExpansion(3).kernel(25),
+    "contract": lambda f: contract(f, f, 0),
+    "sym_contract": lambda f: sym_contract(f, f, 0),
+}
 
 
-def test_basis_kernel_guard_fires_before_allocating(guard_peak_mb):
-    # 20^6 entries would be 512 MB
-    assert guard_peak_mb(lambda: basis_kernel(20, (0,) * 6)) < 8.0
+@pytest.mark.parametrize("builder", OVERSIZED)
+def test_every_kernel_builder_raises_the_guard_before_allocating(
+        builder, guard_peak_mb):
+    # a MemoryError or an OverflowError would mean that an array was sized
+    # outside sym_tensor's guards
+    f = SymmetricKernel(4, 40, np.zeros((40,) * 4))
+    assert guard_peak_mb(lambda: OVERSIZED[builder](f)) < 1.0
+
+
+def test_only_sym_tensor_names_the_size_guard():
+    # every kernel array is sized by sym_tensor._zeros behind the guards,
+    # so no other module checks them itself
+    found = []
+    for path in sorted(Path(chi2chaos.__file__).parent.glob("*.py")):
+        if path.name == "sym_tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "_check_guard" in (getattr(node, key, None)
+                                  for key in ("id", "attr", "name")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_contract_single_basis():
