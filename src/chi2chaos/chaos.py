@@ -358,8 +358,8 @@ def _evaluator(F: ChaosExpansion):
     Orders 0-2 are einsums over the block's rows (not BLAS products, whose
     sums can depend on the row count): order 1, the diagonal of order 2,
     sum_i f_ii (x_i^2 - 1), and its off-diagonal part x^T f x, if it has
-    one; a diagonal kernel (every shipped family but rank-one-difference)
-    skips that d^2 pass.  Orders >= 3 are sums of products of Hermite
+    one; a diagonal kernel (every shipped family's kernel is one) skips
+    that d^2 pass.  Orders >= 3 are sums of products of Hermite
     polynomials over the table.  Their groups, planned by :func:`_sum_plan`,
     are built here, once, however many blocks the stages are then called
     on, and not kept on ``F``: at (q, d) = (3, 100), 171 700 terms in

@@ -11,7 +11,7 @@ substream.
 
 Exit codes: 0 success, 2 configuration error or unusable output path,
 3 numerical-guard abort or internal consistency failure (with q_chaos on,
-gamma_stat from gamma_sequence disagreeing with (1/2) sum_m m! b_m over the
+gamma_stat from the spectrum disagreeing with (1/2) sum_m m! b_m over the
 conditions from gamma_explicit).
 """
 
@@ -117,14 +117,12 @@ def _read_doc(doc):
             spec = TargetSpec(tuple(target["alphas"]))
         except ConfigError as exc:
             out.append(f"target.{exc}")
-    # family_kernel owns the family rules and diag's size; none depends on n
+    # family_spectrum owns the family rules; none depends on n
     family = doc.get("family")
     try:
-        family_kernel(family, 1)
+        family_spectrum(family, 1)
     except ConfigError as exc:
         out.append(str(exc))
-    except ResourceGuardError as exc:
-        out.append(f"family: {exc}")
     name = family.get("name") if isinstance(family, dict) else None
     if isinstance(name, str) and name in FAMILY_FIELDS:
         out += _unknown_fields("family", family, FAMILY_FIELDS[name],
@@ -205,13 +203,11 @@ def _scenario(doc) -> Scenario:
     return scenario
 
 
-def family_kernel(family: dict, n: int) -> SymmetricKernel:
-    """Construct the order-2 scenario kernel f_n from its family parameters.
-
-    A bad parameter raises ConfigError naming its field, whatever n >= 1 is.
-    The array comes from ``sym_tensor._zeros``: a ``diag`` family of over
-    3 162 entries, or ``equal-split`` at n > 3 162, raises ResourceGuardError.
-    """
+def family_spectrum(family: dict, n: int) -> np.ndarray:
+    """The eigenvalues of the order-2 scenario kernel f_n in the order of
+    its diagonal, the one definition of each family: a sealed array sized
+    by ``sym_tensor._zeros(1, d)``, so no d x d array is made.  A bad
+    parameter raises ConfigError naming its field, whatever n >= 1 is."""
     n = sym_tensor._integer(n, "n", 1)
     if not isinstance(family, dict) or "name" not in family:
         raise ConfigError("family: must be an object with a 'name' field")
@@ -222,32 +218,38 @@ def family_kernel(family: dict, n: int) -> SymmetricKernel:
                 or not all(isinstance(e, list) and len(e) == 2 for e in entries)):
             raise ConfigError("family.entries: expected a nonempty list of "
                               "[base, perturbation] pairs")
-        vals = [finite_real(base, f"family.entries[{i}][0]")
-                + finite_real(pert, f"family.entries[{i}][1]") / n
-                for i, (base, pert) in enumerate(entries)]
-        coeffs = sym_tensor._zeros(2, len(vals))
-        np.fill_diagonal(coeffs, vals)
-        return SymmetricKernel(2, len(vals), sym_tensor._sealed(coeffs))
-    if name == "equal-split":
+        spectrum = sym_tensor._zeros(1, len(entries))
+        for i, (base, pert) in enumerate(entries):
+            spectrum[i] = (finite_real(base, f"family.entries[{i}][0]")
+                           + finite_real(pert, f"family.entries[{i}][1]") / n)
+    elif name == "equal-split":
         signs = family.get("signs", "alternating")
         if signs not in ("alternating", "positive"):
             raise ConfigError("family.signs: expected 'alternating' or "
                               f"'positive', got {signs!r}")
-        coeffs = sym_tensor._zeros(2, n)  # guarded before any work on n
-        mag = 1.0 / math.sqrt(2.0 * n)
-        np.fill_diagonal(coeffs, (mag, -mag) if signs == "alternating" else mag)
-        return SymmetricKernel(2, n, sym_tensor._sealed(coeffs))
-    if name == "rank-one-difference":
+        spectrum = sym_tensor._zeros(1, n)  # guarded before any work on n
+        spectrum[:] = 1.0 / math.sqrt(2.0 * n)
+        if signs == "alternating":
+            spectrum[1::2] *= -1.0
+    elif name == "rank-one-difference":
         scale = finite_real(family.get("scale", 0.5), "family.scale")
         if scale == 0.0:
             raise ConfigError("family.scale: nonzero number required")
+        # scale (u u^T - v v^T) with unit vectors u, v and u.v = 1/n
         c = 1.0 / n
-        u = np.array([1.0, 0.0])
-        v = np.array([c, math.sqrt(1.0 - c * c)])
-        return SymmetricKernel(2, 2, sym_tensor._sealed(
-            scale * (np.outer(u, u) - np.outer(v, v))))
-    raise ConfigError(f"family.name: unknown family {name!r} "
-                      f"(known: {', '.join(FAMILY_FIELDS)})")
+        spectrum = sym_tensor._zeros(1, 2)
+        spectrum[:] = scale * math.sqrt(1.0 - c * c)
+        spectrum[1] *= -1.0
+    else:
+        raise ConfigError(f"family.name: unknown family {name!r} "
+                          f"(known: {', '.join(FAMILY_FIELDS)})")
+    return sym_tensor._sealed(spectrum)
+
+
+def family_kernel(family: dict, n: int) -> SymmetricKernel:
+    """f_n, the diagonal kernel of :func:`family_spectrum`: d above 3 162
+    raises ResourceGuardError."""
+    return sym_tensor._diagonal(family_spectrum(family, n))
 
 
 def _workers(tasks: int) -> int:
@@ -276,13 +278,14 @@ def _index_row(scenario: Scenario, position: int, with_mc: bool):
                    if with_mc and name in ("ks", "empirical_cumulants")]
     work = se = None
     try:
-        kernel = family_kernel(scenario.family, n)
-        F = ChaosExpansion.from_kernel(kernel)
-        report = criteria.criterion_statistic(F, scenario.target)
-        exact = {}
-        for (r, _, _, gap) in report.cumulant_gaps:
-            exact[f"kappa_gap_{r}"] = gap
+        spectrum = family_spectrum(scenario.family, n)
+        report = criteria.spectrum_criterion(spectrum, scenario.target)
+        exact = {f"kappa_gap_{r}": gap
+                 for r, _, _, gap in report.cumulant_gaps}
         exact["gamma_stat"] = report.gamma_stat
+        # the d x d kernel only where the conditions or the sampler read it
+        if sampled_for or "q_chaos" in scenario.outputs:
+            kernel = family_kernel(scenario.family, n)
         found = (criteria.q_chaos_conditions(kernel, scenario.target)
                  if "q_chaos" in scenario.outputs else {})
         conditions = {f"cond_{key}": val for key, val in found.items()}
@@ -290,16 +293,23 @@ def _index_row(scenario: Scenario, position: int, with_mc: bool):
         # non-finite kernel would only make fail less clearly
         _check_finite(exact | conditions)
         if found:
-            # gamma_sequence and gamma_explicit must give one gamma_stat
+            # the spectrum and gamma_explicit must give one gamma_stat, to
+            # 1e-9 of the size of Q's terms, which gamma_explicit's expanded
+            # sum cancels near the target's weights
+            terms = np.abs(spectrum)
+            for a in scenario.target.alphas:
+                terms = terms * (np.abs(spectrum) + abs(a))
             total = criteria.conditions_gamma_stat(found, kernel.order)
-            if abs(total - report.gamma_stat) > 1e-9 * abs(report.gamma_stat):
+            if abs(total - report.gamma_stat) > 1e-9 * (
+                    abs(report.gamma_stat) + float(np.sum(terms * terms))):
                 raise ConsistencyError(
-                    f"gamma_stat {report.gamma_stat!r} from gamma_sequence, "
+                    f"gamma_stat {report.gamma_stat!r} from the spectrum, "
                     f"but (1/2) sum m! b_m = {total!r} from gamma_explicit")
         sampled = {}
         if sampled_for:
-            batch = montecarlo.sample_chaos(
-                F, scenario.mc_samples, scenario.mc_seed + position)
+            batch = montecarlo.sample_chaos(ChaosExpansion.from_kernel(kernel),
+                                            scenario.mc_samples,
+                                            scenario.mc_seed + position)
             if not np.isfinite(batch.values).all():
                 raise NumericalError(
                     f"Monte Carlo sample for {', '.join(sampled_for)} "

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import chaos, sym_tensor
 from .chaos import ChaosExpansion
-from .spectral2 import TargetSpec
+from .spectral2 import TargetSpec, eigenvalue_cumulant
 from .sym_tensor import SymmetricKernel
 
 
@@ -157,6 +157,23 @@ def criterion_statistic(F: ChaosExpansion, spec: TargetSpec,
         gaps.append((r, kn, kt, abs(kn - kt)))
     comb = _centered_combination(seq, spec)
     return CriterionReport(tuple(gaps), 0.5 * chaos.l2_inner(comb, comb))
+
+
+def spectrum_criterion(eigenvalues, spec: TargetSpec) -> CriterionReport:
+    """:func:`criterion_statistic` of I_2(f) from the eigenvalues lambda_j of
+    f: kappa_r by the target's own formula, :func:`eigenvalue_cumulant`, and
+    gamma_stat = sum_j Q(lambda_j), P(lambda) taken as the product lambda
+    prod_i (lambda - alpha_i) (its expanded coefficients cancel near the
+    weights)."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    gaps = []
+    for r in range(2, spec.k + 2):
+        kn, kt = eigenvalue_cumulant(lam, r), spec.cumulant(r)
+        gaps.append((r, kn, kt, abs(kn - kt)))
+    p = lam
+    for a in spec.alphas:
+        p = p * (lam - a)
+    return CriterionReport(tuple(gaps), float(np.sum(p * p)))
 
 
 def psi_functional(kappas, moments, spec: TargetSpec, phi) -> float:

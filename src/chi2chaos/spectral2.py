@@ -4,8 +4,8 @@ An order-2 kernel f acts on R^d as the symmetric matrix of its coefficients;
 its eigenvalues drive everything about the law of I_2(f): iterated
 contractions are matrix powers, cumulants are weighted eigenvalue power sums,
 and the centered gamma operators collapse to second-chaos elements of the
-iterated contractions.  The target laws studied by the criteria module are
-the diagonal kernels built from a list of distinct nonzero weights.
+iterated contractions.  A target law is the diagonal kernel of its distinct
+nonzero weights, and :func:`eigenvalue_cumulant` gives its cumulants.
 """
 
 from __future__ import annotations
@@ -32,6 +32,20 @@ def finite_real(value, field: str) -> float:
         except OverflowError:  # an int beyond the float range
             pass
     raise ConfigError(f"{field}: finite number required, got {value!r}")
+
+
+def eigenvalue_cumulant(eigenvalues, r: int) -> float:
+    """kappa_r of I_2(f) from the eigenvalues lambda_j of f: 0 at r = 1,
+    else 2^{r-1} (r-1)! sum_j lambda_j^r, each power r - 1 NumPy products:
+    inf beyond the float range (a Python float power raises OverflowError),
+    and odd in lambda (NumPy's SIMD power need not be)."""
+    r = sym_tensor._integer(r, "r", 1)
+    if r == 1:
+        return 0.0
+    lam = power = np.asarray(eigenvalues, dtype=float)
+    for _ in range(r - 1):
+        power = power * lam
+    return (2.0 ** (r - 1)) * math.factorial(r - 1) * float(np.sum(power))
 
 
 @dataclass(frozen=True)
@@ -62,17 +76,8 @@ class TargetSpec:
         return len(self.alphas)
 
     def cumulant(self, r: int) -> float:
-        """kappa_r of the target: 0 at r = 1 (it is centered), else
-        2^{r-1} (r-1)! sum_i alpha_i^r.
-
-        A power beyond the float range is inf (a NumPy power, where a
-        Python float power raises OverflowError), so the column it feeds
-        is the one named non-finite."""
-        r = sym_tensor._integer(r, "r", 1)
-        if r == 1:
-            return 0.0
-        return (2.0 ** (r - 1)) * math.factorial(r - 1) * sum(
-            float(np.float64(a) ** r) for a in self.alphas)
+        """kappa_r of the target: :func:`eigenvalue_cumulant` of its weights."""
+        return eigenvalue_cumulant(self.alphas, r)
 
     def cumulants(self, rmax: int):
         """[kappa_1, ..., kappa_rmax]; kappa_1 = 0 (the target is centered)."""
@@ -130,10 +135,9 @@ def cumulant_spectral_forms(f: SymmetricKernel, i: int):
     """
     _order_2(f)
     i = sym_tensor._integer(i, "i", 2)
-    prefactor = (2.0 ** (i - 1)) * math.factorial(i - 1)
-    eigen = spectral(f).eigenvalues
-    by_eigen = prefactor * float(np.sum(eigen ** i))
-    by_contraction = prefactor * sym_tensor.inner(iterated_contraction(f, i - 1), f)
+    by_eigen = eigenvalue_cumulant(spectral(f).eigenvalues, i)
+    by_contraction = ((2.0 ** (i - 1)) * math.factorial(i - 1)
+                      * sym_tensor.inner(iterated_contraction(f, i - 1), f))
     return by_eigen, by_contraction
 
 
@@ -151,9 +155,7 @@ def cumulant_spectral(f: SymmetricKernel, i: int) -> float:
 
 def target_kernel(spec: TargetSpec, d: int) -> SymmetricKernel:
     """Diagonal kernel sum_i alpha_i e_i x e_i embedded in dimension d >= k."""
-    coeffs = sym_tensor._zeros(2, sym_tensor._integer(d, "d", spec.k))
-    np.fill_diagonal(coeffs[:spec.k], spec.alphas)
-    return SymmetricKernel(2, len(coeffs), sym_tensor._sealed(coeffs))
+    return sym_tensor._diagonal(spec.alphas, sym_tensor._integer(d, "d", spec.k))
 
 
 def gamma_identity_defect(f: SymmetricKernel, r: int, max_order=None) -> float:

@@ -49,6 +49,14 @@ def _zeros(order, dim, max_order=None) -> np.ndarray:
     return np.zeros((dim,) * order)
 
 
+def _diagonal(values, dim=None) -> SymmetricKernel:
+    """The order-2 kernel whose diagonal is ``values``, zero-padded to
+    ``dim`` (default ``len(values)``), its array sized by ``_zeros``."""
+    coeffs = _zeros(2, len(values) if dim is None else dim)
+    np.fill_diagonal(coeffs[:len(values)], values)
+    return SymmetricKernel(2, len(coeffs), _sealed(coeffs))
+
+
 def _max_order(max_order) -> int:
     """``MAX_ORDER``, or a given max_order that obeys ``_integer``."""
     return (MAX_ORDER if max_order is None

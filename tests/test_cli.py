@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import copy
 import csv
 import errno
 import io
@@ -7,9 +8,11 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +21,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chi2chaos
-from chi2chaos import cli, montecarlo
+from chi2chaos import cli, criteria, montecarlo
 from chi2chaos.chaos import ChaosExpansion
 from chi2chaos.cli import (
     config_diagnostics,
     family_kernel,
+    family_spectrum,
     load_config,
     main,
     resolve_config,
@@ -30,7 +34,7 @@ from chi2chaos.cli import (
     shipped_scenarios,
 )
 from chi2chaos.errors import ConfigError, ConsistencyError
-from chi2chaos.spectral2 import spectral
+from chi2chaos.spectral2 import TargetSpec, spectral
 
 
 BASE_CONFIG = {
@@ -149,14 +153,125 @@ def test_family_kernels():
     ({**RANK_ONE, "scale": -math.inf}, "family.scale"),
 ])
 def test_family_kernel_owns_the_family_rules(family, field):
-    # a bad parameter fails at every n, and validate reports that same error
-    for n in (1, 2, 7):
-        with pytest.raises(ConfigError) as exc:
-            family_kernel(family, n)
-        assert str(exc.value).startswith(field)
+    # a bad parameter fails at every n, from the spectrum and the kernel
+    # alike, and validate reports that same error
+    for build in (family_spectrum, family_kernel):
+        for n in (1, 2, 7):
+            with pytest.raises(ConfigError) as exc:
+                build(family, n)
+            assert str(exc.value).startswith(field)
     doc = json.loads(json.dumps(BASE_CONFIG))
     doc["family"] = family
     assert config_diagnostics(doc) == [str(exc.value)]
+
+
+def _closed_form_cases():
+    """(family, n, target) for the cross-check of the closed forms."""
+    cases = []
+    for path in shipped_scenarios().values():
+        scenario = load_config(path)
+        cases += [(scenario.family, n, scenario.target)
+                  for n in scenario.indices]
+    rng = np.random.default_rng(36)
+    for size in (1, 3, 8):
+        entries = rng.uniform(-2.0, 2.0, (size, 2)).tolist()
+        for alphas in ((1.0,), (1.0, 2.0), (0.5, -0.5), (-1.5, 0.25, 3.0)):
+            cases.append(({"name": "diag", "entries": entries},
+                          int(rng.integers(1, 50)), TargetSpec(alphas)))
+    for signs in ("alternating", "positive"):
+        for n in (1, 2, 7, 16, 33):
+            cases.append(({"name": "equal-split", "signs": signs}, n,
+                          TargetSpec((1.0, 2.0))))
+    for scale in (-3.0, -0.5, 0.25, 0.5, 2.0):
+        for n in (1, 2, 5, 64):
+            cases.append(({**RANK_ONE, "scale": scale}, n,
+                          TargetSpec((0.5, -0.5))))
+    return cases
+
+
+def test_the_closed_forms_match_the_gamma_engine_on_every_family():
+    # the runner reads each order-2 row's exact columns from its spectrum;
+    # criterion_statistic on the d x d kernel is the path it no longer runs.
+    # A column that cancels to about 0 is judged on the scale of its terms:
+    # c_r sum |lambda|^r for kappa_r, sum (|lambda| prod (|lambda| +
+    # |alpha|))^2 for gamma_stat.
+    for family, n, spec in _closed_form_cases():
+        lam = family_spectrum(family, n)
+        got = criteria.spectrum_criterion(lam, spec)
+        want = criteria.criterion_statistic(
+            ChaosExpansion.from_kernel(family_kernel(family, n)), spec)
+        where = (family, n, spec.alphas)
+        assert [g[0] for g in got.cumulant_gaps] == list(range(2, spec.k + 2))
+        assert len(got.cumulant_gaps) == len(want.cumulant_gaps), where
+        for (r, kn, kt, gap), (_, kn_ref, kt_ref, gap_ref) in zip(
+                got.cumulant_gaps, want.cumulant_gaps):
+            scale = (abs(kn_ref) + 2.0 ** (r - 1) * math.factorial(r - 1)
+                     * np.sum(np.abs(lam) ** r) + abs(kt_ref))
+            assert kt == kt_ref, (where, r)
+            assert abs(kn - kn_ref) <= 1e-9 * scale, (where, r, kn, kn_ref)
+            assert abs(gap - gap_ref) <= 1e-9 * scale, (where, r, gap, gap_ref)
+        terms = np.abs(lam)
+        for a in spec.alphas:
+            terms = terms * (np.abs(lam) + abs(a))
+        scale = abs(want.gamma_stat) + np.sum(terms ** 2)
+        assert abs(got.gamma_stat - want.gamma_stat) <= 1e-9 * scale, (
+            where, got.gamma_stat, want.gamma_stat)
+
+
+def test_rank_one_difference_is_the_spectrum_of_its_outer_products():
+    # scale (u u^T - v v^T) with u = e_1 and v = (1/n, sqrt(1 - 1/n^2)),
+    # the kernel the family was defined by
+    for scale in (-3.0, -0.5, 0.25, 0.5, 2.0, 1e100):
+        for n in (1, 2, 3, 5, 64, 10 ** 6):
+            c = 1.0 / n
+            u = np.array([1.0, 0.0])
+            v = np.array([c, math.sqrt(1.0 - c * c)])
+            want = np.linalg.eigvalsh(scale * (np.outer(u, u) - np.outer(v, v)))
+            got = np.sort(family_spectrum({**RANK_ONE, "scale": scale}, n))
+            assert np.all(np.abs(got - want) <= 1e-15 * max(1.0, abs(scale))), (
+                scale, n, got, want)
+
+
+def test_an_order_2_row_reaches_far_beyond_the_dense_guard(tmp_path, peak_mb):
+    # gaussian-counterexample's family at n = 10^6, 316 times the dense
+    # guard's 3 162: n eigenvalues +-1/sqrt(2n), whose kappa_2 is 1 and
+    # kappa_3 0 against (1, 2)'s 10 and 72, and gamma_stat = sum Q -> 2
+    config = write_config(tmp_path, family={"name": "equal-split"},
+                          indices=[10 ** 6],
+                          outputs=["cumulant_gaps", "gamma_stat"])
+    start = time.perf_counter()
+    csv_path, _ = run_scenario(config, tmp_path / "out", no_mc=True)
+    elapsed = time.perf_counter() - start
+    with open(csv_path) as fh:
+        row = next(csv.DictReader(fh))
+    assert math.isclose(float(row["kappa_gap_2"]), 9.0, rel_tol=1e-12)
+    assert math.isclose(float(row["kappa_gap_3"]), 72.0, rel_tol=1e-12)
+    assert abs(float(row["gamma_stat"]) - 2.0) < 1e-5, row
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+    # two-eigenvalue-q2-example far out, where P(lambda) ~ -lambda/(4 n^2)
+    # cancels in gamma_explicit's expanded sum: its conditions still agree
+    # with the spectrum's gamma_stat on the scale of Q's terms
+    config = write_config(tmp_path, target={"alphas": [0.5, -0.5]},
+                          family=RANK_ONE, indices=[2 ** 14, 2 ** 16, 10 ** 6],
+                          outputs=["q_chaos"])
+    csv_path, _ = run_scenario(config, tmp_path / "far", no_mc=True)
+    with open(csv_path) as fh:
+        for row in csv.DictReader(fh):
+            eps = 1.0 / int(row["n"]) ** 2
+            # sum_j Q(lambda_j) = (1 - eps) eps^2 / 32 for lambda = +-s,
+            # up to the rounding of s, amplified by 1 / (s - 1/2) ~ n^2
+            assert math.isclose(float(row["gamma_stat"]),
+                                (1 - eps) * eps ** 2 / 32, rel_tol=1e-3)
+            assert math.isclose(float(row["cond_b1"]),
+                                float(row["gamma_stat"]), rel_tol=1e-3)
+    # validate reads the family's spectrum, never a d x d kernel: 3 162
+    # entries are the most the dense guard takes, 40 000 far more
+    for entries in (3162, 40000):
+        doc = {**BASE_CONFIG,
+               "family": {"name": "diag", "entries": [[1.0, 0.5]] * entries}}
+        problems = []
+        assert peak_mb(lambda: problems.extend(config_diagnostics(doc))) < 1.0
+        assert problems == []
 
 
 def test_run_scenario_outputs(tmp_path):
@@ -305,11 +420,13 @@ def test_resolve_config_and_exit_codes(tmp_path, capsys):
 
 
 def test_guard_abort_exit_code(tmp_path, capsys):
+    # q_chaos reads the d x d kernel, whose 4000^2 coefficients trip the
+    # size guard
     config = write_config(
         tmp_path,
         family={"name": "equal-split", "signs": "alternating"},
-        indices=[2, 4000],  # 4000^2 coefficients trip the size guard
-        outputs=["gamma_stat"],
+        indices=[2, 4000],
+        outputs=["gamma_stat", "q_chaos"],
     )
     code = main(["run", str(config), "--out", str(tmp_path / "out"), "--no-mc"])
     assert code == 3
@@ -350,7 +467,8 @@ def test_main_keeps_its_recorded_exit_codes_and_messages(tmp_path):
     for case, overrides in [
             ("invalid", {"indices": [], "outputs": ["wat"]}),
             ("guard", {"family": {"name": "equal-split"},
-                       "indices": [2, 4000]}),
+                       "indices": [2, 4000],
+                       "outputs": ["cumulant_gaps", "gamma_stat", "q_chaos"]}),
             ("good", {})]:
         doc = {**BASE_CONFIG, "indices": [2, 4],
                "outputs": ["cumulant_gaps", "gamma_stat"], **overrides}
@@ -409,10 +527,10 @@ def test_a_failed_output_write_names_its_file(tmp_path, capsys, monkeypatch):
 
 
 def test_consistency_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
-    def disagree(F, spec):
+    def disagree(eigenvalues, spec):
         raise ConsistencyError("cumulant order 3: two forms disagree")
 
-    monkeypatch.setattr(cli.criteria, "criterion_statistic", disagree)
+    monkeypatch.setattr(cli.criteria, "spectrum_criterion", disagree)
     code = main(["run", "gamma-nu1", "--out", str(tmp_path / "out"), "--no-mc"])
     assert code == 3
     err = capsys.readouterr().err
@@ -438,7 +556,7 @@ def test_gamma_stat_and_the_conditions_disagreeing_exits_3(tmp_path, capsys,
     assert len(lines) == 1
     assert lines[0].startswith(
         "scenario 'two-eigenvalue-q2-example' aborted at n=")
-    assert "from gamma_sequence" in lines[0] and "from gamma_explicit" in lines[0]
+    assert "from the spectrum" in lines[0] and "from gamma_explicit" in lines[0]
     assert not (tmp_path / "out" / "two-eigenvalue-q2-example.csv").exists()
 
 
@@ -591,21 +709,42 @@ def test_a_config_is_read_as_utf_8_under_an_ascii_locale(tmp_path,
 
 
 @pytest.mark.parametrize("entries", [4000, 40000])
-def test_a_diag_family_above_the_element_guard_is_a_config_error(
-        tmp_path, capsys, entries):
-    # a diag kernel's dimension is its entry count at every n, so a family
-    # of more than 3 162 entries is the config's fault, found before any index
-    path = write_config(tmp_path, family={
-        "name": "diag", "entries": [[1.0, 0.0]] * entries})
-    problem = (f"family: dense tensor with dim={entries}, order=2 has "
-               f"{entries ** 2} entries, above the guard MAX_ELEMENTS=10000000")
-    assert diagnostics(path) == [problem]
-    for argv in (["validate", str(path)],
-                 ["run", str(path), "--out", str(tmp_path / "out")]):
-        assert main(argv) == 2
-        out, err = capsys.readouterr()
-        assert (out, err) == ("", problem + "\n")
-    assert not (tmp_path / "out").exists()
+def test_a_diag_family_above_the_element_guard_stops_where_its_kernel_is_built(
+        tmp_path, capsys, monkeypatch, peak_mb, entries):
+    # validate and the exact columns read the spectrum, so the dense guard
+    # stops a run only at a row that builds the d x d kernel, to sample it
+    doc = {**BASE_CONFIG,
+           "family": {"name": "diag", "entries": [[1.0, 0.5]] * entries}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "exact"),
+                 "--no-mc"]) == 0
+    capsys.readouterr()
+    # eigenvalue 1 + 0.5/n, entries times, against the weights (1, 2)
+    with open(tmp_path / "exact" / "tiny.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["n"]) for row in rows] == BASE_CONFIG["indices"]
+    for row in rows:
+        lam = 1.0 + 0.5 / int(row["n"])
+        assert math.isclose(float(row["kappa_gap_2"]),
+                            abs(2 * entries * lam ** 2 - 10), rel_tol=1e-12)
+        assert math.isclose(float(row["gamma_stat"]), entries * (
+            lam * (lam - 1) * (lam - 2)) ** 2, rel_tol=1e-12)
+    # the sampled run, its config already read, so the traced peak is the
+    # run's own: no d x d array, only a few arrays of d values per worker
+    fresh = json.loads(json.dumps(doc))
+    monkeypatch.setattr(cli, "_read_config", lambda config: fresh)
+    codes = []
+    peak = peak_mb(lambda: codes.append(
+        main(["run", str(path), "--out", str(tmp_path / "mc")])))
+    assert codes == [3]
+    assert capsys.readouterr() == ("", (
+        f"scenario 'tiny' aborted at n=2: dense tensor with dim={entries}, "
+        f"order=2 has {entries ** 2} entries, above the guard "
+        "MAX_ELEMENTS=10000000\n"))
+    assert not (tmp_path / "mc" / "tiny.csv").exists()
+    assert peak < 1.0 + 32 * entries / 2 ** 20, f"{peak:.2f} MB"
 
 
 def test_a_config_name_longer_than_the_system_takes_exits_2(tmp_path, capsys):
@@ -1032,8 +1171,8 @@ def test_the_first_failing_index_is_the_one_reported(tmp_path, capsys,
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err == "scenario 'tiny' aborted at n=4: kernel 4 is too large\n"
-    # validate's check at n = 1, then the largest n first
-    assert ran == [1, 16, 8, 4, 2]
+    # the largest n first; validate builds no kernel
+    assert ran == [16, 8, 4, 2]
     assert not (tmp_path / "out" / "tiny.csv").exists()
 
 
@@ -1128,3 +1267,112 @@ def test_validate_and_run_agree_on_any_field_value_property(field, value):
             rows = Path(out[0]).read_text().splitlines()[1:]
             assert all(math.isfinite(float(v))
                        for row in rows for v in row.split(","))
+
+
+# The config fuzzer: 1-3 changes to a shipped config, each a value put at
+# one place in it (a field, a list item, a new key) or a key taken out.
+# Deep lists are written as text, as deep as the JSON decoder takes and
+# beyond; a file may be written as Latin-1, which is not UTF-8.
+DEEP = "\x00deep{}\x00"
+FUZZ_VALUES = st.one_of(
+    # numbers that many fields take, so that a share of the configs run
+    st.sampled_from([1, 2, 3, 0.5, -0.5, 2.0, 64, 2 ** 64, 10 ** 400]),
+    st.sampled_from([
+        -1, 0, 1, 2, 2 ** 64, 10 ** 400, 1e308, -1e308, 0.5, math.nan,
+        math.inf, -math.inf, True, False, None, "", "x", "caf\u00e9", "a/b",
+        "\n", "x" * 300, [], {}, [1, 2], [[1.0, 0.0]], [[1.0]], [[[1.0, 0.0]]],
+        *cli.FAMILY_FIELDS, "alternating", "positive", *cli.KNOWN_OUTPUTS,
+        {"name": "diag"}, {"name": "equal-split"},
+        {"name": "rank-one-difference", "scale": 2 ** 64}]),
+    st.sampled_from([5, 900, 3000]).map(DEEP.format),
+    st.recursive(st.none() | st.booleans() | st.integers(-3, 3)
+                 | st.floats(-1e3, 1e3) | st.text(max_size=3),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+                 max_leaves=6),
+)
+SHIPPED_DOCS = {name: json.loads(path.read_text())
+                for name, path in shipped_scenarios().items()}
+
+
+def _places(value, where=()):
+    """Every place in a parsed config: (container path, key or index)."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    return [place for key, item in items
+            for place in [(where, key)] + _places(item, where + (key,))]
+
+
+# whole fields that the config rules take, so that a share of the fuzzed
+# configs runs: the large indices reach the guards of the spectrum and of
+# the d x d kernel
+VALID_FIELDS = {
+    "id": ["fuzz", "x" * 242],
+    "target": [{"alphas": [0.5]}, {"alphas": [1.0, -2.0]},
+               {"alphas": [3.0, 1.0, -0.5]}],
+    "family": [{"name": "diag", "entries": [[2.0, -1.0]]},
+               {"name": "equal-split", "signs": "positive"},
+               {"name": "equal-split"}, {"name": "rank-one-difference"},
+               {"name": "rank-one-difference", "scale": -2}],
+    "indices": [[1], [3, 5], [2, 10 ** 6], [1, 2 ** 64]],
+    "mc": [{}, {"samples": 5}, {"seed": 2 ** 64 - 2}],
+    "outputs": [[], ["ks"], ["q_chaos"], ["gamma_stat", "empirical_cumulants"],
+                list(cli.KNOWN_OUTPUTS)],
+}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """The bytes of a shipped config with 1-3 changes, indices [1, 2]."""
+    doc = json.loads(json.dumps(SHIPPED_DOCS[draw(st.sampled_from(
+        sorted(SHIPPED_DOCS)))]))
+    doc["indices"] = [1, 2]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            field = draw(st.sampled_from(sorted(VALID_FIELDS)))
+            doc[field] = copy.deepcopy(draw(st.sampled_from(VALID_FIELDS[field])))
+            continue
+        # a wide integer, reduced, picks every place about as often:
+        # Hypothesis draws the first items of a short list most often
+        places = _places(doc) + [((), "new")]
+        where, key = places[draw(st.integers(0, 2 ** 16)) % len(places)]
+        container = doc
+        for step in where:
+            container = container[step]
+        if isinstance(container, dict) and not draw(st.integers(0, 3)):
+            container.pop(key, None)
+        elif isinstance(container, (dict, list)):
+            # a copy: a later change must not reach the shared pool value
+            container[key] = copy.deepcopy(draw(FUZZ_VALUES))
+    text = re.sub(r'"\\u0000deep(\d+)\\u0000"',
+                  lambda m: "[" * int(m[1]) + "]" * int(m[1]),
+                  json.dumps(doc, ensure_ascii=False))
+    encoding = draw(st.sampled_from(["utf-8", "latin-1"]))
+    return text.encode(encoding, errors="replace")
+
+
+@settings(max_examples=400, deadline=None)
+@given(config_bytes=fuzzed_configs())
+def test_validate_and_run_agree_on_fuzzed_shipped_configs(config_bytes):
+    # every exit code is 0, 2 or 3, with at most one stderr line and no
+    # traceback; a config validate rejects, run rejects with the same line
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_bytes(config_bytes)
+        checked, _, check_err = _cli(["validate", str(config)])
+        assert checked in (0, 2, 3) and len(check_err) <= 1, check_err
+        if checked == 2:
+            ran, _, run_err = _cli(["run", str(config), "--out",
+                                    str(Path(tmp) / "out")])
+            assert (ran, run_err) == (2, check_err)
+            assert not (Path(tmp) / "out").exists()
+        else:
+            ran, _, run_err = _cli(["run", str(config), "--out",
+                                    str(Path(tmp) / "out"),
+                                    "--mc-samples", "64"])
+            assert ran in (0, 3) and len(run_err) == (ran == 3), run_err
+        assert not any("Traceback" in line for line in check_err + run_err)
