@@ -278,14 +278,15 @@ def _index_row(scenario: Scenario, position: int, with_mc: bool):
                    if with_mc and name in ("ks", "empirical_cumulants")]
     work = se = None
     try:
+        # the d x d kernel only where the conditions or the sampler read it,
+        # first, so that its size guard stops the row before any other work
+        if sampled_for or "q_chaos" in scenario.outputs:
+            kernel = family_kernel(scenario.family, n)
         spectrum = family_spectrum(scenario.family, n)
         report = criteria.spectrum_criterion(spectrum, scenario.target)
         exact = {f"kappa_gap_{r}": gap
                  for r, _, _, gap in report.cumulant_gaps}
         exact["gamma_stat"] = report.gamma_stat
-        # the d x d kernel only where the conditions or the sampler read it
-        if sampled_for or "q_chaos" in scenario.outputs:
-            kernel = family_kernel(scenario.family, n)
         found = (criteria.q_chaos_conditions(kernel, scenario.target)
                  if "q_chaos" in scenario.outputs else {})
         conditions = {f"cond_{key}": val for key, val in found.items()}
@@ -307,9 +308,9 @@ def _index_row(scenario: Scenario, position: int, with_mc: bool):
                     f"but (1/2) sum m! b_m = {total!r} from gamma_explicit")
         sampled = {}
         if sampled_for:
-            batch = montecarlo.sample_chaos(ChaosExpansion.from_kernel(kernel),
-                                            scenario.mc_samples,
-                                            scenario.mc_seed + position)
+            F = ChaosExpansion.from_kernel(kernel)
+            batch = montecarlo.sample_chaos(
+                F, scenario.mc_samples, scenario.mc_seed + position)
             if not np.isfinite(batch.values).all():
                 raise NumericalError(
                     f"Monte Carlo sample for {', '.join(sampled_for)} "

@@ -732,7 +732,10 @@ def test_a_diag_family_above_the_element_guard_stops_where_its_kernel_is_built(
         assert math.isclose(float(row["gamma_stat"]), entries * (
             lam * (lam - 1) * (lam - 2)) ** 2, rel_tol=1e-12)
     # the sampled run, its config already read, so the traced peak is the
-    # run's own: no d x d array, only a few arrays of d values per worker
+    # run's own: no d x d array, and each row's kernel is built, so its
+    # guard fires, before any other work on the row.  A failed row's
+    # traceback keeps its spectrum (0.3 MB at 40 000 entries) until the
+    # run ends
     fresh = json.loads(json.dumps(doc))
     monkeypatch.setattr(cli, "_read_config", lambda config: fresh)
     codes = []
@@ -744,7 +747,7 @@ def test_a_diag_family_above_the_element_guard_stops_where_its_kernel_is_built(
         f"order=2 has {entries ** 2} entries, above the guard "
         "MAX_ELEMENTS=10000000\n"))
     assert not (tmp_path / "mc" / "tiny.csv").exists()
-    assert peak < 1.0 + 32 * entries / 2 ** 20, f"{peak:.2f} MB"
+    assert peak < 1.0, f"{peak:.2f} MB"
 
 
 def test_a_config_name_longer_than_the_system_takes_exits_2(tmp_path, capsys):
