@@ -170,10 +170,28 @@ def spectrum_criterion(eigenvalues, spec: TargetSpec) -> CriterionReport:
     for r in range(2, spec.k + 2):
         kn, kt = eigenvalue_cumulant(lam, r), spec.cumulant(r)
         gaps.append((r, kn, kt, abs(kn - kt)))
-    p = lam
-    for a in spec.alphas:
-        p = p * (lam - a)
+    p, _ = _p_and_size(lam, spec)
     return CriterionReport(tuple(gaps), float(np.sum(p * p)))
+
+
+def _p_and_size(lam, spec: TargetSpec):
+    """P(lambda_j) as the product, and |lambda_j| prod_i (|lambda_j| +
+    |alpha_i|), the size of the terms P's expanded coefficients sum."""
+    p, size = lam, np.abs(lam)
+    for a in spec.alphas:
+        p, size = p * (lam - a), size * (np.abs(lam) + abs(a))
+    return p, size
+
+
+def gamma_stat_tolerance(eigenvalues, spec: TargetSpec) -> float:
+    """How far another computation of :func:`spectrum_criterion`'s
+    gamma_stat = sum_j P(lambda_j)^2 may stray from it: 1e-9 of it plus
+    sum_j e_j (2 |P(lambda_j)| + e_j), where e_j, 64 machine epsilons of
+    the size of P's expanded terms, bounds the rounding of an expanded P,
+    which cancels near the target's weights."""
+    p, size = _p_and_size(np.asarray(eigenvalues, dtype=float), spec)
+    err = 64 * np.finfo(float).eps * size
+    return float(1e-9 * np.sum(p * p) + np.sum(err * (2 * np.abs(p) + err)))
 
 
 def psi_functional(kappas, moments, spec: TargetSpec, phi) -> float:

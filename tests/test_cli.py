@@ -193,8 +193,8 @@ def test_the_closed_forms_match_the_gamma_engine_on_every_family():
     # the runner reads each order-2 row's exact columns from its spectrum;
     # criterion_statistic on the d x d kernel is the path it no longer runs.
     # A column that cancels to about 0 is judged on the scale of its terms:
-    # c_r sum |lambda|^r for kappa_r, sum (|lambda| prod (|lambda| +
-    # |alpha|))^2 for gamma_stat.
+    # c_r sum |lambda|^r for kappa_r, and for gamma_stat the rounding of an
+    # expanded P that gamma_stat_tolerance bounds.
     for family, n, spec in _closed_form_cases():
         lam = family_spectrum(family, n)
         got = criteria.spectrum_criterion(lam, spec)
@@ -210,11 +210,8 @@ def test_the_closed_forms_match_the_gamma_engine_on_every_family():
             assert kt == kt_ref, (where, r)
             assert abs(kn - kn_ref) <= 1e-9 * scale, (where, r, kn, kn_ref)
             assert abs(gap - gap_ref) <= 1e-9 * scale, (where, r, gap, gap_ref)
-        terms = np.abs(lam)
-        for a in spec.alphas:
-            terms = terms * (np.abs(lam) + abs(a))
-        scale = abs(want.gamma_stat) + np.sum(terms ** 2)
-        assert abs(got.gamma_stat - want.gamma_stat) <= 1e-9 * scale, (
+        assert abs(got.gamma_stat - want.gamma_stat) <= (
+            criteria.gamma_stat_tolerance(lam, spec)), (
             where, got.gamma_stat, want.gamma_stat)
 
 
@@ -250,7 +247,7 @@ def test_an_order_2_row_reaches_far_beyond_the_dense_guard(tmp_path, peak_mb):
     assert elapsed < 1.0, f"{elapsed:.2f} s"
     # two-eigenvalue-q2-example far out, where P(lambda) ~ -lambda/(4 n^2)
     # cancels in gamma_explicit's expanded sum: its conditions still agree
-    # with the spectrum's gamma_stat on the scale of Q's terms
+    # with the spectrum's gamma_stat to within gamma_stat_tolerance
     config = write_config(tmp_path, target={"alphas": [0.5, -0.5]},
                           family=RANK_ONE, indices=[2 ** 14, 2 ** 16, 10 ** 6],
                           outputs=["q_chaos"])
@@ -558,6 +555,11 @@ def test_gamma_stat_and_the_conditions_disagreeing_exits_3(tmp_path, capsys,
         "scenario 'two-eigenvalue-q2-example' aborted at n=")
     assert "from the spectrum" in lines[0] and "from gamma_explicit" in lines[0]
     assert not (tmp_path / "out" / "two-eigenvalue-q2-example.csv").exists()
+    # far out, where gamma_stat is 7e-12, the same 1% still stops the run
+    config = write_config(tmp_path, target={"alphas": [0.5, -0.5]},
+                          family=RANK_ONE, indices=[256], outputs=["q_chaos"])
+    with pytest.raises(ConsistencyError, match="from gamma_explicit"):
+        run_scenario(config, tmp_path / "far", no_mc=True)
 
 
 @pytest.mark.parametrize("flags, field", [
@@ -732,8 +734,8 @@ def test_a_diag_family_above_the_element_guard_stops_where_its_kernel_is_built(
         assert math.isclose(float(row["gamma_stat"]), entries * (
             lam * (lam - 1) * (lam - 2)) ** 2, rel_tol=1e-12)
     # the sampled run, its config already read, so the traced peak is the
-    # run's own: no d x d array, and each row's kernel is built, so its
-    # guard fires, before any other work on the row.  A failed row's
+    # run's own: no d x d array, and each row's kernel is built from its
+    # spectrum, so its guard fires, before any other work.  A failed row's
     # traceback keeps its spectrum (0.3 MB at 40 000 entries) until the
     # run ends
     fresh = json.loads(json.dumps(doc))
@@ -748,6 +750,24 @@ def test_a_diag_family_above_the_element_guard_stops_where_its_kernel_is_built(
         "MAX_ELEMENTS=10000000\n"))
     assert not (tmp_path / "mc" / "tiny.csv").exists()
     assert peak < 1.0, f"{peak:.2f} MB"
+
+
+def test_a_diag_family_above_the_spectrum_guard_is_a_config_error(
+        tmp_path, capsys, monkeypatch):
+    # the spectrum's size depends on the entries alone, not on n, so a diag
+    # family of more entries than the element guard takes is a config fault;
+    # the guard is lowered to keep the config small
+    monkeypatch.setattr(cli.sym_tensor, "MAX_ELEMENTS", 100)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        **BASE_CONFIG,
+        "family": {"name": "diag", "entries": [[1.0, 0.5]] * 101}}))
+    line = ("family: dense tensor with dim=101, order=1 has 101 entries, "
+            "above the guard MAX_ELEMENTS=100")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 def test_a_config_name_longer_than_the_system_takes_exits_2(tmp_path, capsys):
@@ -1160,22 +1180,22 @@ def test_the_first_failing_index_is_the_one_reported(tmp_path, capsys,
     # indices 4 and 16 fail: a serial run reports n = 4, though n = 16, the
     # first to start, fails first
     ran = []
-    kernel_of = cli.family_kernel
+    spectrum_of = cli.family_spectrum
 
-    def family_kernel(family, n):
+    def family_spectrum(family, n):
         ran.append(n)
         if n in (4, 16):
-            raise cli.ResourceGuardError(f"kernel {n} is too large")
-        return kernel_of(family, n)
+            raise cli.ResourceGuardError(f"spectrum {n} is too large")
+        return spectrum_of(family, n)
 
-    monkeypatch.setattr(cli, "family_kernel", family_kernel)
+    monkeypatch.setattr(cli, "family_spectrum", family_spectrum)
     monkeypatch.setattr(cli, "_workers", lambda n: 1)
     config = write_config(tmp_path, indices=[2, 4, 8, 16])
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert err == "scenario 'tiny' aborted at n=4: kernel 4 is too large\n"
-    # the largest n first; validate builds no kernel
-    assert ran == [16, 8, 4, 2]
+    assert err == "scenario 'tiny' aborted at n=4: spectrum 4 is too large\n"
+    # the config check at n = 1, then the largest n first
+    assert ran == [1, 16, 8, 4, 2]
     assert not (tmp_path / "out" / "tiny.csv").exists()
 
 
