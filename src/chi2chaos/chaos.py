@@ -146,28 +146,29 @@ def _block_rows(d: int, table: bool = False) -> int:
     return max(1, rows // 2) if table else rows
 
 
-def _hermite_table(x: np.ndarray, qmax: int, out=None, work=None) -> np.ndarray:
+def _hermite_table(x: np.ndarray, qmax: int, out=None) -> np.ndarray:
     """H_m(x) for m = 0..qmax, stacked along the first axis.
 
     ``out``, if given, is a C-contiguous float array of shape (qmax+1,) +
-    x.shape and ``work`` one of x.size floats for the products
-    m H_{m-1}, so a caller that keeps both allocates nothing per table.
-    Row 1 is one copy of x (so a transposed view of a block is transposed
-    in that copy), and each row after it is x H_m - m H_{m-1} written in
-    place: the same operations in the same order as the plain recurrence,
-    so bitwise its values.
+    x.shape, so a caller that keeps it allocates nothing per table.  Row 1
+    is one copy of x (so a transposed view of a block is transposed in that
+    copy), H_2 is x H_1 - 1.0, and each row after it is x H_m - m H_{m-1},
+    with row 0 as the work row for the products m H_{m-1}; row 0 gets its
+    ones last.  These are the operations of the plain recurrence in its
+    order (m H_0 is 1.0 at m = 1), so bitwise its values.
     """
     table = np.empty((qmax + 1,) + np.shape(x)) if out is None else out
-    table[0] = 1.0
     if qmax >= 1:
         table[1] = x
     h = table.reshape(qmax + 1, -1)
-    if qmax >= 2 and work is None:
-        work = np.empty(h.shape[1])
-    for m in range(1, qmax):
+    if qmax >= 2:
+        np.multiply(h[1], h[1], out=h[2])
+        np.subtract(h[2], 1.0, out=h[2])
+    for m in range(2, qmax):
         np.multiply(h[1], h[m], out=h[m + 1])
-        np.multiply(h[m - 1], m, out=work)
-        np.subtract(h[m + 1], work, out=h[m + 1])
+        np.multiply(h[m - 1], m, out=h[0])
+        np.subtract(h[m + 1], h[0], out=h[m + 1])
+    table[0] = 1.0
     return table
 
 
@@ -298,8 +299,9 @@ def _walk(F: ChaosExpansion, n: int, fill) -> np.ndarray:
     fill the cores.
 
     Blocks with a table hold ``_block_rows(d, table=True)`` rows, 8 192 at
-    d = 16, so the two tables in flight, (qmax+1, d, rows) floats each plus
-    a row of work, take about the memory of one 16 384-row table.
+    d = 16, so the two tables in flight, (qmax+1, d, rows) floats each (the
+    recurrence works in row 0's slot), take about the memory of one
+    16 384-row table.
     """
     tabulate, add = _evaluator(F)
     dim = F.dim
@@ -310,7 +312,7 @@ def _walk(F: ChaosExpansion, n: int, fill) -> np.ndarray:
     # the allocator returns the freed memory and faults it in again
     buffers = [(np.empty((rows, dim)),
                 None if tabulate is None
-                else np.empty((F.max_order + 2) * dim * rows))
+                else np.empty((F.max_order + 1) * dim * rows))
                for _ in range(1 + pipelined)]
     values = np.empty(n)
 
@@ -348,9 +350,9 @@ def _evaluator(F: ChaosExpansion):
 
     ``tabulate(xs, buffer)`` is stage 1's table: it writes the block's
     (qmax+1, d, rows) Hermite table into the flat float array ``buffer``
-    of (qmax+2) * d * rows or more floats (the last d * rows are the
-    recurrence's work row) and returns it, so each factor H_m(x_i) is a
-    contiguous row.  It is None when F has no term of order >= 3.
+    of (qmax+1) * d * rows or more floats (the recurrence works in row 0's
+    slot, which it fills with ones last) and returns it, so each factor
+    H_m(x_i) is a contiguous row.  It is None when F has no term of order >= 3.
     ``add(xs, table, out)`` is stage 2: it writes the block's values into
     ``out``.  ``xs`` is a C-contiguous (rows, d) float array with 1 <= rows
     (einsum's summation order follows the memory layout).
@@ -388,10 +390,9 @@ def _evaluator(F: ChaosExpansion):
         has_off = off.any()
 
     def tabulate(xs, buffer):
-        size = dim * len(xs)
-        table = buffer[:(qmax + 1) * size].reshape(qmax + 1, dim, len(xs))
-        return _hermite_table(xs.T, qmax, table,
-                              buffer[(qmax + 1) * size:(qmax + 2) * size])
+        size = (qmax + 1) * dim * len(xs)
+        table = buffer[:size].reshape(qmax + 1, dim, len(xs))
+        return _hermite_table(xs.T, qmax, table)
 
     def add(xs, table, total):
         total[...] = 0.0

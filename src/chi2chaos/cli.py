@@ -342,6 +342,18 @@ def _check_finite(columns: dict):
             raise NumericalError(f"{column} = {val} is not finite")
 
 
+def _release_frames(exc: BaseException):
+    """Clear the finished frames in the tracebacks of ``exc`` and of the
+    exceptions it was raised in the handling of, so a failed row's future,
+    which keeps ``exc`` until the run ends, does not keep that row's arrays
+    too.  The message and the traceback's lines stay."""
+    import traceback  # only a failed row needs it, so start-up does not
+
+    while exc is not None:
+        traceback.clear_frames(exc.__traceback__)
+        exc = exc.__context__
+
+
 def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
                  no_mc: bool = False):
     """Run one scenario end to end; returns (csv_path, summary_path)."""
@@ -361,9 +373,16 @@ def run_scenario(config_path, out_dir, mc_samples=None, seed=None,
     out_dir.mkdir(parents=True, exist_ok=True)
 
     positions = range(len(scenario.indices))
+
+    def row(position):
+        try:
+            return _index_row(scenario, position, with_mc)
+        except BaseException as exc:
+            _release_frames(exc)
+            raise
+
     # each task runs under the caller's error handling (the CLI's np.errstate)
-    row_at = chaos._under_callers_errstate(
-        lambda position: _index_row(scenario, position, with_mc))
+    row_at = chaos._under_callers_errstate(row)
     with ThreadPoolExecutor(_workers(len(positions))) as pool:
         # the largest n (indices increase) starts first, so it does not run
         # last.  Results are taken in index order, so the outputs and the

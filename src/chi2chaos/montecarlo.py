@@ -122,20 +122,34 @@ def _values(batch) -> np.ndarray:
 
 def k_statistics(batch, rmax: int = 4):
     """Cumulant estimates [k_1 .. k_rmax], rmax <= 4: the unbiased
-    k-statistics."""
+    k-statistics.
+
+    The central moments come from one running product p = d^r of the
+    deviations d = values - mean, the one array as long as the sample: p
+    starts as d * d in place, and each later factor d is formed again,
+    ``chaos._BLOCK_ROWS`` values at a time, into one small work array.
+    Every element and every mean of p is the one a held array of
+    deviations would give, so the estimates are bitwise the same.
+    """
     values = _values(batch)
     n = len(values)
     rmax = sym_tensor._integer(rmax, "rmax", 1, 5)
     if n <= rmax:
         raise ValueError(f"need more than rmax={rmax} samples, got {n}")
     mean = float(np.mean(values))
-    d = values - mean
     # central moments m_2 .. m_rmax only: k_r needs none of higher order.
     # A running product, since d ** r calls pow for r >= 3 and is ~10x slower.
-    # Taken in place after d * d, so two n-arrays are live, not three.
     m = {}
-    for r in range(2, rmax + 1):
-        p = d * d if r == 2 else np.multiply(p, d, out=p)
+    if rmax >= 2:
+        p = np.subtract(values, mean)
+        m[2] = float(np.mean(np.multiply(p, p, out=p)))
+        work = np.empty(min(n, chaos._BLOCK_ROWS))
+    for r in range(3, rmax + 1):
+        for lo in range(0, n, len(work)):
+            part = p[lo:lo + len(work)]
+            d = np.subtract(values[lo:lo + len(part)], mean,
+                            out=work[:len(part)])
+            np.multiply(part, d, out=part)
         m[r] = float(np.mean(p))
     out = [mean]
     if rmax >= 2:

@@ -88,13 +88,16 @@ def test_hermite_is_bitwise_a_row_of_the_hermite_table():
         assert isinstance(h, float) and h == scalar_table[q]
         assert h == _hermite_running_pair(q, np.float64(-2.7))
     # written in place from a transposed block into a buffer that holds an
-    # earlier table, as pathwise evaluation writes it: the same values
+    # earlier table, as pathwise evaluation writes it, at every order around
+    # the first rows (the recurrence works in row 0's slot): the same values
     block = np.random.default_rng(9).standard_normal((11, 3))
-    out, work = np.full((9, 3, 11), np.nan), np.full(33, np.nan)
-    for xs in (block[::-1], block):
-        got = chaos._hermite_table(xs.T, 8, out, work)
-        assert got is out
-        assert np.array_equal(got, chaos._hermite_table(np.array(xs.T), 8))
+    for qmax in (0, 1, 2, 3, 8):
+        out = np.full((qmax + 1, 3, 11), np.nan)
+        for xs in (block[::-1], block):
+            got = chaos._hermite_table(xs.T, qmax, out)
+            assert got is out
+            assert np.array_equal(
+                got, chaos._hermite_table(np.array(xs.T), 8)[:qmax + 1])
 
 
 def test_hermite_orthogonality_montecarlo():
@@ -512,7 +515,7 @@ def test_fused_group_sums_are_bitwise_the_per_term_sums():
         tabulate, add = chaos._evaluator(F)
         for n in (1, 2, 3, 17, chaos._block_rows(dim, table=True)):
             xs = rng.standard_normal((n, dim))
-            table = tabulate(xs, np.empty((F.max_order + 2) * dim * n))
+            table = tabulate(xs, np.empty((F.max_order + 1) * dim * n))
             got = np.empty(n)
             add(xs, table, got)
             # the per-term loop on the same table

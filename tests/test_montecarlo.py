@@ -157,10 +157,15 @@ def test_sample_chaos_is_prefix_stable_at_orders_0_and_above_2():
 
 
 def test_sample_chaos_memory_does_not_grow_with_n_times_d(peak_mb):
-    # one (400 000, 16) draw alone is 51 MB
+    # one (400 000, 16) draw alone is 51 MB; memory is the n values and the
+    # walk's two buffer sets, each a (q+1, d, rows) table (the recurrence
+    # works in row 0's slot) and a (rows, d) block of inputs
+    q, d, n = 3, 16, 400_000
     F = ChaosExpansion.from_kernel(
-        random_kernel(3, 16, np.random.default_rng(42)))
-    assert peak_mb(lambda: sample_chaos(F, 400_000, 43)) < 25.0
+        random_kernel(q, d, np.random.default_rng(42)))
+    rows = chaos._block_rows(d, table=True)
+    bound = n * 8 + 2 * ((q + 1) * d * rows + d * rows) * 8 + 2 ** 20
+    assert peak_mb(lambda: sample_chaos(F, n, 43)) <= bound / 2 ** 20
 
 
 def test_sample_chaos_memory_at_d_256_is_n_values_plus_8_mb(peak_mb):
@@ -545,11 +550,50 @@ def test_k_statistics_third_and_fourth_match_fsum_moments():
     assert abs(got[3] - k4) <= 1e-13 * abs(k4)
 
 
-def test_k_statistics_memory_is_two_value_arrays_plus_1_mb(peak_mb):
-    # the deviations and one running product, taken in place
+def _two_array_k_statistics(values, rmax):
+    # the k-statistics as they were computed with the deviations held next
+    # to the running product
+    n = len(values)
+    mean = float(np.mean(values))
+    d = values - mean
+    m = {}
+    for r in range(2, rmax + 1):
+        p = d * d if r == 2 else np.multiply(p, d, out=p)
+        m[r] = float(np.mean(p))
+    out = [mean]
+    if rmax >= 2:
+        out.append(n / (n - 1) * m[2])
+    if rmax >= 3:
+        out.append(n ** 2 / ((n - 1) * (n - 2)) * m[3])
+    if rmax >= 4:
+        out.append(n ** 2 * ((n + 1) * m[4] - 3 * (n - 1) * m[2] ** 2)
+                   / ((n - 1) * (n - 2) * (n - 3)))
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 6, chaos._BLOCK_ROWS - 1, chaos._BLOCK_ROWS,
+                               chaos._BLOCK_ROWS + 1, 500_000])
+def test_k_statistics_are_bitwise_the_two_array_running_product(n):
+    # the factors d are formed again chunk by chunk, around every chunk edge
+    values = np.random.default_rng(n).standard_normal(n) ** 3 + 0.25
+    for rmax in range(1, 5):
+        want = _two_array_k_statistics(values, rmax)
+        assert k_statistics(values, rmax) == want
+        if n < 10 * (rmax + 1):
+            assert k_statistic_errors(values, rmax) == [None] * rmax
+            continue
+        chunks = np.array_split(values, 10)
+        stats = np.array([_two_array_k_statistics(c, rmax) for c in chunks])
+        assert k_statistic_errors(values, rmax) == list(
+            np.std(stats, axis=0, ddof=1) / math.sqrt(10))
+
+
+def test_k_statistics_memory_is_one_value_array_plus_1_mb(peak_mb):
+    # the running product is the one sample-length array: its factors are
+    # formed chunk by chunk in a small work array
     values = np.random.default_rng(88).standard_normal(500_000)
     n_mb = values.nbytes / 2 ** 20
-    assert peak_mb(lambda: k_statistics(values, 4)) <= 2 * n_mb + 1.0
+    assert peak_mb(lambda: k_statistics(values, 4)) <= n_mb + 1.0
 
 
 def test_k_statistics_argument_errors():
