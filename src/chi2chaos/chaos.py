@@ -294,9 +294,9 @@ def _walk(F: ChaosExpansion, n: int, fill) -> np.ndarray:
     ``np.geterr()``.  A stage's exception is raised in the caller, and the
     helper is joined before the walk returns or raises.  Otherwise both
     stages run in turn on the caller: at order <= 2 a block's sums are a
-    few einsums, too little work to overlap, and a helper there made the
-    shipped scenarios slower in ``cli.run_scenario``, whose workers already
-    fill the cores.
+    few einsums, too little work to overlap (a helper there made order-2
+    sampling slower on the worker threads of ``cli.run_scenario``, which
+    already fill the cores, when its rows were still sampled here).
 
     Blocks with a table hold ``_block_rows(d, table=True)`` rows, 8 192 at
     d = 16, so the two tables in flight, (qmax+1, d, rows) floats each (the
@@ -359,12 +359,12 @@ def _evaluator(F: ChaosExpansion):
 
     Orders 0-2 are einsums over the block's rows (not BLAS products, whose
     sums can depend on the row count): order 1, the diagonal of order 2,
-    sum_i f_ii (x_i^2 - 1), and its off-diagonal part x^T f x, if it has
-    one; a diagonal kernel (every shipped family's kernel is one) skips
-    that d^2 pass.  Orders >= 3 are sums of products of Hermite
-    polynomials over the table.  Their groups, planned by :func:`_sum_plan`,
-    are built here, once, however many blocks the stages are then called
-    on, and not kept on ``F``: at (q, d) = (3, 100), 171 700 terms in
+    sum_i f_ii (x_i^2 - 1), and its off-diagonal part x^T f_off x, a d^2
+    pass (the runner samples its diagonal kernels' laws from their spectra
+    by ``montecarlo._sample_weights`` instead).  Orders >= 3 are sums of
+    products of Hermite polynomials over the table.  Their groups, planned
+    by :func:`_sum_plan`, are built here, once, however many blocks the
+    stages are then called on, and not kept on ``F``: at (q, d) = (3, 100), 171 700 terms in
     5 050 groups, they take 4.7 MB, each row and coefficient held once.
     Per block, a group's sum c * H_l over its terms is written into one
     row vector, multiplied in place by the group's leading rows and added
@@ -387,7 +387,6 @@ def _evaluator(F: ChaosExpansion):
         kern = F.kernel(2)
         diag, trace = np.diag(kern), np.trace(kern)
         off = kern - np.diag(diag)
-        has_off = off.any()
 
     def tabulate(xs, buffer):
         size = (qmax + 1) * dim * len(xs)
@@ -405,9 +404,8 @@ def _evaluator(F: ChaosExpansion):
             elif q == 2:
                 # I_2(f) = sum_i f_ii x_i^2 - tr f + x^T f_off x
                 total += np.einsum("ni,ni,i->n", xs, xs, diag) - trace
-                if has_off:
-                    xf = np.einsum("ni,ij->nj", xs, off)
-                    total += np.einsum("ni,ni->n", xf, xs)
+                xf = np.einsum("ni,ij->nj", xs, off)
+                total += np.einsum("ni,ni->n", xf, xs)
         if plan:
             rows = table.reshape(-1, len(total))
             acc, term = np.empty(len(total)), np.empty(len(total))

@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, chaos, criteria, montecarlo, sym_tensor
-from .chaos import ChaosExpansion
 from .errors import ConfigError, ConsistencyError, NumericalError, ResourceGuardError
 from .montecarlo import TargetLaw
 from .spectral2 import TargetSpec, finite_real
@@ -281,7 +280,7 @@ def _index_row(scenario: Scenario, position: int, with_mc: bool):
     work = se = None
     try:
         spectrum = family_spectrum(scenario.family, n)
-        if sampled_for or "q_chaos" in scenario.outputs:
+        if "q_chaos" in scenario.outputs:
             kernel = sym_tensor._diagonal(spectrum)
         report = criteria.spectrum_criterion(spectrum, scenario.target)
         exact = {f"kappa_gap_{r}": gap
@@ -303,9 +302,8 @@ def _index_row(scenario: Scenario, position: int, with_mc: bool):
                     f"but (1/2) sum m! b_m = {total!r} from gamma_explicit")
         sampled = {}
         if sampled_for:
-            F = ChaosExpansion.from_kernel(kernel)
-            batch = montecarlo.sample_chaos(
-                F, scenario.mc_samples, scenario.mc_seed + position)
+            batch = montecarlo._sample_weights(
+                spectrum, scenario.mc_samples, scenario.mc_seed + position)
             if not np.isfinite(batch.values).all():
                 raise NumericalError(
                     f"Monte Carlo sample for {', '.join(sampled_for)} "

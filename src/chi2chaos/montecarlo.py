@@ -83,9 +83,31 @@ class SampleBatch:
 
 
 def sample_target(spec: TargetSpec, n: int, seed: int) -> SampleBatch:
-    """n i.i.d. draws of sum_i alpha_i (N_i^2 - 1)."""
-    z = _rng(seed, n).standard_normal((n, spec.k))
-    values = np.einsum("nk,k->n", z * z - 1.0, np.asarray(spec.alphas))
+    """n i.i.d. draws of sum_i alpha_i (N_i^2 - 1), by :func:`_sample_weights`."""
+    return _sample_weights(spec.alphas, n, seed)
+
+
+def _sample_weights(weights, n: int, seed: int) -> SampleBatch:
+    """n i.i.d. draws of sum_i w_i (N_i^2 - 1): the law of the target and of
+    every order-2 F = I_2(f), whose weights are f's eigenvalues.
+
+    The normals are drawn ``chaos._block_rows(d)`` rows (at most 2 MB) at a
+    time into one reused buffer, so memory is the n values plus one block
+    at any d.  A block's values are sum_i w_i x_i^2 less sum_i w_i, the
+    order-2 arithmetic of ``chaos._evaluator`` on the blocks of
+    ``sample_chaos``: bitwise ``sample_chaos`` on the diagonal kernel of
+    the weights, and prefix-stable in n for one seed.
+    """
+    rng = _rng(seed, n)
+    w = np.asarray(weights, dtype=float)
+    total = np.sum(w)
+    block = np.empty((min(n, chaos._block_rows(len(w))), len(w)))
+    values = np.empty(n)
+    for lo in range(0, n, len(block)):
+        xs = rng.standard_normal(out=block[:n - lo])
+        out = values[lo:lo + len(xs)]
+        np.einsum("ni,ni,i->n", xs, xs, w, out=out)
+        out -= total
     return SampleBatch(sym_tensor._sealed(values), seed)
 
 

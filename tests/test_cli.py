@@ -2,6 +2,7 @@ import ast
 import contextlib
 import copy
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chi2chaos
-from chi2chaos import cli, criteria, montecarlo
+from chi2chaos import chaos, cli, criteria, montecarlo
 from chi2chaos.chaos import ChaosExpansion
 from chi2chaos.cli import (
     config_diagnostics,
@@ -269,6 +270,36 @@ def test_an_order_2_row_reaches_far_beyond_the_dense_guard(tmp_path, peak_mb):
         problems = []
         assert peak_mb(lambda: problems.extend(config_diagnostics(doc))) < 1.0
         assert problems == []
+
+
+def test_the_runner_samples_each_order_2_row_as_sample_chaos_on_its_kernel(
+        monkeypatch):
+    # the reference is the path the runner took before it sampled the
+    # spectrum: the row's d x d kernel, sampled pathwise by sample_chaos.
+    # Two blocks and five rows, so the draws cross block boundaries; d
+    # reaches 256 in gaussian-counterexample
+    sampled = []
+    sample_weights = montecarlo._sample_weights
+
+    def recording(weights, n, seed):
+        batch = sample_weights(weights, n, seed)
+        sampled.append(batch.values)
+        return batch
+
+    monkeypatch.setattr(cli.montecarlo, "_sample_weights", recording)
+    for name, path in shipped_scenarios().items():
+        scenario = load_config(path)
+        for position, n in enumerate(scenario.indices):
+            kernel = family_kernel(scenario.family, n)
+            samples = 2 * chaos._block_rows(kernel.dim) + 5
+            row, _, _ = cli._index_row(dataclasses.replace(
+                scenario, mc_samples=samples,
+                outputs=("empirical_cumulants",)), position, True)
+            want = montecarlo.sample_chaos(
+                ChaosExpansion.from_kernel(kernel), samples,
+                scenario.mc_seed + position).values
+            assert np.array_equal(sampled.pop(), want), (name, n)
+            assert row["emp_kappa_2"] == montecarlo.k_statistics(want, 4)[1]
 
 
 def test_run_scenario_outputs(tmp_path):
@@ -713,8 +744,9 @@ def test_a_config_is_read_as_utf_8_under_an_ascii_locale(tmp_path,
 @pytest.mark.parametrize("entries", [4000, 40000])
 def test_a_diag_family_above_the_element_guard_stops_where_its_kernel_is_built(
         tmp_path, capsys, monkeypatch, peak_mb, entries):
-    # validate and the exact columns read the spectrum, so the dense guard
-    # stops a run only at a row that builds the d x d kernel, to sample it
+    # validate, the exact columns and Monte Carlo read the spectrum, so the
+    # dense guard stops a run only at a row that builds the d x d kernel,
+    # for q_chaos's gamma_explicit
     doc = {**BASE_CONFIG,
            "family": {"name": "diag", "entries": [[1.0, 0.5]] * entries}}
     path = tmp_path / "config.json"
@@ -733,10 +765,11 @@ def test_a_diag_family_above_the_element_guard_stops_where_its_kernel_is_built(
                             abs(2 * entries * lam ** 2 - 10), rel_tol=1e-12)
         assert math.isclose(float(row["gamma_stat"]), entries * (
             lam * (lam - 1) * (lam - 2)) ** 2, rel_tol=1e-12)
-    # the sampled run, its config already read, so the traced peak is the
+    # the q_chaos run, its config already read, so the traced peak is the
     # run's own: no d x d array, and each row's kernel is built from its
-    # spectrum, so its guard fires, before any other work
+    # spectrum, so its guard fires, before any other work or sampling
     fresh = json.loads(json.dumps(doc))
+    fresh["outputs"] = BASE_CONFIG["outputs"] + ["q_chaos"]
     monkeypatch.setattr(cli, "_read_config", lambda config: fresh)
     codes = []
     peak = peak_mb(lambda: codes.append(
@@ -750,10 +783,40 @@ def test_a_diag_family_above_the_element_guard_stops_where_its_kernel_is_built(
     assert peak < 1.0, f"{peak:.2f} MB"
 
 
+@pytest.mark.parametrize("family, n", [
+    ({"name": "diag", "entries": [[1.0, 0.5]] * 4000}, 2),
+    ({"name": "equal-split"}, 4096),
+])
+def test_a_sampled_row_beyond_the_element_guard_builds_no_kernel(
+        tmp_path, capsys, monkeypatch, peak_mb, family, n):
+    # d = 4 000 and 4 096, above the 3 162 of a d x d kernel the guard
+    # takes: Monte Carlo draws the row's spectrum 64 rows (2 MB) a block,
+    # so the run's traced peak stays far below one d x d array (128 MB)
+    def unreachable(*args):
+        raise AssertionError("a sampled row built its d x d kernel")
+
+    path = tmp_path / "config.json"
+    doc = {**BASE_CONFIG, "family": family, "indices": [n]}
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "_read_config", lambda config: doc)
+    monkeypatch.setattr(cli.sym_tensor, "_diagonal", unreachable)
+    codes = []
+    peak = peak_mb(lambda: codes.append(main([
+        "run", str(path), "--out", str(tmp_path / "out"),
+        "--mc-samples", "64"])))
+    assert codes == [0], capsys.readouterr().err
+    assert peak < 8.0, f"{peak:.2f} MB"
+    with open(tmp_path / "out" / "tiny.csv") as fh:
+        row = next(csv.DictReader(fh))
+    batch = montecarlo._sample_weights(family_spectrum(family, n), 64,
+                                       BASE_CONFIG["mc"]["seed"])
+    assert float(row["emp_kappa_2"]) == montecarlo.k_statistics(batch, 4)[1]
+
+
 def test_failed_rows_keep_their_errors_but_not_their_arrays(
         tmp_path, capsys, monkeypatch, peak_mb):
     # every index of a 40 000-entry diag family fails where it builds the
-    # d x d kernel to sample it.  Each failed row's error is kept until the
+    # d x d kernel for q_chaos.  Each failed row's error is kept until the
     # run ends, but the frames of its traceback, which held its spectrum
     # (0.3 MB), are cleared: 12 failed indices peak within one spectrum per
     # worker of one.  The first run only warms up.
@@ -761,7 +824,8 @@ def test_failed_rows_keep_their_errors_but_not_their_arrays(
     peaks = {}
     for count in (1, 1, 12):
         doc = {**BASE_CONFIG, "indices": list(range(1, count + 1)),
-               "family": {"name": "diag", "entries": [[1.0, 0.5]] * entries}}
+               "family": {"name": "diag", "entries": [[1.0, 0.5]] * entries},
+               "outputs": BASE_CONFIG["outputs"] + ["q_chaos"]}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         fresh = json.loads(json.dumps(doc))
@@ -872,7 +936,7 @@ def test_non_finite_values_exit_3_naming_n(tmp_path, capsys, monkeypatch,
     def unreachable(*args):
         raise AssertionError("Monte Carlo ran after a non-finite exact column")
 
-    monkeypatch.setattr(cli.montecarlo, "sample_chaos", unreachable)
+    monkeypatch.setattr(cli.montecarlo, "_sample_weights", unreachable)
     monkeypatch.setattr(cli.montecarlo, "kolmogorov_distance", unreachable)
     config = write_config(tmp_path, target={"alphas": [0.5, -0.5]},
                           family={**RANK_ONE, "scale": scale}, outputs=outputs)
@@ -890,7 +954,7 @@ def test_non_finite_values_exit_3_naming_n(tmp_path, capsys, monkeypatch,
 def test_a_non_finite_sample_exits_3_before_the_distance_runs(
         tmp_path, capsys, monkeypatch):
     # finite exact columns, one infinite Monte Carlo value
-    def sample(F, n, seed):
+    def sample(weights, n, seed):
         values = np.zeros(n)
         values[n // 2] = math.inf
         return montecarlo.SampleBatch(values, seed)
@@ -898,7 +962,7 @@ def test_a_non_finite_sample_exits_3_before_the_distance_runs(
     def unreachable(*args):
         raise AssertionError("the Kolmogorov distance ran on a non-finite sample")
 
-    monkeypatch.setattr(cli.montecarlo, "sample_chaos", sample)
+    monkeypatch.setattr(cli.montecarlo, "_sample_weights", sample)
     monkeypatch.setattr(cli.montecarlo, "kolmogorov_distance", unreachable)
     monkeypatch.setattr(cli, "TargetLaw", unreachable)
     config = write_config(tmp_path, target={"alphas": [0.5, -0.5]},
@@ -944,10 +1008,10 @@ def test_a_sample_count_the_machine_cannot_hold_exits_3(tmp_path, capsys,
                                                         monkeypatch):
     # the sampler's np.empty(n) raised MemoryError, a traceback and exit 1;
     # it is replaced here, so nothing is allocated
-    def sample(F, n, seed):
+    def sample(weights, n, seed):
         raise MemoryError(f"Unable to allocate {8 * n} bytes")
 
-    monkeypatch.setattr(cli.montecarlo, "sample_chaos", sample)
+    monkeypatch.setattr(cli.montecarlo, "_sample_weights", sample)
     config = write_config(tmp_path)
     assert main(["run", str(config), "--out", str(tmp_path / "out"),
                  "--mc-samples", "1000000000000"]) == 3

@@ -204,6 +204,38 @@ def test_sample_chaos_blocks_hold_at_most_2_18_normals(dim, rows):
     assert np.array_equal(sample_chaos(coordinate, n, seed).values, whole[:, -1])
 
 
+def test_the_spectrum_sampler_is_prefix_stable_across_blocks():
+    # gaussian-counterexample's spectrum at n = 256: blocks of 1 024 rows
+    w = cli.family_spectrum({"name": "equal-split"}, 256)
+    rows = chaos._block_rows(len(w))
+    whole = montecarlo._sample_weights(w, 2 * rows + 5, 7).values
+    for n in (1, 5, rows - 1, rows, rows + 1, 2 * rows, 2 * rows + 4):
+        assert np.array_equal(montecarlo._sample_weights(w, n, 7).values,
+                              whole[:n]), n
+
+
+def test_sample_target_draws_one_n_by_k_stream():
+    # the normals are those of one (n, k) draw, block by block: the values
+    # differ from sum_i alpha_i (z_i^2 - 1) on that draw only in rounding,
+    # since sum_i alpha_i is subtracted once instead of each alpha_i
+    for alphas in ((1.0,), (1.0, 2.0), (0.5, -0.5), (1.0, -0.6, 2.2)):
+        got = sample_target(TargetSpec(alphas), 40_000, 5).values
+        z = montecarlo._rng(5).standard_normal((40_000, len(alphas)))
+        want = np.einsum("nk,k->n", z * z - 1.0, np.asarray(alphas))
+        scale = np.einsum("nk,k->n", z * z + 1.0, np.abs(alphas))
+        # each side's k + 1 roundings, at most 2^-53 of the scale each
+        bound = (len(alphas) + 1) * 2.0 ** -52 * scale
+        assert np.all(np.abs(got - want) <= bound), alphas
+
+
+def test_sample_target_memory_is_n_values_plus_one_block(peak_mb):
+    # the (n, k) draw and z * z - 1 beside it peaked at 53.4 MB
+    n, k = 10 ** 6, 3
+    bound = n * 8 + chaos._block_rows(k) * k * 8 + 2 ** 20
+    peak = peak_mb(lambda: sample_target(TargetSpec((1.0, 2.0, 3.0)), n, 0))
+    assert peak <= bound / 2 ** 20, f"{peak:.2f} MB"
+
+
 @pytest.mark.parametrize("dim", [17, 64])
 def test_sample_chaos_is_prefix_stable_above_order_2_in_short_blocks(dim):
     # d = 256 is left out: an order-3 kernel there has 1.7e7 entries, over
