@@ -294,9 +294,7 @@ def _walk(F: ChaosExpansion, n: int, fill) -> np.ndarray:
     ``np.geterr()``.  A stage's exception is raised in the caller, and the
     helper is joined before the walk returns or raises.  Otherwise both
     stages run in turn on the caller: at order <= 2 a block's sums are a
-    few einsums, too little work to overlap (a helper there made order-2
-    sampling slower on the worker threads of ``cli.run_scenario``, which
-    already fill the cores, when its rows were still sampled here).
+    few einsums, too little work to overlap with its draw.
 
     Blocks with a table hold ``_block_rows(d, table=True)`` rows, 8 192 at
     d = 16, so the two tables in flight, (qmax+1, d, rows) floats each (the
@@ -364,8 +362,9 @@ def _evaluator(F: ChaosExpansion):
     by ``montecarlo._sample_weights`` instead).  Orders >= 3 are sums of
     products of Hermite polynomials over the table.  Their groups, planned
     by :func:`_sum_plan`, are built here, once, however many blocks the
-    stages are then called on, and not kept on ``F``: at (q, d) = (3, 100), 171 700 terms in
-    5 050 groups, they take 4.7 MB, each row and coefficient held once.
+    stages are then called on, and not kept on ``F``: at (q, d) =
+    (3, 100), 171 700 terms in 5 050 groups, they take 4.7 MB, each row
+    and coefficient held once.
     Per block, a group's sum c * H_l over its terms is written into one
     row vector, multiplied in place by the group's leading rows and added
     to the total.

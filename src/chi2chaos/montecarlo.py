@@ -83,7 +83,7 @@ class SampleBatch:
 
 
 def sample_target(spec: TargetSpec, n: int, seed: int) -> SampleBatch:
-    """n i.i.d. draws of sum_i alpha_i (N_i^2 - 1), by :func:`_sample_weights`."""
+    """n i.i.d. draws of sum_i alpha_i (N_i^2 - 1), by ``_sample_weights``."""
     return _sample_weights(spec.alphas, n, seed)
 
 

@@ -274,8 +274,7 @@ def test_an_order_2_row_reaches_far_beyond_the_dense_guard(tmp_path, peak_mb):
 
 def test_the_runner_samples_each_order_2_row_as_sample_chaos_on_its_kernel(
         monkeypatch):
-    # the reference is the path the runner took before it sampled the
-    # spectrum: the row's d x d kernel, sampled pathwise by sample_chaos.
+    # the reference is the pathwise sampler on the row's d x d kernel.
     # Two blocks and five rows, so the draws cross block boundaries; d
     # reaches 256 in gaussian-counterexample
     sampled = []

@@ -229,7 +229,7 @@ def test_sample_target_draws_one_n_by_k_stream():
 
 
 def test_sample_target_memory_is_n_values_plus_one_block(peak_mb):
-    # the (n, k) draw and z * z - 1 beside it peaked at 53.4 MB
+    # one (n, k) draw alone is 24 MB
     n, k = 10 ** 6, 3
     bound = n * 8 + chaos._block_rows(k) * k * 8 + 2 ** 20
     peak = peak_mb(lambda: sample_target(TargetSpec((1.0, 2.0, 3.0)), n, 0))
